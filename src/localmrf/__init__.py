@@ -31,6 +31,7 @@ from .decompose import (
     EdgeDecomposition,
     RadiusLaw,
     VertexDecomposition,
+    criscross_decomposition,
     db_dim_edge,
     db_dim_target_eps,
     db_dim_vertex,

@@ -23,12 +23,12 @@ from .core import (
     Graph,
     PairwiseMrf,
     affine_shift,
-    connected_components,
     criscross_graph,
     grid_graph,
 )
 from .decompose import (
     EdgeDecomposition,
+    criscross_decomposition,
     db_dim_edge,
     empty_edge_decomposition,
     grid_decomp,
@@ -81,39 +81,6 @@ def sample_potentials(
     raw = PairwiseMrf(graph, 2, phi, psi)
     shifted, _ = affine_shift(raw)
     return shifted
-
-
-def criscross_decomposition(
-    cc_graph: Graph, grid_dec: EdgeDecomposition
-) -> EdgeDecomposition:
-    """Lift a grid-subgraph edge decomposition to the cris-cross graph.
-
-    Keeps the grid removals and additionally removes every diagonal whose
-    endpoints land in different grid components, so the cris-cross
-    components coincide with the grid ones.  Each diagonal's removal
-    probability is at most twice the grid edges', hence the doubled target.
-    """
-    comp_of = {}
-    for i, comp in enumerate(grid_dec.components):
-        for v in comp:
-            comp_of[v] = i
-    removed = set(grid_dec.removed_edges)
-    grid_edges = grid_graph(int(math.isqrt(cc_graph.n))).edges
-    for (u, v) in cc_graph.edge_list:
-        if (u, v) in grid_edges:
-            continue
-        if comp_of[u] != comp_of[v]:
-            removed.add((u, v))
-    comps = connected_components(cc_graph, removed_edges=removed)
-    return EdgeDecomposition(
-        alg=grid_dec.alg + "+diag",
-        n=cc_graph.n,
-        removed_edges=frozenset(removed),
-        components=comps,
-        eps_target=min(1.0, 2.0 * grid_dec.eps_target),
-        seed=grid_dec.seed,
-        params=dict(grid_dec.params),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ import sys
 import numpy as np
 
 from . import bench
-from .core import CapExceeded, FormatError, PairwiseMrf, dump_mrf, load_mrf
+from .core import CapExceeded, PairwiseMrf, dump_mrf, load_mrf
 from .decompose import (
+    criscross_decomposition,
     db_dim_edge,
     db_dim_vertex,
     empty_edge_decomposition,
@@ -49,6 +50,17 @@ def _write_decomposition(dec, out, vertex: bool) -> None:
             fh.write(text)
 
 
+def _grid_decomposition(graph, k: int, l1: int, l2: int):
+    """Slab cut of a square grid, lifted when the input is cris-cross."""
+    shape = detect_grid(graph)
+    if shape.rows != shape.cols:
+        raise ValueError(
+            f"grid decomposition needs a square lattice, got {shape.rows}x{shape.cols}"
+        )
+    dec = grid_decomp(shape.rows, k, l1, l2)
+    return criscross_decomposition(graph, dec) if shape.criscross else dec
+
+
 def _cmd_decompose(args) -> int:
     graph = load_mrf(args.graph).graph
     if args.alg == "dbdim":
@@ -61,10 +73,7 @@ def _cmd_decompose(args) -> int:
     elif args.alg == "minore":
         dec = minor_edge(graph, args.r, args.lam, args.seed)
     else:
-        shape = detect_grid(graph)
-        if shape.rows != shape.cols or shape.criscross:
-            raise SystemExit("grid decomposition needs a square grid input")
-        dec = grid_decomp(shape.rows, args.k, args.l1, args.l2)
+        dec = _grid_decomposition(graph, args.k, args.l1, args.l2)
     _write_decomposition(dec, args.out, vertex=args.alg == "minorv" or
                          (args.alg == "dbdim" and args.vertex))
     return 0
@@ -95,10 +104,9 @@ def _decomp_for_args(mrf, args, seed):
     if args.decomp == "minore":
         return minor_edge(graph, args.r, args.lam, seed)
     if args.decomp == "grid":
-        shape = detect_grid(graph)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
-        return grid_decomp(shape.rows, args.k,
-                           int(rng.integers(args.k)), int(rng.integers(args.k)))
+        return _grid_decomposition(graph, args.k,
+                                   int(rng.integers(args.k)), int(rng.integers(args.k)))
     return empty_edge_decomposition(graph)
 
 
@@ -281,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, FormatError) as exc:
+    except (CapExceeded, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 
 

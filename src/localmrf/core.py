@@ -394,21 +394,24 @@ class PairwiseMrf:
         """Sub-MRF on ``nodes`` (sorted) with induced edges only.
 
         Returns the sub-model and the tuple mapping its node ids back to
-        the original ids.
+        the original ids.  Walks only the adjacency of ``nodes``, so it costs
+        O(k + sum of their degrees) for k nodes, and the induced sub-models
+        of a partition of V cost O(n + m) together.
         """
         order = tuple(sorted(nodes))
         pos = {g: i for i, g in enumerate(order)}
         sub_edges = []
-        tables = {}
-        for (u, v) in self.edge_list:
-            if u in pos and v in pos:
-                a, b = pos[u], pos[v]
-                sub_edges.append((a, b))
-                tables[_canon_edge(a, b)] = (
-                    self.edge_table(u, v) if a < b else self.edge_table(v, u)
-                )
+        rows = []
+        for u in order:
+            for v in self.graph.adjacency[u]:
+                if v > u and v in pos:
+                    sub_edges.append((pos[u], pos[v]))
+                    rows.append(self._edge_index[(u, v)])
         sub = PairwiseMrf(
-            Graph(len(order), sub_edges), self.q, self.phi[list(order)], tables
+            Graph(len(order), sub_edges),
+            self.q,
+            self.phi[list(order)],
+            self.psi[rows],
         )
         return sub, order
 
@@ -521,49 +524,66 @@ def write_mrf_text(mrf: PairwiseMrf) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbers(no: int, tokens: list[str], kind=float) -> list:
+    """Tokens of line ``no`` as ints or finite floats, else ``FormatError``."""
+    try:
+        values = [kind(t) for t in tokens]
+    except ValueError:
+        raise FormatError(f"line {no}: not a number in: {' '.join(tokens)}") from None
+    if kind is float and not all(map(math.isfinite, values)):
+        raise FormatError(f"line {no}: values must be finite: {' '.join(tokens)}")
+    return values
+
+
 def parse_mrf_text(text: str) -> PairwiseMrf:
+    """Parse format v1; a malformed line raises ``FormatError`` naming it.
+
+    Bad tokens, non-finite values, ids out of range and duplicate node or
+    edge lines are all rejected.
+    """
     rows = []
-    for raw in text.splitlines():
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
-    if not rows or rows[0][0] != "mrf" or len(rows[0]) != 3:
+            rows.append((no, line.split()))
+    if not rows or rows[0][1][0] != "mrf" or len(rows[0][1]) != 3:
         raise FormatError("expected header: mrf <n> <sigma>")
-    try:
-        n, q = int(rows[0][1]), int(rows[0][2])
-    except ValueError as exc:
-        raise FormatError("bad header values") from exc
-    phi = np.full((n, q), np.nan)
+    no, header = rows[0]
+    n, q = _numbers(no, header[1:], int)
+    if n < 0 or q < 2:
+        raise FormatError(f"line {no}: need n >= 0 and sigma >= 2")
+    phi = np.empty((n, q))
+    seen = bytearray(n)
     edges = []
     tables = {}
-    for row in rows[1:]:
+    for no, row in rows[1:]:
         kind = row[0]
         if kind == "node":
             if len(row) != 2 + q:
-                raise FormatError(f"node line needs {q} values: {' '.join(row)}")
-            v = int(row[1])
+                raise FormatError(f"line {no}: node line needs {q} values")
+            (v,) = _numbers(no, row[1:2], int)
             if not 0 <= v < n:
-                raise FormatError(f"node id {v} out of range")
-            phi[v] = [float(x) for x in row[2:]]
+                raise FormatError(f"line {no}: node id {v} out of range")
+            if seen[v]:
+                raise FormatError(f"line {no}: duplicate node {v}")
+            seen[v] = 1
+            phi[v] = _numbers(no, row[2:])
         elif kind == "edge":
             if len(row) != 3 + q * q:
-                raise FormatError(f"edge line needs {q * q} values: {' '.join(row)}")
-            u, v = int(row[1]), int(row[2])
-            if not u < v:
-                raise FormatError(f"edge must be written u < v, got {u} {v}")
+                raise FormatError(f"line {no}: edge line needs {q * q} values")
+            u, v = _numbers(no, row[1:3], int)
+            if not 0 <= u < v < n:
+                raise FormatError(f"line {no}: edge must be written u < v < n, got {u} {v}")
+            if (u, v) in tables:
+                raise FormatError(f"line {no}: duplicate edge {u} {v}")
             edges.append((u, v))
-            tables[(u, v)] = np.array(
-                [float(x) for x in row[3:]], dtype=float
-            ).reshape(q, q)
+            tables[(u, v)] = np.array(_numbers(no, row[3:])).reshape(q, q)
         else:
-            raise FormatError(f"unknown line kind: {kind}")
-    if np.isnan(phi).any():
-        missing = sorted(np.flatnonzero(np.isnan(phi).any(axis=1)).tolist())
+            raise FormatError(f"line {no}: unknown line kind: {kind}")
+    if 0 in seen:
+        missing = [v for v in range(n) if not seen[v]]
         raise FormatError(f"missing node lines for: {missing}")
-    mrf = PairwiseMrf(Graph(n, edges), q, phi, tables)
-    if not np.isfinite(mrf.phi).all() or not np.isfinite(mrf.psi).all():
-        raise FormatError("text format requires finite tables")
-    return mrf
+    return PairwiseMrf(Graph(n, edges), q, phi, tables)
 
 
 def load_mrf(path) -> PairwiseMrf:

@@ -355,6 +355,39 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> EdgeDecomposition:
     )
 
 
+def criscross_decomposition(
+    cc_graph: Graph, grid_dec: EdgeDecomposition
+) -> EdgeDecomposition:
+    """Lift a grid-subgraph edge decomposition to the cris-cross graph.
+
+    Keeps the grid removals and additionally removes every diagonal whose
+    endpoints land in different grid components, so the cris-cross
+    components coincide with the grid ones.  Each diagonal's removal
+    probability is at most twice the grid edges', hence the doubled target.
+    """
+    comp_of = {}
+    for i, comp in enumerate(grid_dec.components):
+        for v in comp:
+            comp_of[v] = i
+    removed = set(grid_dec.removed_edges)
+    grid_edges = grid_graph(int(math.isqrt(cc_graph.n))).edges
+    for (u, v) in cc_graph.edge_list:
+        if (u, v) in grid_edges:
+            continue
+        if comp_of[u] != comp_of[v]:
+            removed.add((u, v))
+    comps = connected_components(cc_graph, removed_edges=removed)
+    return EdgeDecomposition(
+        alg=grid_dec.alg + "+diag",
+        n=cc_graph.n,
+        removed_edges=frozenset(removed),
+        components=comps,
+        eps_target=min(1.0, 2.0 * grid_dec.eps_target),
+        seed=grid_dec.seed,
+        params=dict(grid_dec.params),
+    )
+
+
 def db_dim_target_eps(eps: float, rho: float, offset: int = 3) -> float:
     """Carving parameter that turns a requested relative error ``eps`` into
     the ball-carving eps: ``eps * 2**(-rho - offset)``.  The offset is

@@ -1,15 +1,23 @@
-"""Exact solvers: brute-force enumeration and a grid transfer-matrix sweep.
+"""Exact solvers: the component engine and two oracles.
 
-Everything here is an oracle-grade exact computation with an explicit
-enumeration cap: exceeding the cap raises ``CapExceeded`` instead of
-silently truncating.  The brute-force routines enumerate assignments in
-lexicographic order (node 0 is the most significant digit), so first-maximum
-selection yields the lexicographically smallest maximizer; that tie rule is
-used for MAP everywhere in this package.
+* ``component_solve`` is the production engine of the certified bounds: one
+  broadcast sweep per component gives its log Z and MAP together.
+* ``brute_log_z``, ``brute_map`` and ``brute_max_marginal`` enumerate
+  through per-digit index gathers, independently of the engine, and serve
+  as its test oracle and as the exact reference on small whole models.
+* ``grid_transfer_log_z`` and ``grid_transfer_map`` sweep the rows of a
+  grid or cris-cross model, exact far beyond enumeration range.
+
+Every routine has an explicit cap: exceeding it raises ``CapExceeded``
+instead of silently truncating.  Assignments are enumerated in lexicographic
+order (node 0 is the most significant digit), so first-maximum selection
+yields the lexicographically smallest maximizer; that tie rule is used for
+MAP everywhere in this package.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,23 +126,81 @@ def brute_max_marginal(
     return best[0], best[1]
 
 
+def _axes_shape(width: int, q: int, *axes: int) -> tuple[int, ...]:
+    shape = [1] * width
+    for a in axes:
+        shape[a] = q
+    return tuple(shape)
+
+
+def _block_energies(mrf: PairwiseMrf, lead: tuple[int, ...]) -> np.ndarray:
+    """Energies of the assignments whose leading digits are ``lead``.
+
+    The trailing ``n - len(lead)`` nodes span the block's axes in
+    lexicographic order.  Every state receives its node terms in node order
+    and then its edge terms in edge order, each as one broadcast addition,
+    so each energy equals ``_chunk_energies``' bit for bit.
+    """
+    q, k = mrf.q, len(lead)
+    width = mrf.n - k
+    e = np.zeros((q,) * width)
+    for v in range(mrf.n):
+        if v < k:
+            e += mrf.phi[v, lead[v]]
+        else:
+            e += mrf.phi[v].reshape(_axes_shape(width, q, v - k))
+    for i, (u, v) in enumerate(mrf.edge_list):
+        t = mrf.psi[i]
+        if v < k:
+            e += t[lead[u], lead[v]]
+        elif u < k:
+            e += t[lead[u]].reshape(_axes_shape(width, q, v - k))
+        else:
+            e += t.reshape(_axes_shape(width, q, u - k, v - k))
+    return e.ravel()
+
+
 def component_solve(
     mrf: PairwiseMrf, nodes, cap: int = DEFAULT_CAP
 ) -> ExactResult:
     """Exact log Z and MAP of the sub-MRF induced on ``nodes``.
 
-    Only edges with both endpoints inside ``nodes`` contribute.  A cap
-    overflow here usually means a decomposition produced an oversized
-    component.
+    Only edges with both endpoints inside ``nodes`` contribute.  One sweep
+    over the ``q^k`` assignments of the ``k`` component nodes yields the
+    log-sum-exp and the first maximizer together.  The sweep runs in blocks:
+    a block fixes the leading digits and spans the trailing ``c`` nodes,
+    with ``c`` the largest width such that ``q^c <= 2^18``; blocks run in
+    lexicographic order, so the first maximum found is the lexicographically
+    smallest maximizer.  Energies equal ``brute_map``'s bit for bit, and for
+    q = 2 the blocks are ``brute_log_z``'s chunks, so log Z is bit-identical
+    too.  More than ``cap`` assignments raise ``CapExceeded``, which usually
+    means a decomposition produced an oversized component.
     """
     sub, order = mrf.induced(nodes)
-    if sub.q ** sub.n > cap:
+    q, k = sub.q, sub.n
+    if q**k > cap:
         raise CapExceeded(
-            f"component of {sub.n} nodes needs {sub.q}^{sub.n} states (cap={cap})"
+            f"component of {k} nodes needs {q}^{k} states (cap={cap})"
         )
-    log_z = brute_log_z(sub, cap)
-    assignment, map_energy = brute_map(sub, cap)
-    return ExactResult(log_z, assignment, map_energy, order)
+    width = k
+    while q**width > _CHUNK:
+        width -= 1
+    # m is the running maximum energy and s the sum of exp(energy - m)
+    m = -np.inf
+    s = 0.0
+    best_idx = 0
+    for b, lead in enumerate(itertools.product(range(q), repeat=k - width)):
+        e = _block_energies(sub, lead)
+        i = int(np.argmax(e))
+        cm = float(e[i])
+        if cm > m:
+            s = s * np.exp(m - cm) + float(np.exp(e - cm).sum())
+            m = cm
+            best_idx = b * q**width + i
+        elif cm > -np.inf:
+            s += float(np.exp(e - m).sum())
+    log_z = -np.inf if m == -np.inf else m + float(np.log(s))
+    return ExactResult(log_z, _index_to_assignment(sub, best_idx), m, order)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,32 @@ from .exact import DEFAULT_CAP, component_solve
 
 
 def _check_decomposition(mrf: PairwiseMrf, decomp: EdgeDecomposition) -> None:
-    if decomp.n != mrf.n:
+    """Reject a decomposition the certificate does not cover, in O(n + m).
+
+    The components must partition the nodes, and every edge that is not
+    removed must lie inside one component; an edge that is neither would
+    be dropped from both the component solves and the bracket.
+    """
+    n = mrf.n
+    if decomp.n != n:
         raise ValueError("decomposition is for a different node count")
     if not decomp.removed_edges <= mrf.graph.edges:
         raise ValueError("decomposition removes edges the model does not have")
+    comp_of = [-1] * n
+    for i, comp in enumerate(decomp.components):
+        for v in comp:
+            if not 0 <= v < n or comp_of[v] != -1:
+                raise ValueError(
+                    f"components do not partition the nodes (node {v})"
+                )
+            comp_of[v] = i
+    if -1 in comp_of:
+        raise ValueError(
+            f"components do not cover node {comp_of.index(-1)}"
+        )
+    for u, v in mrf.edge_list:
+        if comp_of[u] != comp_of[v] and (u, v) not in decomp.removed_edges:
+            raise ValueError(f"kept edge ({u},{v}) crosses two components")
 
 
 @dataclass(frozen=True)

@@ -131,3 +131,18 @@ def oracle_max_marginal(mrf: PairwiseMrf, v: int):
 
 def three_sigma_binomial(p: float, trials: int) -> float:
     return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
+
+
+def induced_by_edge_scan(mrf: PairwiseMrf, nodes):
+    """Induced sub-model built by scanning every edge of the model (the
+    construction ``PairwiseMrf.induced`` replaced)."""
+    order = tuple(sorted(nodes))
+    pos = {g: i for i, g in enumerate(order)}
+    sub_edges = []
+    tables = {}
+    for u, v in mrf.edge_list:
+        if u in pos and v in pos:
+            sub_edges.append((pos[u], pos[v]))
+            tables[(pos[u], pos[v])] = mrf.edge_table(u, v)
+    sub = PairwiseMrf(Graph(len(order), sub_edges), mrf.q, mrf.phi[list(order)], tables)
+    return sub, order

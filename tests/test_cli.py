@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from localmrf import Graph, dump_mrf, grid_graph, load_mrf
+from localmrf import Graph, criscross_graph, dump_mrf, grid_graph, load_mrf
 from localmrf.bench import sample_potentials, VARYING_INTERACTION
 from localmrf.cli import main
 from localmrf.mwis import write_factor_model, FactorModel
@@ -94,6 +94,37 @@ def test_logz_map_csv(grid_model_file, tmp_path):
     for line in out.read_text().splitlines()[1:]:
         seed, lb, ub, gap, exact, h_hat, h_star = line.split(",")
         assert float(h_star) - float(gap) <= float(h_hat) <= float(h_star) + 1e-12
+
+
+def test_grid_decomp_lifted_on_criscross(tmp_path):
+    m = sample_potentials(criscross_graph(4), VARYING_INTERACTION, 1.0, 3)
+    path = tmp_path / "cc4.mrf"
+    dump_mrf(m, path)
+    out = tmp_path / "runs.csv"
+    assert main([
+        "logz", "--graph", str(path), "--decomp", "grid", "--k", "2",
+        "--seed", "0", "--trials", "4", "--csv", str(out), "--exact",
+    ]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        seed, lb, ub, gap, exact, h_hat, h_star = line.split(",")
+        assert float(lb) <= float(exact) <= float(ub)
+    dec = tmp_path / "dec.txt"
+    assert main(["decompose", "--alg", "grid", "--graph", str(path),
+                 "--out", str(dec)]) == 0
+    assert "alg=grid+diag" in dec.read_text()
+
+
+def test_bad_inputs_are_errors_not_tracebacks(tmp_path):
+    rect = tmp_path / "rect.mrf"
+    dump_mrf(sample_potentials(grid_graph(2, 3), VARYING_INTERACTION, 1.0, 0), rect)
+    with pytest.raises(SystemExit, match="^error: grid decomposition needs a square"):
+        main(["logz", "--graph", str(rect), "--decomp", "grid"])
+    with pytest.raises(SystemExit, match="^error: grid decomposition needs a square"):
+        main(["decompose", "--alg", "grid", "--graph", str(rect)])
+    bad = tmp_path / "bad.mrf"
+    bad.write_text("mrf 1 2\nnode 0 0 x\n")
+    with pytest.raises(SystemExit, match="^error: line 2: "):
+        main(["logz", "--graph", str(bad)])
 
 
 def test_saw_commands(tmp_path, capsys):

@@ -22,6 +22,7 @@ from localmrf import (
 from localmrf.core import CapExceeded, FormatError
 
 from helpers import (
+    induced_by_edge_scan,
     oracle_log_z,
     random_graph,
     random_mrf,
@@ -255,6 +256,27 @@ class TestModelEdits:
         assert forced.phi[0, 1] == m.phi[0, 1]
 
 
+class TestInduced:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 14),
+        st.floats(0.0, 1.0),
+        st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_edge_scan(self, seed, n, p, q):
+        rng = np.random.default_rng(seed)
+        m = random_mrf(rng, random_graph(rng, n, p), q=q)
+        k = int(rng.integers(1, n + 1))
+        nodes = [int(v) for v in rng.choice(n, size=k, replace=False)]
+        sub, order = m.induced(nodes)
+        ref, ref_order = induced_by_edge_scan(m, nodes)
+        assert order == ref_order
+        assert sub.graph.edge_list == ref.graph.edge_list
+        assert np.array_equal(sub.psi, ref.psi)
+        assert np.array_equal(sub.phi, ref.phi)
+
+
 class TestTextFormat:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(10)
@@ -277,6 +299,26 @@ class TestTextFormat:
             parse_mrf_text("mrf 2 2\nnode 0 0 0\n")  # node 1 missing
         with pytest.raises(FormatError):
             parse_mrf_text("mrf 2 2\nnode 0 0 0\nnode 1 0 0\nedge 1 0 1 2 3 4\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("mrf 2 2\nnode 0 0 0\nnode 1 0 0\nnode 0 1 1\n", 4),
+            ("mrf 2 2\nnode 0 0 0\nnode 1 0 0\nedge 0 1 1 2 3 4\n"
+             "edge 0 1 1 2 3 4\n", 5),
+            ("mrf 1 2\nnode 0 0 x\n", 2),
+            ("mrf 1 2\n# comment\nnode x 0 0\n", 3),
+            ("mrf 1 2\nnode 0 0 nan\n", 2),
+            ("mrf 1 2\nnode 0 0 -inf\n", 2),
+            ("mrf 2 2\nnode 0 0 0\nnode 1 0 0\nedge 0 1 1 2 inf 4\n", 4),
+            ("mrf 2 2\nnode 0 0 0\nnode 1 0 0\nedge 0 2 1 2 3 4\n", 4),
+            ("mrf -1 2\n", 1),
+            ("mrf 2 1.5\n", 1),
+        ],
+    )
+    def test_bad_line_named(self, text, line):
+        with pytest.raises(FormatError, match=f"^line {line}: "):
+            parse_mrf_text(text)
 
     def test_distribution_survives_round_trip(self):
         rng = np.random.default_rng(11)

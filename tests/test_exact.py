@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmrf import (
     Graph,
@@ -143,6 +145,73 @@ class TestComponentSolve:
         m = random_mrf(np.random.default_rng(7), grid_graph(3))
         with pytest.raises(CapExceeded):
             component_solve(m, tuple(range(9)), cap=16)
+
+
+def _assert_solve_matches_brute(m, nodes):
+    res = component_solve(m, nodes)
+    sub, order = m.induced(nodes)
+    x, h = brute_map(sub)
+    assert res.nodes == order
+    assert res.log_z == brute_log_z(sub)
+    assert res.map_assignment == x
+    assert res.map_energy == h
+
+
+class TestComponentSolveProperties:
+    """The single-sweep engine against the brute-force oracle."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(1, 11),
+        st.integers(0, 3),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_brute_on_induced(self, seed, q, k, extra, forced):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, k + extra, float(rng.uniform(0.1, 0.7)))
+        m = random_mrf(rng, g, q=q, lo=-1.0, hi=1.0)
+        if forced:
+            m = m.with_forced_node(int(rng.integers(g.n)), int(rng.integers(q)))
+        nodes = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
+        _assert_solve_matches_brute(m, nodes)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_integer_tables_tie_rule(self, seed, k):
+        # integer tables tie often; the first maximizer in lexicographic
+        # order must win, as in the reversed-order oracle
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, k, 0.5)
+        phi = rng.integers(0, 2, size=(k, 2)).astype(float)
+        psi = rng.integers(0, 2, size=(len(g.edge_list), 2, 2)).astype(float)
+        m = PairwiseMrf(g, 2, phi, psi)
+        res = component_solve(m, range(k))
+        assert (res.map_assignment, res.map_energy) == oracle_map_reversed(m)
+
+    def test_multi_block_binary_component(self):
+        # 2^20 states: four blocks of 2^18, the brute chunks exactly
+        rng = np.random.default_rng(21)
+        m = random_mrf(rng, random_graph(rng, 22, 0.2), lo=-1.0, hi=1.0)
+        m = m.with_forced_node(19, 1)
+        _assert_solve_matches_brute(m, tuple(range(1, 21)))
+
+    def test_multi_block_three_states(self):
+        # 3^12 states in blocks of 3^11; the brute chunks differ, so the
+        # log-sum-exp may round differently, while energies and MAP do not
+        rng = np.random.default_rng(22)
+        m = random_mrf(rng, random_graph(rng, 12, 0.3), q=3, lo=-1.0, hi=1.0)
+        res = component_solve(m, range(12))
+        x, h = brute_map(m)
+        assert res.log_z == pytest.approx(brute_log_z(m), rel=1e-12)
+        assert (res.map_assignment, res.map_energy) == (x, h)
+
+    def test_all_states_forbidden(self):
+        m = single_node([-math.inf, -math.inf])
+        res = component_solve(m, (0,))
+        assert res.log_z == brute_log_z(m) == -math.inf
+        assert (res.map_assignment, res.map_energy) == brute_map(m)
 
 
 class TestDegreeLowerBounds:

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmrf import (
     Graph,
+    criscross_graph,
     PairwiseMrf,
     brute_log_z,
     brute_map,
     empty_edge_decomposition,
     energy,
+    grid_decomp,
     grid_graph,
     grid_transfer_log_z,
     log_partition_bounds,
@@ -19,6 +23,7 @@ from localmrf import (
     mode_estimate,
     relative_error_bound,
 )
+from localmrf.bench import VARYING_INTERACTION, sample_potentials
 from localmrf.decompose import EdgeDecomposition
 from localmrf.core import connected_components
 
@@ -107,6 +112,65 @@ class TestLogPartitionBounds:
         alien = cut_decomposition(Graph(3, [(0, 1)]), [])
         with pytest.raises(ValueError):
             log_partition_bounds(m, alien)
+
+    def test_rejects_unlifted_grid_cut_of_criscross(self):
+        # the slab cut keeps the diagonals that cross its blocks, which
+        # would be solved nowhere: UB 21.09 < log Z 22.14 if accepted
+        m = sample_potentials(criscross_graph(4), VARYING_INTERACTION, 1.0, 3)
+        dec = grid_decomp(4, 2, 0, 0)
+        for run in (log_partition_bounds, mode_estimate):
+            with pytest.raises(ValueError, match="crosses two components"):
+                run(m, dec)
+
+    def test_rejects_components_not_covering_nodes(self):
+        # UB 6.84 < log Z 9.81 if accepted
+        g = grid_graph(3)
+        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 1)
+        dec = EdgeDecomposition("manual", 9, g.edges, ((0,), (1,)), 0.0, None)
+        for run in (log_partition_bounds, mode_estimate):
+            with pytest.raises(ValueError, match="do not cover node 2"):
+                run(m, dec)
+
+    def test_rejects_overlapping_components(self):
+        g = grid_graph(2)
+        m = random_mrf(np.random.default_rng(1), g)
+        dec = EdgeDecomposition(
+            "manual", 4, g.edges, ((0, 1), (1, 2), (3,)), 0.0, None
+        )
+        with pytest.raises(ValueError, match="do not partition"):
+            log_partition_bounds(m, dec)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_iff_certificate_covers_every_edge(self, seed, n, parts):
+        # random labelling into parts, the crossing edges removed plus some
+        # internal ones; dropping one crossing edge from B must be rejected
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, 0.5)
+        m = random_mrf(rng, g, lo=-1.0, hi=1.0)
+        label = rng.integers(parts, size=n)
+        comps = tuple(
+            tuple(int(v) for v in np.flatnonzero(label == i))
+            for i in range(parts)
+            if (label == i).any()
+        )
+        crossing = {(u, v) for u, v in g.edge_list if label[u] != label[v]}
+        internal = [e for e in g.edge_list if e not in crossing]
+        removed = crossing | {e for e in internal if rng.random() < 0.3}
+        dec = EdgeDecomposition("manual", n, frozenset(removed), comps, 0.0, None)
+        b = log_partition_bounds(m, dec)
+        z = brute_log_z(m)
+        assert b.log_z_lb <= z + 1e-9 and z <= b.log_z_ub + 1e-9
+        _, h_star = brute_map(m)
+        est = mode_estimate(m, dec)
+        assert h_star - est.guarantee_gap - 1e-9 <= est.energy <= h_star + 1e-9
+        if crossing:
+            kept = min(crossing)
+            leaky = EdgeDecomposition(
+                "manual", n, frozenset(removed - {kept}), comps, 0.0, None
+            )
+            with pytest.raises(ValueError):
+                log_partition_bounds(m, leaky)
 
 
 class TestModeEstimate:

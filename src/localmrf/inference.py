@@ -32,14 +32,10 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: EdgeDecomposition) -> None:
     for i, comp in enumerate(decomp.components):
         for v in comp:
             if not 0 <= v < n or comp_of[v] != -1:
-                raise ValueError(
-                    f"components do not partition the nodes (node {v})"
-                )
+                raise ValueError(f"components do not partition the nodes (node {v})")
             comp_of[v] = i
     if -1 in comp_of:
-        raise ValueError(
-            f"components do not cover node {comp_of.index(-1)}"
-        )
+        raise ValueError(f"components do not cover node {comp_of.index(-1)}")
     for u, v in mrf.edge_list:
         if comp_of[u] != comp_of[v] and (u, v) not in decomp.removed_edges:
             raise ValueError(f"kept edge ({u},{v}) crosses two components")

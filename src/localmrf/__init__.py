@@ -41,7 +41,6 @@ from .decompose import (
     line_graph,
     minor_edge,
     minor_vertex,
-    sample_radius,
 )
 from .exact import (
     ExactResult,

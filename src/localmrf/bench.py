@@ -20,8 +20,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (
+    FormatError,
     Graph,
     PairwiseMrf,
+    _numbers,
     affine_shift,
     criscross_graph,
     grid_graph,
@@ -155,27 +157,33 @@ class ExperimentSpec:
 
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
-    """Flat key=value lines; '#' comments; lists comma-separated."""
+    """Flat key=value lines; '#' comments; lists comma-separated.
+
+    A malformed line (no '=', unknown or repeated key, bad or non-finite
+    number, empty value) raises ``FormatError`` naming it.
+    """
     values: dict[str, object] = {}
-    for raw in text.splitlines():
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"expected key=value, got: {line}")
+            raise FormatError(f"line {no}: expected key=value, got: {line}")
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in values:
+            raise FormatError(f"line {no}: duplicate key {key}")
         if key in ("n", "r", "trials", "seed", "K", "chords_k"):
-            values[key] = int(val)
+            (values[key],) = _numbers(no, [val], int)
         elif key in ("eps", "p"):
-            values[key] = float(val)
+            (values[key],) = _numbers(no, [val])
         elif key == "alphas":
-            values[key] = tuple(float(x) for x in val.split(","))
+            values[key] = tuple(_numbers(no, val.split(",")))
         elif key in ("lambdas", "ks"):
-            values[key] = tuple(int(x) for x in val.split(","))
+            values[key] = tuple(_numbers(no, val.split(","), int))
         elif key in ("topology", "mode", "decomp", "oracle"):
             values[key] = val
         else:
-            raise ValueError(f"unknown spec key: {key}")
+            raise FormatError(f"line {no}: unknown spec key: {key}")
     spec = ExperimentSpec(**values)
     spec.validate()
     return spec

@@ -93,26 +93,17 @@ class Graph:
 
     def distances(self, v: int) -> np.ndarray:
         """Shortest-path distances from ``v``; ``inf`` across components."""
-        return self.distance_matrix[v]
+        d = np.full(self.n, np.inf)
+        depth = bfs_depths(self, v)
+        d[list(depth)] = list(depth.values())
+        return d
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        """All-pairs shortest-path distances by repeated BFS (cached)."""
-        d = np.full((self.n, self.n), np.inf)
-        for s in range(self.n):
-            d[s, s] = 0.0
-            frontier = [s]
-            depth = 0
-            while frontier:
-                depth += 1
-                nxt = []
-                for u in frontier:
-                    for w in self.adjacency[u]:
-                        if not np.isfinite(d[s, w]):
-                            d[s, w] = depth
-                            nxt.append(w)
-                frontier = nxt
-        return d
+        """All-pairs shortest-path distances, one BFS per row (cached)."""
+        return np.array([self.distances(s) for s in range(self.n)]).reshape(
+            self.n, self.n
+        )
 
     @cached_property
     def diameter(self) -> int:
@@ -122,10 +113,16 @@ class Graph:
 
 
 def shortest_path_ball(graph: Graph, v: int, r: float) -> frozenset[int]:
-    """Nodes at distance strictly less than ``r`` from ``v``."""
+    """Nodes at distance strictly less than ``r`` from ``v``.
+
+    A BFS from ``v`` that stops below depth ``r``: it visits the ball only.
+    """
     if not 0 <= v < graph.n:
         raise ValueError(f"node {v} out of range")
-    return frozenset(np.flatnonzero(graph.distances(v) < r).tolist())
+    if not r > 0:
+        return frozenset()
+    max_depth = None if math.isinf(r) else math.ceil(r) - 1
+    return frozenset(bfs_depths(graph, v, max_depth=max_depth))
 
 
 def bfs_depths(
@@ -133,17 +130,22 @@ def bfs_depths(
     root: int,
     allowed: frozenset[int] | set[int] | None = None,
     removed_edges: frozenset[Edge] | set[Edge] | None = None,
+    max_depth: int | None = None,
 ) -> dict[int, int]:
     """BFS depth of every reachable node, exploring neighbors ascending.
 
     ``allowed`` restricts the search to an induced node subset and
     ``removed_edges`` masks out deleted edges; both default to unrestricted.
+    ``max_depth`` stops the search there: only nodes at depth <= max_depth
+    are visited and returned.
     """
     if allowed is not None and root not in allowed:
         raise ValueError("root not in allowed set")
     depth = {root: 0}
     frontier = [root]
-    while frontier:
+    level = 0
+    while frontier and level != max_depth:
+        level += 1
         nxt = []
         for u in frontier:
             for w in graph.adjacency[u]:
@@ -153,7 +155,7 @@ def bfs_depths(
                     continue
                 if removed_edges and _canon_edge(u, w) in removed_edges:
                     continue
-                depth[w] = depth[u] + 1
+                depth[w] = level
                 nxt.append(w)
         frontier = nxt
     return depth

@@ -124,8 +124,41 @@ def k_param(eps: float, rho: float) -> int:
     return max(3, math.ceil(value))
 
 
-def sample_radius(law: RadiusLaw, rng: np.random.Generator) -> int:
-    return law.sample(rng)
+class _WhiteNodes:
+    """Nodes ``0..n-1`` still white, indexable as their ascending list.
+
+    A Fenwick tree over 0/1 presence counts: the k-th white node and the
+    removal of a node each cost O(log n).
+    """
+
+    def __init__(self, n: int):
+        self.count = n
+        self.present = bytearray([1]) * n
+        self.tree = [i & -i for i in range(n + 1)]
+        self.top = 1 << n.bit_length()
+
+    def kth(self, k: int) -> int:
+        """The k-th (from 0) white node in ascending order."""
+        pos, step = 0, self.top
+        while step:
+            nxt = pos + step
+            if nxt < len(self.tree) and self.tree[nxt] <= k:
+                pos = nxt
+                k -= self.tree[nxt]
+            step >>= 1
+        return pos
+
+    def discard(self, v: int) -> bool:
+        """Remove ``v``; False if it was not white."""
+        if not self.present[v]:
+            return False
+        self.present[v] = 0
+        self.count -= 1
+        i = v + 1
+        while i < len(self.tree):
+            self.tree[i] -= 1
+            i += i & -i
+        return True
 
 
 def db_dim_vertex(
@@ -143,23 +176,21 @@ def db_dim_vertex(
     ``rng.integers(len(white))``, then the radius via one uniform.
     Every surviving component sits inside a ball of radius K around one of
     the chosen centers.
+
+    Each ball is a BFS from u over the whole graph that stops at depth Q,
+    so a run costs the sum of its ball sizes (plus O(log n) per node to
+    keep the white list indexable), not an all-pairs distance matrix.
     """
     law = RadiusLaw(eps, K)
     rng = _rng(seed)
-    dist = graph.distance_matrix
-    white = list(range(graph.n))
+    white = _WhiteNodes(graph.n)
     blue: set[int] = set()
-    while white:
-        u = white[int(rng.integers(len(white)))]
+    while white.count:
+        u = white.kth(int(rng.integers(white.count)))
         radius = law.sample(rng)
-        du = dist[u]
-        keep = []
-        for w in white:
-            if du[w] == radius:
+        for w, d in bfs_depths(graph, u, max_depth=radius).items():
+            if white.discard(w) and d == radius:
                 blue.add(w)
-            elif not du[w] < radius:
-                keep.append(w)
-        white = keep
     comps = connected_components(graph, removed_nodes=blue)
     return VertexDecomposition(
         "dbdim-v",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Edge, PairwiseMrf, energy
+from .core import PairwiseMrf, energy
 from .decompose import EdgeDecomposition
 from .exact import DEFAULT_CAP, component_solve
 
@@ -46,7 +46,6 @@ class InferenceBounds:
     log_z_lb: float
     log_z_ub: float
     gap: float
-    removed_edges: frozenset[Edge]
     component_log_z: tuple[tuple[tuple[int, ...], float], ...]
 
 
@@ -55,7 +54,6 @@ class MapEstimate:
     assignment: tuple[int, ...]
     energy: float
     guarantee_gap: float
-    removed_edges: frozenset[Edge]
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,6 @@ def log_partition_bounds(
         log_z_lb=total + lo,
         log_z_ub=total + hi,
         gap=(total + hi) - (total + lo),
-        removed_edges=decomp.removed_edges,
         component_log_z=tuple(per_component),
     )
 
@@ -125,7 +122,7 @@ def mode_estimate(
             x[node] = state
     gap = mrf.edge_range_sum(decomp.removed_edges)
     assignment = tuple(x)
-    return MapEstimate(assignment, energy(mrf, assignment), gap, decomp.removed_edges)
+    return MapEstimate(assignment, energy(mrf, assignment), gap)
 
 
 def relative_error_bound(

@@ -20,11 +20,12 @@ it is exponential and intended for small instances only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, FormatError, Graph, PairwiseMrf
+from .core import CapExceeded, FormatError, Graph, PairwiseMrf, _numbers
 
 
 @dataclass(frozen=True)
@@ -219,29 +220,47 @@ def write_factor_model(model: FactorModel) -> str:
 
 
 def parse_factor_model(text: str) -> FactorModel:
+    """Parse the factor format; a malformed line raises ``FormatError`` naming it.
+
+    Bad or non-finite numbers, short header or factor lines, domain sizes
+    below 1, out-of-range or repeated factor variables and tables of the
+    wrong size are all rejected, as is a variable that no factor covers.
+    """
     rows = []
-    for raw in text.splitlines():
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
-    if not rows or rows[0][0] != "factors":
+            rows.append((no, line.split()))
+    if not rows or rows[0][1][0] != "factors" or len(rows[0][1]) < 2:
         raise FormatError("expected header: factors <nvars> <domains...>")
-    nvars = int(rows[0][1])
-    if len(rows[0]) != 2 + nvars:
-        raise FormatError("header domain count mismatch")
-    domains = tuple(int(x) for x in rows[0][2:])
+    no, header = rows[0]
+    nvars, *domains = _numbers(no, header[1:], int)
+    if len(domains) != nvars:
+        raise FormatError(f"line {no}: header needs {nvars} domain sizes, got {len(domains)}")
+    if any(d < 1 for d in domains):
+        raise FormatError(f"line {no}: domain sizes must be >= 1")
     factors = []
-    for row in rows[1:]:
+    for no, row in rows[1:]:
         if row[0] != "factor":
-            raise FormatError(f"unknown line kind: {row[0]}")
-        arity = int(row[1])
-        vars_ = tuple(int(x) for x in row[2 : 2 + arity])
+            raise FormatError(f"line {no}: unknown line kind: {row[0]}")
+        if len(row) < 2:
+            raise FormatError(f"line {no}: factor line needs an arity")
+        (arity,) = _numbers(no, row[1:2], int)
+        if not 0 <= arity <= len(row) - 2:
+            raise FormatError(f"line {no}: arity {arity} is negative or exceeds the ids given")
+        vars_ = tuple(_numbers(no, row[2 : 2 + arity], int))
         if any(not 0 <= v < nvars for v in vars_):
-            raise FormatError(f"factor variable out of range: {vars_}")
+            raise FormatError(f"line {no}: factor variable out of range: {vars_}")
+        if len(set(vars_)) != arity:
+            raise FormatError(f"line {no}: repeated factor variable: {vars_}")
         shape = tuple(domains[v] for v in vars_)
-        need = int(np.prod(shape)) if shape else 1
-        vals = [float(x) for x in row[2 + arity :]]
-        if len(vals) != need:
-            raise FormatError(f"factor table needs {need} values, got {len(vals)}")
+        vals = _numbers(no, row[2 + arity :])
+        if len(vals) != math.prod(shape):
+            raise FormatError(
+                f"line {no}: factor table needs {math.prod(shape)} values, got {len(vals)}"
+            )
         factors.append((vars_, np.array(vals).reshape(shape)))
-    return FactorModel(domains, tuple(factors))
+    try:
+        return FactorModel(tuple(domains), tuple(factors))
+    except ValueError as exc:  # a variable no factor covers
+        raise FormatError(str(exc)) from None

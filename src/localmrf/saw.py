@@ -371,9 +371,16 @@ def saw_component_map(
 
     Fixes nodes in ascending id order: each node's max-marginal ratio is
     computed on the current conditioned model, the node is fixed to 1 when
-    the ratio exceeds 1 and to 0 otherwise (exact ties go to 0, matching
-    the lexicographic rule of the brute-force solvers).  Conditioning is a
-    -inf entry in the node potential.
+    the ratio exceeds 1 and to 0 otherwise.  Conditioning is a -inf entry
+    in the node potential.
+
+    The result is an energy-optimal assignment, up to the rounding of the
+    ratios: exactly optimal when distinct energies differ by more than that
+    rounding, as with integer tables.  On ties it need not be the
+    lexicographically smallest optimum that the brute-force solvers return,
+    because the messages are normalized by log-sum-exp, whose rounding can
+    turn an exact tie into a ratio just above 1; either state of a tied
+    node extends to an optimum.
     """
     current = mrf
     states: list[int] = []

@@ -10,7 +10,15 @@ import math
 
 import numpy as np
 
-from localmrf import Graph, PairwiseMrf
+from localmrf import (
+    EdgeDecomposition,
+    Graph,
+    PairwiseMrf,
+    RadiusLaw,
+    VertexDecomposition,
+    connected_components,
+    line_graph,
+)
 
 
 def random_connected_graph(rng, n: int, extra_edges: int) -> Graph:
@@ -146,3 +154,43 @@ def induced_by_edge_scan(mrf: PairwiseMrf, nodes):
             tables[(pos[u], pos[v])] = mrf.edge_table(u, v)
     sub = PairwiseMrf(Graph(len(order), sub_edges), mrf.q, mrf.phi[list(order)], tables)
     return sub, order
+
+
+def distances_by_floyd(graph: Graph) -> np.ndarray:
+    """All-pairs shortest-path distances by Floyd-Warshall (no BFS)."""
+    d = np.full((graph.n, graph.n), math.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v in graph.edges:
+        d[u, v] = d[v, u] = 1.0
+    for k in range(graph.n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return d
+
+
+def db_dim_vertex_by_matrix(graph: Graph, eps: float, K: int, seed: int):
+    """Ball carving read off the all-pairs distance matrix (the construction
+    that the truncated-BFS carving replaced): same draws, same record."""
+    law = RadiusLaw(eps, K)
+    rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+    dist = distances_by_floyd(graph)
+    white = list(range(graph.n))
+    blue = set()
+    while white:
+        u = white[int(rng.integers(len(white)))]
+        radius = law.sample(rng)
+        blue.update(w for w in white if dist[u, w] == radius)
+        white = [w for w in white if dist[u, w] > radius]
+    comps = connected_components(graph, removed_nodes=blue)
+    return VertexDecomposition(
+        "dbdim-v", graph.n, frozenset(blue), comps, 2.0 * eps, seed, {"eps": eps, "K": K}
+    )
+
+
+def db_dim_edge_by_matrix(graph: Graph, eps: float, K: int, seed: int):
+    """``db_dim_vertex_by_matrix`` on the line graph, mapped back to edges."""
+    vdec = db_dim_vertex_by_matrix(line_graph(graph), eps, K, seed)
+    removed = frozenset(graph.edge_list[i] for i in vdec.removed_nodes)
+    comps = connected_components(graph, removed_edges=removed)
+    return EdgeDecomposition(
+        "dbdim", graph.n, removed, comps, 2.0 * eps, seed, {"eps": eps, "K": K}
+    )

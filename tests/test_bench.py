@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from localmrf import (
+    FormatError,
     brute_log_z,
     connected_components,
     grid_decomp,
@@ -214,6 +215,26 @@ class TestSpecFile:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             parse_experiment_spec("alphas=\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n=7\ntopology grid\n", 2),
+            ("# sweep\nn=seven\n", 2),
+            ("n=7.5\n", 1),
+            ("n=\n", 1),
+            ("eps=nan\n", 1),
+            ("n=7\np=inf\n", 2),
+            ("alphas=0.2,-inf\n", 1),
+            ("alphas=0.2,,0.4\n", 1),
+            ("lambdas=3,x\n", 1),
+            ("n=7\n\nn=8\n", 3),
+            ("foo=1\n", 1),
+        ],
+    )
+    def test_bad_line_named(self, text, line):
+        with pytest.raises(FormatError, match=f"^line {line}: "):
+            parse_experiment_spec(text)
 
 
 class TestBoundCurves:

@@ -22,6 +22,7 @@ from localmrf import (
 from localmrf.core import CapExceeded, FormatError
 
 from helpers import (
+    distances_by_floyd,
     induced_by_edge_scan,
     oracle_log_z,
     random_graph,
@@ -88,6 +89,23 @@ class TestBall:
             seen |= frontier
         assert ball == seen
         assert len(ball) == 13
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.floats(0.0, 0.6))
+    @settings(max_examples=60, deadline=None)
+    def test_balls_and_distances_match_floyd(self, seed, n, p):
+        g = random_graph(np.random.default_rng(seed), n, p)
+        d = distances_by_floyd(g)
+        assert np.array_equal(g.distance_matrix, d)
+        for v in range(n):
+            assert np.array_equal(g.distances(v), d[v])
+            for r in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.2, math.inf):
+                expect = frozenset(np.flatnonzero(d[v] < r).tolist())
+                assert shortest_path_ball(g, v, r) == expect
+
+    def test_ball_does_not_build_distance_matrix(self):
+        g = grid_graph(6)
+        assert shortest_path_ball(g, 14, 2) == {8, 13, 14, 15, 20}
+        assert "distance_matrix" not in g.__dict__
 
 
 class TestEnergy:

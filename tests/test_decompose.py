@@ -1,5 +1,6 @@
 """Decomposition schemes: traces, certificates, Monte Carlo frequencies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,11 +21,52 @@ from localmrf import (
     line_graph,
     minor_edge,
     minor_vertex,
-    sample_radius,
     shortest_path_ball,
 )
 
-from helpers import random_graph, three_sigma_binomial
+from localmrf import decompose
+
+from helpers import (
+    db_dim_edge_by_matrix,
+    db_dim_vertex_by_matrix,
+    random_graph,
+    three_sigma_binomial,
+)
+
+
+@st.composite
+def carving_graphs(draw, max_n=12):
+    """Random graphs on up to ``max_n`` nodes (often disconnected or
+    edgeless), lattices, and a lattice beside a second piece.
+
+    Lattices matter: a ball there is often reached only through nodes an
+    earlier ball already took, which is where a carving that measured
+    distances among white nodes alone would go wrong.
+    """
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lattice = grid_graph(rows, cols)
+    kind = draw(st.sampled_from(("random", "lattice", "both")))
+    if kind == "random":
+        return Graph(n, chosen)
+    if kind == "lattice":
+        return lattice
+    shifted = [(u + lattice.n, v + lattice.n) for u, v in chosen]
+    return Graph(lattice.n + n, list(lattice.edges) + shifted)
+
+
+# eps near 0 draws radii at the truncation K, eps near 1 almost always 1
+CARVING_EPS = st.one_of(
+    st.floats(1e-9, 1e-3), st.floats(1e-3, 0.999), st.floats(0.999, 1 - 1e-9)
+)
+CARVING_K = st.one_of(st.just(1), st.integers(2, 6), st.integers(50, 10**6))
+
+
+def same_record(a, b):
+    for f in dataclasses.fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
 def path_graph(n):
@@ -43,7 +85,7 @@ class TestRadiusLaw:
     def test_k_equals_one_always_one(self):
         law = RadiusLaw(0.5, 1)
         rng = np.random.default_rng(0)
-        assert all(sample_radius(law, rng) == 1 for _ in range(100))
+        assert all(law.sample(rng) == 1 for _ in range(100))
 
     def test_monte_carlo_matches_pmf(self):
         law = RadiusLaw(0.3, 5)
@@ -151,6 +193,37 @@ class TestDbDimVertex:
         assert (hits / trials <= bound).all()
 
 
+    @given(carving_graphs(), CARVING_EPS, CARVING_K, st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_distance_matrix_carving(self, g, eps, K, seed):
+        same_record(db_dim_vertex(g, eps, K, seed), db_dim_vertex_by_matrix(g, eps, K, seed))
+
+    def test_matches_distance_matrix_carving_on_lattices(self):
+        for g in (grid_graph(5), grid_graph(4, 7)):
+            for seed in range(40):
+                for eps, K in ((0.3, 4), (0.6, 3)):
+                    same_record(
+                        db_dim_vertex(g, eps, K, seed),
+                        db_dim_vertex_by_matrix(g, eps, K, seed),
+                    )
+
+    def test_builds_no_distance_matrix(self, monkeypatch):
+        g = grid_graph(6)
+        db_dim_vertex(g, 0.3, 8, seed=1)
+        shortest_path_ball(g, 14, 3)
+        assert "distance_matrix" not in g.__dict__
+        built = []
+
+        def recording_line_graph(graph):
+            built.append(line_graph(graph))
+            return built[-1]
+
+        monkeypatch.setattr(decompose, "line_graph", recording_line_graph)
+        db_dim_edge(g, 0.3, 8, seed=1)
+        assert len(built) == 1 and "distance_matrix" not in built[0].__dict__
+        assert "distance_matrix" not in g.__dict__
+
+
 class TestLineGraph:
     def test_path3(self):
         lg = line_graph(path_graph(3))
@@ -213,6 +286,12 @@ class TestDbDimEdge:
                 for a in inner:
                     for b in inner:
                         assert lg.distance_matrix[a, b] < 2 * K
+
+
+    @given(carving_graphs(max_n=8), CARVING_EPS, CARVING_K, st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_distance_matrix_carving(self, g, eps, K, seed):
+        same_record(db_dim_edge(g, eps, K, seed), db_dim_edge_by_matrix(g, eps, K, seed))
 
 
 class TestMinorVertex:

@@ -15,6 +15,7 @@ from localmrf import (
     mwis_as_binary_mrf,
     mwis_to_assignment,
 )
+from localmrf.core import FormatError
 from localmrf.mwis import (
     nodes_for_assignment,
     parse_factor_model,
@@ -249,3 +250,31 @@ class TestFactorFormat:
             parse_factor_model("factor 1 0 1 2\n")
         with pytest.raises(Exception):
             parse_factor_model("factors 1 2\nfactor 1 0 1\n")  # short table
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("factors\n", None),  # no variable count
+            ("factors 2 2\nfactor 1 0 1 2\n", 1),  # one domain for two variables
+            ("factors x 2\n", 1),
+            ("factors 1 2.5\n", 1),
+            ("factors 2 2 0\nfactor 1 0 1 2\n", 1),
+            ("factors 1 -2\n", 1),
+            ("factors 1 2\nfactor\n", 2),
+            ("factors 1 2\n# comment\nfactor 2 0\n", 3),
+            ("factors 1 2\nfactor -1 0 1 2\n", 2),
+            ("factors 1 2\nfactor y 0 1 2\n", 2),
+            ("factors 1 2\nfactor 1 0 1 z\n", 2),
+            ("factors 1 2\nfactor 1 0 1 nan\n", 2),
+            ("factors 1 2\nfactor 1 0 inf 2\n", 2),
+            ("factors 1 2\nfactor 1 3 1 2\n", 2),
+            ("factors 2 2 2\nfactor 2 1 1 1 2 3 4\n", 2),
+            ("factors 1 2\nfactor 1 0 1 2 3\n", 2),
+            ("factors 1 2\nfactr 1 0 1 2\n", 2),
+            ("factors 2 2 2\nfactor 1 0 1 2\n", None),  # variable 1 uncovered
+        ],
+    )
+    def test_bad_line_named(self, text, line):
+        match = "^expected header|^variables not" if line is None else f"^line {line}: "
+        with pytest.raises(FormatError, match=match):
+            parse_factor_model(text)

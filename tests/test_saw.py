@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmrf import (
     Graph,
@@ -12,6 +14,7 @@ from localmrf import (
     brute_max_marginal,
     build_saw_tree,
     component_solve,
+    energy,
     msg_pass_mode,
     saw_component_map,
     saw_max_ratio,
@@ -258,3 +261,20 @@ class TestComponentMap:
             + sum(float(m.edge_table(u, v)[x[u], x[v]]) for u, v in m.edge_list),
             rel=1e-12,
         )
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4), st.integers(1, 2)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_energy_optimal_on_integer_ties(self, seed, n, extra, top):
+        # integer tables in {0..top} tie often; the result must be an optimum,
+        # though not always the lexicographically smallest one
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        m = PairwiseMrf(
+            g,
+            2,
+            rng.integers(0, top + 1, size=(n, 2)).astype(float),
+            rng.integers(0, top + 1, size=(len(g.edge_list), 2, 2)).astype(float),
+        )
+        assert energy(m, saw_component_map(m)) == brute_map(m)[1]

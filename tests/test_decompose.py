@@ -23,7 +23,6 @@ from localmrf import (
     minor_vertex,
     shortest_path_ball,
 )
-
 from localmrf import decompose
 
 from helpers import (
@@ -192,7 +191,6 @@ class TestDbDimVertex:
         bound = 2 * eps + three_sigma_binomial(2 * eps, trials)
         assert (hits / trials <= bound).all()
 
-
     @given(carving_graphs(), CARVING_EPS, CARVING_K, st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_matches_distance_matrix_carving(self, g, eps, K, seed):
@@ -286,7 +284,6 @@ class TestDbDimEdge:
                 for a in inner:
                     for b in inner:
                         assert lg.distance_matrix[a, b] < 2 * K
-
 
     @given(carving_graphs(max_n=8), CARVING_EPS, CARVING_K, st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -28,9 +28,8 @@ from .core import (
     write_mrf_text,
 )
 from .decompose import (
-    EdgeDecomposition,
+    Decomposition,
     RadiusLaw,
-    VertexDecomposition,
     criscross_decomposition,
     db_dim_edge,
     db_dim_target_eps,

@@ -29,7 +29,7 @@ from .core import (
     grid_graph,
 )
 from .decompose import (
-    EdgeDecomposition,
+    Decomposition,
     criscross_decomposition,
     db_dim_edge,
     empty_edge_decomposition,
@@ -266,7 +266,7 @@ def records_from_csv(text: str) -> list[TrialRecord]:
 
 def _decompose_for_trial(
     spec: ExperimentSpec, graph: Graph, param: int, seed: int
-) -> EdgeDecomposition:
+) -> Decomposition:
     base_graph = graph
     lift = spec.topology == "criscross"
     if lift:

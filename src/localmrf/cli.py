@@ -29,17 +29,13 @@ from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
 from .saw import build_saw_tree, msg_pass_mode, saw_max_ratio
 
 
-def _write_decomposition(dec, out, vertex: bool) -> None:
+def _write_decomposition(dec, out) -> None:
     lines = [
         f"# decomposition alg={dec.alg} n={dec.n} eps_target={dec.eps_target:.17g}"
         f" max_component={dec.max_component} seed={dec.seed}"
     ]
-    if vertex:
-        for v in sorted(dec.removed_nodes):
-            lines.append(f"removed_node {v}")
-    else:
-        for u, v in sorted(dec.removed_edges):
-            lines.append(f"removed_edge {u} {v}")
+    lines += [f"removed_node {v}" for v in sorted(dec.removed_nodes)]
+    lines += [f"removed_edge {u} {v}" for u, v in sorted(dec.removed_edges)]
     for comp in dec.components:
         lines.append("component " + " ".join(map(str, comp)))
     text = "\n".join(lines) + "\n"
@@ -64,18 +60,16 @@ def _grid_decomposition(graph, k: int, l1: int, l2: int):
 def _cmd_decompose(args) -> int:
     graph = load_mrf(args.graph).graph
     if args.alg == "dbdim":
-        if args.vertex:
-            dec = db_dim_vertex(graph, args.eps, args.K, args.seed)
-        else:
-            dec = db_dim_edge(graph, args.eps, args.K, args.seed)
+        dec = db_dim_edge(graph, args.eps, args.K, args.seed)
+    elif args.alg == "dbdim-v":
+        dec = db_dim_vertex(graph, args.eps, args.K, args.seed)
     elif args.alg == "minorv":
         dec = minor_vertex(graph, args.r, args.lam, args.seed)
     elif args.alg == "minore":
         dec = minor_edge(graph, args.r, args.lam, args.seed)
     else:
         dec = _grid_decomposition(graph, args.k, args.l1, args.l2)
-    _write_decomposition(dec, args.out, vertex=args.alg == "minorv" or
-                         (args.alg == "dbdim" and args.vertex))
+    _write_decomposition(dec, args.out)
     return 0
 
 
@@ -214,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="run a graph decomposition")
-    p.add_argument("--alg", required=True, choices=["dbdim", "minorv", "minore", "grid"])
+    p.add_argument("--alg", required=True,
+                   choices=["dbdim", "dbdim-v", "minorv", "minore", "grid"])
     p.add_argument("--graph", required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--eps", type=float, default=0.25)
@@ -225,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1", type=int, default=0)
     p.add_argument("--l2", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vertex", action="store_true",
-                   help="node-based ball carving instead of edge-based")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("exact", help="exact log Z / MAP of a model")

@@ -68,9 +68,6 @@ class Graph:
         """Edges sorted ascending; the canonical edge indexing."""
         return tuple(sorted(self.edges))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

@@ -18,7 +18,7 @@ could be processed concurrently without changing the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,44 +36,42 @@ def _rng(*key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class VertexDecomposition:
-    """Removed node set plus the components of the induced remainder."""
+class Decomposition:
+    """Removed nodes or edges plus the components of what survives.
+
+    A scheme fills the removed set it cuts and leaves the other empty; the
+    components are the connected components of the graph without both.
+    """
 
     alg: str
     n: int
-    removed_nodes: frozenset[int]
     components: tuple[tuple[int, ...], ...]
     eps_target: float
     seed: int | None
-    params: dict = field(compare=False, default_factory=dict)
+    removed_nodes: frozenset[int] = frozenset()
+    removed_edges: frozenset[Edge] = frozenset()
 
     @property
     def max_component(self) -> int:
         return max((len(c) for c in self.components), default=0)
 
 
-@dataclass(frozen=True)
-class EdgeDecomposition:
-    """Removed edge set plus the components of (V, E minus B)."""
+def _carve(
+    graph: Graph, alg: str, eps_target: float, seed: int | None, nodes=(), edges=()
+) -> Decomposition:
+    """The record of removing ``nodes`` and ``edges`` from ``graph``.
 
-    alg: str
-    n: int
-    removed_edges: frozenset[Edge]
-    components: tuple[tuple[int, ...], ...]
-    eps_target: float
-    seed: int | None
-    params: dict = field(compare=False, default_factory=dict)
-
-    @property
-    def max_component(self) -> int:
-        return max((len(c) for c in self.components), default=0)
+    Every scheme builds its record here, so the components are always the
+    connected components of what is left.
+    """
+    nodes, edges = frozenset(nodes), frozenset(edges)
+    comps = connected_components(graph, removed_nodes=nodes, removed_edges=edges)
+    return Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
 
 
-def empty_edge_decomposition(graph: Graph) -> EdgeDecomposition:
+def empty_edge_decomposition(graph: Graph) -> Decomposition:
     """No removal: one component per connected component of the graph."""
-    return EdgeDecomposition(
-        "none", graph.n, frozenset(), connected_components(graph), 0.0, None
-    )
+    return _carve(graph, "none", 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +103,6 @@ class RadiusLaw:
 
     def sample(self, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from one uniform; truncates at K."""
-        if self.K == 1:
-            rng.random()
-            return 1
         u = rng.random()
         i = int(math.log1p(-u) / math.log1p(-self.eps)) + 1
         return min(max(i, 1), self.K)
@@ -161,9 +156,7 @@ class _WhiteNodes:
         return True
 
 
-def db_dim_vertex(
-    graph: Graph, eps: float, K: int, seed: int
-) -> VertexDecomposition:
+def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     """Random ball carving on the shortest-path metric.
 
     Repeatedly picks a uniform random still-white node u, draws a radius Q
@@ -191,16 +184,7 @@ def db_dim_vertex(
         for w, d in bfs_depths(graph, u, max_depth=radius).items():
             if white.discard(w) and d == radius:
                 blue.add(w)
-    comps = connected_components(graph, removed_nodes=blue)
-    return VertexDecomposition(
-        "dbdim-v",
-        graph.n,
-        frozenset(blue),
-        comps,
-        2.0 * eps,
-        seed,
-        {"eps": eps, "K": K},
-    )
+    return _carve(graph, "dbdim-v", 2.0 * eps, seed, nodes=blue)
 
 
 def line_graph(graph: Graph) -> Graph:
@@ -221,22 +205,12 @@ def line_graph(graph: Graph) -> Graph:
     return Graph(len(edges), meta)
 
 
-def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> EdgeDecomposition:
+def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     """Ball carving on the line graph, mapped back to an edge removal."""
-    lg = line_graph(graph)
-    vdec = db_dim_vertex(lg, eps, K, seed)
+    vdec = db_dim_vertex(line_graph(graph), eps, K, seed)
     edges = graph.edge_list
-    removed = frozenset(edges[i] for i in vdec.removed_nodes)
-    comps = connected_components(graph, removed_edges=removed)
-    return EdgeDecomposition(
-        "dbdim",
-        graph.n,
-        removed,
-        comps,
-        2.0 * eps,
-        seed,
-        {"eps": eps, "K": K},
-    )
+    removed = (edges[i] for i in vdec.removed_nodes)
+    return _carve(graph, "dbdim", 2.0 * eps, seed, edges=removed)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +218,36 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> EdgeDecompositio
 # ---------------------------------------------------------------------------
 
 
-def _component_levels(graph, comp, removed_edges, lam, choose, round_idx, comp_idx):
-    root = comp[0]
-    depth = bfs_depths(
-        graph, root, allowed=frozenset(comp), removed_edges=removed_edges
-    )
-    level = choose(round_idx, comp_idx)
-    if not 0 <= level < lam:
-        raise ValueError(f"level {level} outside 0..{lam - 1}")
-    return depth, level
+def _layer_levels(graph, r, lam, seed, choose_level, removed_nodes, removed_edges):
+    """Check the layer-cutting arguments, then yield ``(component, depth,
+    level)`` per round and surviving component: the BFS depths inside the
+    component from its lowest-id node, and its drawn (or chosen) level.
+
+    Each round's components are those left after ``removed_nodes`` and
+    ``removed_edges``; the caller adds each cut to them before taking the
+    next item.
+    """
+    if r < 1 or lam < 1:
+        raise ValueError("need r >= 1 and lam >= 1")
+    if choose_level is None:
+        if seed is None:
+            raise ValueError("give a seed or an explicit choose_level")
+
+        def choose_level(i, j):
+            return int(_rng(seed, i, j).integers(lam))
+
+    for i in range(r):
+        comps = connected_components(
+            graph, removed_nodes=removed_nodes, removed_edges=removed_edges
+        )
+        for j, comp in enumerate(comps):
+            depth = bfs_depths(
+                graph, comp[0], allowed=frozenset(comp), removed_edges=removed_edges
+            )
+            level = choose_level(i, j)
+            if not 0 <= level < lam:
+                raise ValueError(f"level {level} outside 0..{lam - 1}")
+            yield comp, depth, level
 
 
 def minor_vertex(
@@ -261,7 +256,7 @@ def minor_vertex(
     lam: int,
     seed: int | None = None,
     choose_level=None,
-) -> VertexDecomposition:
+) -> Decomposition:
     """r rounds of BFS-layer node removal with stride ``lam``.
 
     Per round and per surviving component: BFS from the lowest-id node,
@@ -270,31 +265,10 @@ def minor_vertex(
     lam.  ``choose_level(round, comp_index)`` overrides the random draw,
     which is how traces are replayed in tests.
     """
-    if r < 1 or lam < 1:
-        raise ValueError("need r >= 1 and lam >= 1")
-    if choose_level is None:
-        if seed is None:
-            raise ValueError("give a seed or an explicit choose_level")
-
-        def choose_level(i, j):
-            return int(_rng(seed, i, j).integers(lam))
-
     removed: set[int] = set()
-    for i in range(r):
-        comps = connected_components(graph, removed_nodes=removed)
-        for j, comp in enumerate(comps):
-            depth, level = _component_levels(graph, comp, None, lam, choose_level, i, j)
-            removed.update(v for v, d in depth.items() if d % lam == level)
-    comps = connected_components(graph, removed_nodes=removed)
-    return VertexDecomposition(
-        "minorv",
-        graph.n,
-        frozenset(removed),
-        comps,
-        r / lam,
-        seed,
-        {"r": r, "lam": lam},
-    )
+    for _, depth, level in _layer_levels(graph, r, lam, seed, choose_level, removed, ()):
+        removed.update(v for v, d in depth.items() if d % lam == level)
+    return _carve(graph, "minorv", r / lam, seed, nodes=removed)
 
 
 def minor_edge(
@@ -303,49 +277,23 @@ def minor_edge(
     lam: int,
     seed: int | None = None,
     choose_level=None,
-) -> EdgeDecomposition:
+) -> Decomposition:
     """r rounds of BFS-layer edge removal with stride ``lam``.
 
     The edges cut in a round are those whose lower-BFS-depth endpoint has
     depth congruent to L mod lam; that rule also severs non-tree edges
     between equal-depth nodes' layers correctly.
     """
-    if r < 1 or lam < 1:
-        raise ValueError("need r >= 1 and lam >= 1")
-    if choose_level is None:
-        if seed is None:
-            raise ValueError("give a seed or an explicit choose_level")
-
-        def choose_level(i, j):
-            return int(_rng(seed, i, j).integers(lam))
-
     removed: set[Edge] = set()
-    for i in range(r):
-        comps = connected_components(graph, removed_edges=removed)
-        for j, comp in enumerate(comps):
-            depth, level = _component_levels(
-                graph, comp, removed, lam, choose_level, i, j
-            )
-            members = set(comp)
-            for u in comp:
-                for w in graph.adjacency[u]:
-                    if w < u or w not in members:
-                        continue
-                    e = (u, w) if u < w else (w, u)
-                    if e in removed:
-                        continue
-                    if min(depth[u], depth[w]) % lam == level:
-                        removed.add(e)
-    comps = connected_components(graph, removed_edges=removed)
-    return EdgeDecomposition(
-        "minore",
-        graph.n,
-        frozenset(removed),
-        comps,
-        r / lam,
-        seed,
-        {"r": r, "lam": lam},
-    )
+    for comp, depth, level in _layer_levels(graph, r, lam, seed, choose_level, (), removed):
+        members = set(comp)
+        for u in comp:
+            for w in graph.adjacency[u]:
+                if w < u or w not in members or (u, w) in removed:
+                    continue
+                if min(depth[u], depth[w]) % lam == level:
+                    removed.add((u, w))
+    return _carve(graph, "minore", r / lam, seed, edges=removed)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +301,7 @@ def minor_edge(
 # ---------------------------------------------------------------------------
 
 
-def grid_decomp(n: int, k: int, l1: int, l2: int) -> EdgeDecomposition:
+def grid_decomp(n: int, k: int, l1: int, l2: int) -> Decomposition:
     """Deterministic slab cut of the n x n lattice into <= k*k blocks.
 
     Removes every horizontal edge whose smaller-column endpoint is in a
@@ -374,21 +322,10 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> EdgeDecomposition:
         else:  # vertical: endpoint rows u // n and u // n + 1
             if (u // n) % k == l2:
                 removed.add((u, v))
-    comps = connected_components(graph, removed_edges=removed)
-    return EdgeDecomposition(
-        "grid",
-        graph.n,
-        frozenset(removed),
-        comps,
-        1.0 / k,
-        None,
-        {"n": n, "k": k, "l1": l1, "l2": l2},
-    )
+    return _carve(graph, "grid", 1.0 / k, None, edges=removed)
 
 
-def criscross_decomposition(
-    cc_graph: Graph, grid_dec: EdgeDecomposition
-) -> EdgeDecomposition:
+def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decomposition:
     """Lift a grid-subgraph edge decomposition to the cris-cross graph.
 
     Keeps the grid removals and additionally removes every diagonal whose
@@ -407,15 +344,9 @@ def criscross_decomposition(
             continue
         if comp_of[u] != comp_of[v]:
             removed.add((u, v))
-    comps = connected_components(cc_graph, removed_edges=removed)
-    return EdgeDecomposition(
-        alg=grid_dec.alg + "+diag",
-        n=cc_graph.n,
-        removed_edges=frozenset(removed),
-        components=comps,
-        eps_target=min(1.0, 2.0 * grid_dec.eps_target),
-        seed=grid_dec.seed,
-        params=dict(grid_dec.params),
+    eps_target = min(1.0, 2.0 * grid_dec.eps_target)
+    return _carve(
+        cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, edges=removed
     )
 
 

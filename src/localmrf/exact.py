@@ -11,8 +11,9 @@
 Every routine has an explicit cap: exceeding it raises ``CapExceeded``
 instead of silently truncating.  Assignments are enumerated in lexicographic
 order (node 0 is the most significant digit), so first-maximum selection
-yields the lexicographically smallest maximizer; that tie rule is used for
-MAP everywhere in this package.
+yields the lexicographically smallest maximizer; the component engine and
+the brute-force and transfer oracles all break MAP ties that way.  The
+walk-tree ``saw_component_map`` promises only an energy-optimal MAP.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ class ExactResult:
     map_assignment: tuple[int, ...]
     map_energy: float
     nodes: tuple[int, ...]
-
-    def assignment_dict(self) -> dict[int, int]:
-        return dict(zip(self.nodes, self.map_assignment))
 
 
 def _state_count(mrf: PairwiseMrf, cap: int) -> int:

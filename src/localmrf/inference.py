@@ -12,20 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import PairwiseMrf, energy
-from .decompose import EdgeDecomposition
+from .decompose import Decomposition
 from .exact import DEFAULT_CAP, component_solve
 
 
-def _check_decomposition(mrf: PairwiseMrf, decomp: EdgeDecomposition) -> None:
+def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> None:
     """Reject a decomposition the certificate does not cover, in O(n + m).
 
-    The components must partition the nodes, and every edge that is not
-    removed must lie inside one component; an edge that is neither would
-    be dropped from both the component solves and the bracket.
+    Only edges may be removed.  The components must partition the nodes,
+    and every edge that is not removed must lie inside one component; an
+    edge that is neither would be dropped from both the component solves
+    and the bracket.
     """
     n = mrf.n
     if decomp.n != n:
         raise ValueError("decomposition is for a different node count")
+    if decomp.removed_nodes:
+        raise ValueError(f"decomposition {decomp.alg} removes nodes, not edges")
     if not decomp.removed_edges <= mrf.graph.edges:
         raise ValueError("decomposition removes edges the model does not have")
     comp_of = [-1] * n
@@ -72,7 +75,7 @@ class ErrorCertificate:
 
 
 def log_partition_bounds(
-    mrf: PairwiseMrf, decomp: EdgeDecomposition, cap: int = DEFAULT_CAP
+    mrf: PairwiseMrf, decomp: Decomposition, cap: int = DEFAULT_CAP
 ) -> InferenceBounds:
     """Lower and upper bounds on log Z from exact component solves.
 
@@ -105,7 +108,7 @@ def log_partition_bounds(
 
 
 def mode_estimate(
-    mrf: PairwiseMrf, decomp: EdgeDecomposition, cap: int = DEFAULT_CAP
+    mrf: PairwiseMrf, decomp: Decomposition, cap: int = DEFAULT_CAP
 ) -> MapEstimate:
     """Stitch per-component exact MAPs into one global assignment.
 
@@ -127,7 +130,7 @@ def mode_estimate(
 
 def relative_error_bound(
     mrf: PairwiseMrf,
-    decomp: EdgeDecomposition,
+    decomp: Decomposition,
     bounds: InferenceBounds | None = None,
     cap: int = DEFAULT_CAP,
     tiny: float = 1e-300,

@@ -43,6 +43,8 @@ class FactorModel:
     def __post_init__(self):
         covered = set()
         for vars_, table in self.factors:
+            if len(set(vars_)) != len(vars_):
+                raise ValueError(f"factor lists a variable twice: {vars_}")
             expect = tuple(self.domain_sizes[v] for v in vars_)
             if table.shape != expect:
                 raise ValueError(f"table shape {table.shape} != domains {expect}")

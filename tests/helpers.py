@@ -11,11 +11,10 @@ import math
 import numpy as np
 
 from localmrf import (
-    EdgeDecomposition,
+    Decomposition,
     Graph,
     PairwiseMrf,
     RadiusLaw,
-    VertexDecomposition,
     connected_components,
     line_graph,
 )
@@ -181,8 +180,8 @@ def db_dim_vertex_by_matrix(graph: Graph, eps: float, K: int, seed: int):
         blue.update(w for w in white if dist[u, w] == radius)
         white = [w for w in white if dist[u, w] > radius]
     comps = connected_components(graph, removed_nodes=blue)
-    return VertexDecomposition(
-        "dbdim-v", graph.n, frozenset(blue), comps, 2.0 * eps, seed, {"eps": eps, "K": K}
+    return Decomposition(
+        "dbdim-v", graph.n, comps, 2.0 * eps, seed, removed_nodes=frozenset(blue)
     )
 
 
@@ -191,6 +190,4 @@ def db_dim_edge_by_matrix(graph: Graph, eps: float, K: int, seed: int):
     vdec = db_dim_vertex_by_matrix(line_graph(graph), eps, K, seed)
     removed = frozenset(graph.edge_list[i] for i in vdec.removed_nodes)
     comps = connected_components(graph, removed_edges=removed)
-    return EdgeDecomposition(
-        "dbdim", graph.n, removed, comps, 2.0 * eps, seed, {"eps": eps, "K": K}
-    )
+    return Decomposition("dbdim", graph.n, comps, 2.0 * eps, seed, removed_edges=removed)

@@ -52,6 +52,12 @@ def test_decompose_grid_and_dbdim(grid_model_file, tmp_path):
     ]) == 0
     assert "alg=dbdim" in out.read_text()
     assert main([
+        "decompose", "--alg", "dbdim-v", "--graph", grid_model_file,
+        "--eps", "0.3", "--K", "6", "--seed", "2", "--out", str(out),
+    ]) == 0
+    text = out.read_text()
+    assert "alg=dbdim-v" in text and "removed_node" in text
+    assert main([
         "decompose", "--alg", "minorv", "--graph", grid_model_file,
         "--r", "2", "--lambda", "3", "--seed", "3", "--out", str(out),
     ]) == 0

@@ -20,11 +20,12 @@ from localmrf import (
     grid_transfer_log_z,
     log_partition_bounds,
     minor_edge,
+    minor_vertex,
     mode_estimate,
     relative_error_bound,
 )
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
-from localmrf.decompose import EdgeDecomposition
+from localmrf.decompose import Decomposition
 from localmrf.core import connected_components
 
 from helpers import random_graph, random_mrf
@@ -38,13 +39,13 @@ def coupled_pair():
 
 def cut_decomposition(graph, removed):
     removed = frozenset(removed)
-    return EdgeDecomposition(
+    return Decomposition(
         "manual",
         graph.n,
-        removed,
         connected_components(graph, removed_edges=removed),
         0.0,
         None,
+        removed_edges=removed,
     )
 
 
@@ -126,7 +127,7 @@ class TestLogPartitionBounds:
         # UB 6.84 < log Z 9.81 if accepted
         g = grid_graph(3)
         m = sample_potentials(g, VARYING_INTERACTION, 1.0, 1)
-        dec = EdgeDecomposition("manual", 9, g.edges, ((0,), (1,)), 0.0, None)
+        dec = Decomposition("manual", 9, ((0,), (1,)), 0.0, None, removed_edges=g.edges)
         for run in (log_partition_bounds, mode_estimate):
             with pytest.raises(ValueError, match="do not cover node 2"):
                 run(m, dec)
@@ -134,11 +135,20 @@ class TestLogPartitionBounds:
     def test_rejects_overlapping_components(self):
         g = grid_graph(2)
         m = random_mrf(np.random.default_rng(1), g)
-        dec = EdgeDecomposition(
-            "manual", 4, g.edges, ((0, 1), (1, 2), (3,)), 0.0, None
+        dec = Decomposition(
+            "manual", 4, ((0, 1), (1, 2), (3,)), 0.0, None, removed_edges=g.edges
         )
         with pytest.raises(ValueError, match="do not partition"):
             log_partition_bounds(m, dec)
+
+    def test_rejects_node_removal(self):
+        g = grid_graph(3)
+        m = random_mrf(np.random.default_rng(2), g)
+        dec = minor_vertex(g, r=1, lam=2, seed=0)
+        assert dec.removed_nodes
+        for run in (log_partition_bounds, mode_estimate):
+            with pytest.raises(ValueError, match="removes nodes"):
+                run(m, dec)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
@@ -157,7 +167,7 @@ class TestLogPartitionBounds:
         crossing = {(u, v) for u, v in g.edge_list if label[u] != label[v]}
         internal = [e for e in g.edge_list if e not in crossing]
         removed = crossing | {e for e in internal if rng.random() < 0.3}
-        dec = EdgeDecomposition("manual", n, frozenset(removed), comps, 0.0, None)
+        dec = Decomposition("manual", n, comps, 0.0, None, removed_edges=frozenset(removed))
         b = log_partition_bounds(m, dec)
         z = brute_log_z(m)
         assert b.log_z_lb <= z + 1e-9 and z <= b.log_z_ub + 1e-9
@@ -166,8 +176,8 @@ class TestLogPartitionBounds:
         assert h_star - est.guarantee_gap - 1e-9 <= est.energy <= h_star + 1e-9
         if crossing:
             kept = min(crossing)
-            leaky = EdgeDecomposition(
-                "manual", n, frozenset(removed - {kept}), comps, 0.0, None
+            leaky = Decomposition(
+                "manual", n, comps, 0.0, None, removed_edges=frozenset(removed - {kept})
             )
             with pytest.raises(ValueError):
                 log_partition_bounds(m, leaky)

@@ -84,6 +84,13 @@ class TestFactorToMwis:
         assert inst.graph.n == 2
         assert inst.graph.edges == frozenset({(0, 1)})
 
+    def test_rejects_repeated_variable(self):
+        # read as (y0, y0), the table scores at most 1; its off-diagonal 5
+        # would give the reduction an optimum no assignment reaches
+        table = np.array([[0.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="twice"):
+            FactorModel((2,), (((0, 0), table),))
+
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

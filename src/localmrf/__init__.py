@@ -47,7 +47,6 @@ from .exact import (
     brute_map,
     brute_max_marginal,
     component_solve,
-    detect_grid,
     grid_transfer_log_z,
     grid_transfer_map,
 )

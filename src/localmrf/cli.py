@@ -8,12 +8,13 @@ come out as CSV.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import bench
-from .core import CapExceeded, PairwiseMrf, dump_mrf, load_mrf
+from .core import CapExceeded, criscross_graph, dump_mrf, grid_graph, load_mrf
 from .decompose import (
     criscross_decomposition,
     db_dim_edge,
@@ -23,7 +24,7 @@ from .decompose import (
     minor_edge,
     minor_vertex,
 )
-from .exact import brute_log_z, brute_map, detect_grid, grid_transfer_log_z, grid_transfer_map
+from .exact import grid_transfer_log_z, grid_transfer_map
 from .inference import log_partition_bounds, mode_estimate
 from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
 from .saw import build_saw_tree, msg_pass_mode, saw_max_ratio
@@ -48,13 +49,15 @@ def _write_decomposition(dec, out) -> None:
 
 def _grid_decomposition(graph, k: int, l1: int, l2: int):
     """Slab cut of a square grid, lifted when the input is cris-cross."""
-    shape = detect_grid(graph)
-    if shape.rows != shape.cols:
-        raise ValueError(
-            f"grid decomposition needs a square lattice, got {shape.rows}x{shape.cols}"
-        )
-    dec = grid_decomp(shape.rows, k, l1, l2)
-    return criscross_decomposition(graph, dec) if shape.criscross else dec
+    side = math.isqrt(graph.n)
+    if graph == grid_graph(side):
+        return grid_decomp(side, k, l1, l2)
+    if graph == criscross_graph(side):
+        return criscross_decomposition(graph, grid_decomp(side, k, l1, l2))
+    raise ValueError(
+        "grid decomposition needs a square grid or cris-cross lattice, got"
+        f" {graph.n} nodes and {len(graph.edges)} edges"
+    )
 
 
 def _cmd_decompose(args) -> int:
@@ -73,16 +76,9 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _exact_values(mrf: PairwiseMrf, transfer: bool):
-    if transfer:
-        return grid_transfer_log_z(mrf), grid_transfer_map(mrf)
-    assignment, h = brute_map(mrf)
-    return brute_log_z(mrf), (assignment, h)
-
-
 def _cmd_exact(args) -> int:
     mrf = load_mrf(args.graph)
-    log_z, (assignment, h) = _exact_values(mrf, args.transfer)
+    log_z, (assignment, h) = grid_transfer_log_z(mrf), grid_transfer_map(mrf)
     if args.mode in ("logz", "both"):
         print(f"log_z {log_z:.17g}")
     if args.mode in ("map", "both"):
@@ -110,11 +106,8 @@ def _cmd_bounds(args, want_map: bool) -> int:
     exact_logz = ""
     h_star = ""
     if args.exact:
-        try:
-            log_z, (_, h) = _exact_values(mrf, transfer=True)
-        except ValueError:
-            log_z, (_, h) = _exact_values(mrf, transfer=False)
-        exact_logz, h_star = f"{log_z:.17g}", f"{h:.17g}"
+        exact_logz = f"{grid_transfer_log_z(mrf):.17g}"
+        h_star = f"{grid_transfer_map(mrf)[1]:.17g}"
     for t in range(args.trials):
         seed = args.seed + t
         dec = _decomp_for_args(mrf, args, seed)
@@ -225,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact log Z / MAP of a model")
     p.add_argument("--mode", choices=["logz", "map", "both"], default="both")
     p.add_argument("--graph", required=True)
-    p.add_argument("--transfer", action="store_true",
-                   help="use the grid transfer-matrix sweep")
     p.set_defaults(func=_cmd_exact)
 
     for name, want_map in (("logz", False), ("map", True)):

@@ -174,6 +174,12 @@ def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     so a run costs the sum of its ball sizes (plus O(log n) per node to
     keep the white list indexable), not an all-pairs distance matrix.
     """
+    blue = _ball_cut(graph, eps, K, seed)
+    return _carve(graph, "dbdim-v", 2.0 * eps, seed, nodes=blue)
+
+
+def _ball_cut(graph: Graph, eps: float, K: int, seed: int) -> set[int]:
+    """The blue nodes of one ball-carving run (see ``db_dim_vertex``)."""
     law = RadiusLaw(eps, K)
     rng = _rng(seed)
     white = _WhiteNodes(graph.n)
@@ -184,7 +190,7 @@ def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
         for w, d in bfs_depths(graph, u, max_depth=radius).items():
             if white.discard(w) and d == radius:
                 blue.add(w)
-    return _carve(graph, "dbdim-v", 2.0 * eps, seed, nodes=blue)
+    return blue
 
 
 def line_graph(graph: Graph) -> Graph:
@@ -207,9 +213,8 @@ def line_graph(graph: Graph) -> Graph:
 
 def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     """Ball carving on the line graph, mapped back to an edge removal."""
-    vdec = db_dim_vertex(line_graph(graph), eps, K, seed)
     edges = graph.edge_list
-    removed = (edges[i] for i in vdec.removed_nodes)
+    removed = (edges[i] for i in _ball_cut(line_graph(graph), eps, K, seed))
     return _carve(graph, "dbdim", 2.0 * eps, seed, edges=removed)
 
 
@@ -332,7 +337,10 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     endpoints land in different grid components, so the cris-cross
     components coincide with the grid ones.  Each diagonal's removal
     probability is at most twice the grid edges', hence the doubled target.
+    A record that removes nodes has no such lift and raises ``ValueError``.
     """
+    if grid_dec.removed_nodes:
+        raise ValueError("cannot lift a node-removing decomposition to cris-cross")
     comp_of = {}
     for i, comp in enumerate(grid_dec.components):
         for v in comp:

@@ -1,19 +1,23 @@
-"""Exact solvers: the component engine and two oracles.
+"""Exact solvers: the component engine, the transfer sweep and the oracle.
 
 * ``component_solve`` is the production engine of the certified bounds: one
   broadcast sweep per component gives its log Z and MAP together.
+* ``grid_transfer_log_z`` and ``grid_transfer_map`` are the exact
+  whole-model values on production paths: one sweep eliminates the nodes
+  one at a time in descending id order, on any graph, and costs ``q`` to
+  the number of nodes open at once (about ``q^(n+1)`` on an n x n lattice).
 * ``brute_log_z``, ``brute_map`` and ``brute_max_marginal`` enumerate
-  through per-digit index gathers, independently of the engine, and serve
-  as its test oracle and as the exact reference on small whole models.
-* ``grid_transfer_log_z`` and ``grid_transfer_map`` sweep the rows of a
-  grid or cris-cross model, exact far beyond enumeration range.
+  through per-digit index gathers, independently of both, and serve only
+  as their test oracle.
 
 Every routine has an explicit cap: exceeding it raises ``CapExceeded``
 instead of silently truncating.  Assignments are enumerated in lexicographic
 order (node 0 is the most significant digit), so first-maximum selection
-yields the lexicographically smallest maximizer; the component engine and
-the brute-force and transfer oracles all break MAP ties that way.  The
-walk-tree ``saw_component_map`` promises only an energy-optimal MAP.
+yields the lexicographically smallest maximizer; the transfer sweep decodes
+node 0 first and takes each node's first maximizing state, which gives the
+same maximizer.  The component engine, the transfer sweep and the
+brute-force oracle all break MAP ties that way; the walk-tree
+``saw_component_map`` promises only an energy-optimal MAP.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, Graph, PairwiseMrf, check_assignment, energy
+from .core import CapExceeded, PairwiseMrf, energy
 
 DEFAULT_CAP = 2**24
 _CHUNK = 2**18
@@ -202,140 +206,87 @@ def component_solve(
 
 
 # ---------------------------------------------------------------------------
-# Transfer-matrix sweep for grid / cris-cross models
+# Node-by-node transfer sweep for whole models
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridShape:
-    rows: int
-    cols: int
-    criscross: bool
+def _sweep(mrf: PairwiseMrf, cap: int, maximize: bool):
+    """Eliminate nodes ``n-1, ..., 0`` into one table over the open nodes.
 
+    A node opens when it or a higher neighbour is reached; the table's axes
+    are the open nodes in ascending order, so the node being eliminated is
+    always the last axis.  Reaching ``v`` adds ``phi_v`` and the tables of
+    ``v``'s edges to lower neighbours, then reduces ``v``'s axis by
+    log-sum-exp or, when ``maximize``, by max, keeping the first argmax over
+    ``v`` per state of the remaining open nodes.  On a row-major lattice
+    this is the row transfer-matrix sweep taken one node at a time.
 
-def detect_grid(graph: Graph) -> GridShape:
-    """Recognize a row-major grid or cris-cross layout of the node ids.
-
-    Tries every factorization rows*cols = n and matches the edge set
-    exactly; raises ``ValueError`` when nothing matches.
+    Returns the eliminated value (log Z, or the maximum energy) and the
+    argmax tables as ``(v, axes, table)`` in elimination order.  A table
+    over more than ``cap`` entries raises ``CapExceeded``.
     """
-    from .core import criscross_graph, grid_graph
-
-    n = graph.n
-    if n == 0:
-        raise ValueError("empty graph")
-    # widest-rows first, so a path matches as n x 1 (cheap row states)
-    for rows in range(n, 0, -1):
-        if n % rows:
-            continue
-        cols = n // rows
-        if graph.edges == grid_graph(rows, cols).edges:
-            return GridShape(rows, cols, False)
-        if (
-            rows > 1
-            and cols > 1
-            and graph.edges == criscross_graph(rows, cols).edges
-        ):
-            return GridShape(rows, cols, True)
-    raise ValueError("graph is not a row-major grid or cris-cross lattice")
-
-
-def _row_tables(mrf: PairwiseMrf, shape: GridShape):
-    """Per-row state energies and row-to-row transition matrices.
-
-    States of a row are the q^cols assignments of its nodes, indexed with
-    the leftmost column as the most significant digit, so state order equals
-    lexicographic order of the row tuple.
-    """
-    rows, cols = shape.rows, shape.cols
     q = mrf.q
-    s_count = q**cols
-    digits = np.empty((s_count, cols), dtype=np.int64)
-    idx = np.arange(s_count, dtype=np.int64)
-    for c in range(cols):
-        digits[:, c] = (idx // q ** (cols - 1 - c)) % q
-
-    def node(r, c):
-        return r * cols + c
-
-    intra = []
-    for r in range(rows):
-        w = np.zeros(s_count)
-        for c in range(cols):
-            w += mrf.phi[node(r, c)][digits[:, c]]
-        for c in range(cols - 1):
-            t = mrf.edge_table(node(r, c), node(r, c + 1))
-            w += t[digits[:, c], digits[:, c + 1]]
-        intra.append(w)
-
-    trans = []
-    for r in range(rows - 1):
-        t = np.zeros((s_count, s_count))
-        for c in range(cols):
-            tab = mrf.edge_table(node(r, c), node(r + 1, c))
-            t += tab[digits[:, c][:, None], digits[:, c][None, :]]
-        if shape.criscross:
-            for c in range(cols - 1):
-                tab = mrf.edge_table(node(r, c), node(r + 1, c + 1))
-                t += tab[digits[:, c][:, None], digits[:, c + 1][None, :]]
-                tab = mrf.edge_table(node(r, c + 1), node(r + 1, c))
-                t += tab[digits[:, c + 1][:, None], digits[:, c][None, :]]
-        trans.append(t)
-    return digits, intra, trans
-
-
-def _transfer_budget(mrf: PairwiseMrf, shape: GridShape, cap: int) -> None:
-    states = mrf.q**shape.cols
-    if states * states * max(1, shape.rows) > cap:
-        raise CapExceeded(
-            f"transfer sweep needs {states}^2 x {shape.rows} table entries (cap={cap})"
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(mrf.n)]
+    for i, (u, v) in enumerate(mrf.edge_list):
+        lower[v].append((u, i))
+    # the open nodes before and while each node is eliminated, checked
+    # against the cap before any table is built
+    schedule = []
+    opened: list[int] = []
+    for v in range(mrf.n - 1, -1, -1):
+        merged = sorted(set(opened).union([v], (u for u, _ in lower[v])))
+        if q ** len(merged) > cap:
+            raise CapExceeded(
+                f"transfer sweep needs a table of {q}^{len(merged)} entries (cap={cap})"
+            )
+        schedule.append((v, opened, merged))
+        opened = merged[:-1]
+    choice_dtype = np.min_scalar_type(q - 1)
+    table = np.zeros(())
+    choices = []
+    for v, before, nodes in schedule:
+        table = np.expand_dims(
+            table, tuple(a for a, w in enumerate(nodes) if w not in before)
         )
+        width = len(nodes)
+        table = table + mrf.phi[v].reshape(_axes_shape(width, q, width - 1))
+        for u, i in lower[v]:
+            shape = _axes_shape(width, q, nodes.index(u), width - 1)
+            table = table + mrf.psi[i].reshape(shape)
+        if maximize:
+            choice = table.argmax(axis=-1).astype(choice_dtype)
+            choices.append((v, tuple(nodes[:-1]), choice))
+            table = table.max(axis=-1)
+        else:
+            m = table.max(axis=-1, keepdims=True)
+            m[m == -np.inf] = 0.0
+            with np.errstate(divide="ignore"):
+                table = np.log(np.exp(table - m).sum(axis=-1)) + m[..., 0]
+    return float(table), choices
 
 
-def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = 2**28) -> float:
-    """Exact log Z of a grid/cris-cross model by a row-sweep in log domain."""
-    shape = detect_grid(mrf.graph)
-    _transfer_budget(mrf, shape, cap)
-    _, intra, trans = _row_tables(mrf, shape)
-    alpha = intra[0]
-    for r in range(shape.rows - 1):
-        stacked = alpha[:, None] + trans[r]
-        m = stacked.max(axis=0)
-        alpha = m + np.log(np.exp(stacked - m[None, :]).sum(axis=0)) + intra[r + 1]
-    m = float(alpha.max())
-    return m + float(np.log(np.exp(alpha - m).sum()))
+def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:
+    """Exact log Z of a whole model by the node-by-node transfer sweep.
+
+    Works on any graph; the cost is set by the widest table, ``q`` to the
+    number of open nodes, which on an n x n lattice is about ``q^(n+1)``.
+    """
+    return _sweep(mrf, cap, maximize=False)[0]
 
 
 def grid_transfer_map(
-    mrf: PairwiseMrf, cap: int = 2**28
+    mrf: PairwiseMrf, cap: int = DEFAULT_CAP
 ) -> tuple[tuple[int, ...], float]:
-    """Exact MAP of a grid/cris-cross model (lexicographically smallest).
+    """Exact MAP of a whole model (lexicographically smallest) and its energy.
 
-    Backward max-sweep over rows followed by a greedy forward selection
-    that always picks the smallest row state achieving the maximum; with
-    the big-endian row-state indexing that yields the lexicographically
-    smallest global maximizer.
+    Decodes nodes in ascending id order from the sweep's first-argmax
+    tables: each node takes the smallest state with a maximizing completion
+    of the states already chosen, which yields the lexicographically
+    smallest maximizer.
     """
-    shape = detect_grid(mrf.graph)
-    _transfer_budget(mrf, shape, cap)
-    digits, intra, trans = _row_tables(mrf, shape)
-    rows, cols = shape.rows, shape.cols
-
-    beta = [None] * rows
-    beta[rows - 1] = intra[rows - 1]
-    for r in range(rows - 2, -1, -1):
-        beta[r] = intra[r] + (trans[r] + beta[r + 1][None, :]).max(axis=1)
-
-    states = []
-    s = int(np.argmax(beta[0]))
-    states.append(s)
-    for r in range(rows - 1):
-        s = int(np.argmax(trans[r][s] + beta[r + 1]))
-        states.append(s)
-
-    x = np.empty(mrf.n, dtype=int)
-    for r, s in enumerate(states):
-        x[r * cols : (r + 1) * cols] = digits[s]
-    assignment = tuple(int(v) for v in x)
-    check_assignment(mrf, assignment)
+    _, choices = _sweep(mrf, cap, maximize=True)
+    x = [0] * mrf.n
+    for v, axes, table in reversed(choices):
+        x[v] = int(table[tuple(x[u] for u in axes)])
+    assignment = tuple(x)
     return assignment, energy(mrf, assignment)

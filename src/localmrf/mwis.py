@@ -45,6 +45,8 @@ class FactorModel:
         for vars_, table in self.factors:
             if len(set(vars_)) != len(vars_):
                 raise ValueError(f"factor lists a variable twice: {vars_}")
+            if not all(0 <= v < len(self.domain_sizes) for v in vars_):
+                raise ValueError(f"factor variable out of range: {vars_}")
             expect = tuple(self.domain_sizes[v] for v in vars_)
             if table.shape != expect:
                 raise ValueError(f"table shape {table.shape} != domains {expect}")

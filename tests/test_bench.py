@@ -10,6 +10,8 @@ from localmrf import (
     brute_log_z,
     connected_components,
     grid_decomp,
+    grid_graph,
+    minor_vertex,
 )
 from localmrf.bench import (
     ExperimentSpec,
@@ -98,6 +100,12 @@ class TestCriscrossLift:
             removed = (u, v) in lifted.removed_edges
             assert removed == (comp_of[u] != comp_of[v])
 
+    def test_rejects_node_removal(self):
+        dec = minor_vertex(grid_graph(4), 1, 2, 0)
+        assert dec.removed_nodes
+        with pytest.raises(ValueError, match="node-removing"):
+            criscross_decomposition(gen_criscross(4), dec)
+
 
 class TestRunExperiment:
     def test_no_removal_zero_error(self):
@@ -137,23 +145,33 @@ class TestRunExperiment:
             oracle="transfer",
         )
         for rec in run_experiment(spec):
-            assert rec.exact_logz is not None  # brute fallback ran
+            assert rec.exact_logz is not None  # the transfer sweep ran
             assert rec.lb <= rec.exact_logz <= rec.ub
 
     def test_random_topology_infeasible_oracle_flagged(self):
-        # 2^22 states: over the brute-oracle threshold, under the component
-        # cap, so even a removal-free round stays solvable
+        # the transfer sweep over these 200 nodes needs a table beyond the
+        # 2^24 cap, while no component exceeds 8 nodes
+        spec = ExperimentSpec(
+            topology="random", n=200, p=0.004, alphas=(0.5,),
+            decomp="none", trials=2, seed=6, oracle="transfer",
+        )
+        records = run_experiment(spec)
+        for rec in records:
+            assert rec.exact_logz is None and rec.err_logz is None
+            assert rec.h_star is None and rec.err_map is None
+            assert rec.gap == 0.0 and rec.lb == rec.ub
+        # records with empty exact fields still round-trip
+        assert records_from_csv(records_to_csv(records)) == records
+        # 2^22 states, beyond brute enumeration: the sweep solves it
         spec = ExperimentSpec(
             topology="random", n=22, p=0.15, alphas=(0.5,),
             decomp="minore", r=2, lambdas=(4,), trials=2, seed=6,
             oracle="transfer",
         )
-        records = run_experiment(spec)
-        for rec in records:
-            assert rec.exact_logz is None and rec.err_logz is None
-            assert rec.gap == pytest.approx(rec.ub - rec.lb, rel=1e-12)
-        # records with empty exact fields still round-trip
-        assert records_from_csv(records_to_csv(records)) == records
+        for rec in run_experiment(spec):
+            assert rec.lb <= rec.exact_logz <= rec.ub
+            assert rec.h_hat <= rec.h_star + 1e-12
+            assert rec.h_star - rec.gap <= rec.h_hat + 1e-12
 
     def test_grid_decomp_rejected_off_lattice(self):
         with pytest.raises(ValueError):
@@ -215,6 +233,10 @@ class TestSpecFile:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             parse_experiment_spec("alphas=\n")
+
+    def test_unknown_oracle_rejected(self):
+        with pytest.raises(ValueError, match="unknown oracle brute"):
+            parse_experiment_spec("oracle=brute\n")
 
     @pytest.mark.parametrize(
         "text, line",

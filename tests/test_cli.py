@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from localmrf import Graph, criscross_graph, dump_mrf, grid_graph, load_mrf
+from localmrf import (
+    Graph,
+    brute_log_z,
+    brute_map,
+    criscross_graph,
+    dump_mrf,
+    grid_graph,
+    load_mrf,
+)
 from localmrf.bench import sample_potentials, VARYING_INTERACTION
 from localmrf.cli import main
 from localmrf.mwis import write_factor_model, FactorModel
 
-from helpers import random_mrf
+from helpers import random_graph, random_mrf
 
 
 @pytest.fixture
@@ -64,17 +72,23 @@ def test_decompose_grid_and_dbdim(grid_model_file, tmp_path):
     assert "removed_node" in out.read_text()
 
 
-def test_exact_modes(grid_model_file, capsys):
+def test_exact_modes(grid_model_file, tmp_path, capsys):
     assert main(["exact", "--mode", "both", "--graph", grid_model_file]) == 0
     plain = capsys.readouterr().out
     assert plain.startswith("log_z ")
     assert "map " in plain and "map_energy " in plain
-    assert main(["exact", "--mode", "logz", "--graph", grid_model_file,
-                 "--transfer"]) == 0
-    transfer = capsys.readouterr().out
-    a = float(plain.splitlines()[0].split()[1])
-    b = float(transfer.splitlines()[0].split()[1])
-    assert a == pytest.approx(b, rel=1e-10)
+    # a non-lattice, three-state model against the brute-force oracle
+    rng = np.random.default_rng(3)
+    m = random_mrf(rng, random_graph(rng, 9, 0.4), q=3, lo=-1.0, hi=1.0)
+    path = tmp_path / "random9.mrf"
+    dump_mrf(m, path)
+    assert main(["exact", "--mode", "both", "--graph", str(path)]) == 0
+    log_z, x, h = capsys.readouterr().out.splitlines()
+    m = load_mrf(path)
+    assert float(log_z.split()[1]) == pytest.approx(brute_log_z(m), rel=1e-12)
+    assert (tuple(map(int, x.split()[1:])), float(h.split()[1])) == brute_map(m)
+    assert main(["exact", "--mode", "map", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == x + "\n" + h + "\n"
 
 
 def test_logz_map_csv(grid_model_file, tmp_path):

@@ -1,4 +1,4 @@
-"""Brute-force solvers and the grid transfer-matrix oracle."""
+"""Brute-force solvers, the component engine and the transfer sweep."""
 
 import math
 
@@ -15,7 +15,6 @@ from localmrf import (
     brute_max_marginal,
     component_solve,
     criscross_graph,
-    detect_grid,
     energy,
     grid_graph,
     grid_transfer_log_z,
@@ -237,22 +236,6 @@ class TestDegreeLowerBounds:
             assert h_star >= total_max / (d_star + 1) - 1e-9
 
 
-class TestDetectGrid:
-    def test_square_and_rect(self):
-        shape = detect_grid(grid_graph(3))
-        assert (shape.rows, shape.cols, shape.criscross) == (3, 3, False)
-        shape = detect_grid(grid_graph(2, 5))
-        assert (shape.rows, shape.cols, shape.criscross) == (2, 5, False)
-
-    def test_criscross(self):
-        shape = detect_grid(criscross_graph(3))
-        assert (shape.rows, shape.cols, shape.criscross) == (3, 3, True)
-
-    def test_rejects_other(self):
-        with pytest.raises(ValueError):
-            detect_grid(Graph(3, [(0, 1), (0, 2), (1, 2)]))
-
-
 class TestTransferMatrix:
     def test_2x2_matches_brute(self):
         rng = np.random.default_rng(8)
@@ -281,10 +264,6 @@ class TestTransferMatrix:
         assert grid_transfer_log_z(m) == pytest.approx(brute_log_z(m), rel=1e-10)
 
     def test_path_detected_as_single_column(self):
-        # an n-node path sweeps as n x 1 with q row states, not 1 x n
-        path = Graph(20, [(i, i + 1) for i in range(19)])
-        shape = detect_grid(path)
-        assert (shape.rows, shape.cols) == (20, 1)
         rng = np.random.default_rng(15)
         m = random_mrf(rng, Graph(6, [(i, i + 1) for i in range(5)]))
         assert grid_transfer_log_z(m) == pytest.approx(brute_log_z(m), rel=1e-10)
@@ -315,3 +294,48 @@ class TestTransferMatrix:
         m = random_mrf(rng, grid_graph(3))
         _, h = grid_transfer_map(m)
         assert grid_transfer_log_z(m) >= h
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(1, 10),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_brute_on_random_graphs(self, seed, q, n, forced):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.8)))
+        m = random_mrf(rng, g, q=q, lo=-1.0, hi=1.0)
+        if forced:
+            m = m.with_forced_node(int(rng.integers(n)), int(rng.integers(q)))
+        assert grid_transfer_log_z(m) == pytest.approx(brute_log_z(m), rel=1e-12)
+        assert grid_transfer_map(m) == brute_map(m)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_tables_tie_rule(self, seed, q, n):
+        # integer tables tie often; the sweep must return brute's first
+        # (lexicographically smallest) maximizer
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, 0.5)
+        phi = rng.integers(0, 2, size=(n, q)).astype(float)
+        psi = rng.integers(0, 2, size=(len(g.edge_list), q, q)).astype(float)
+        m = PairwiseMrf(g, q, phi, psi)
+        assert grid_transfer_map(m) == brute_map(m)
+
+    def test_all_states_forbidden(self):
+        m = single_node([-math.inf, -math.inf])
+        assert grid_transfer_log_z(m) == brute_log_z(m) == -math.inf
+        assert grid_transfer_map(m) == brute_map(m)
+
+    def test_cap_signals_too_wide(self):
+        # on K10 node 9 opens all ten nodes at once: a 2^10-entry table
+        k10 = Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
+        m = random_mrf(np.random.default_rng(16), k10)
+        assert grid_transfer_log_z(m, cap=2**10) == pytest.approx(
+            brute_log_z(m), rel=1e-12
+        )
+        with pytest.raises(CapExceeded):
+            grid_transfer_log_z(m, cap=2**10 - 1)
+        with pytest.raises(CapExceeded):
+            grid_transfer_map(m, cap=2**10 - 1)

@@ -91,6 +91,15 @@ class TestFactorToMwis:
         with pytest.raises(ValueError, match="twice"):
             FactorModel((2,), (((0, 0), table),))
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_variable_out_of_range(self, bad):
+        # a -1 would wrap to the last variable in the score while the
+        # reduction keys it as -1, so decoding its optimum fails
+        unary = np.array([0.0, 3.0])
+        factors = (((0,), unary), ((1,), unary), ((bad,), unary))
+        with pytest.raises(ValueError, match="out of range"):
+            FactorModel((2, 2), factors)
+
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

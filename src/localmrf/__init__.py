@@ -49,6 +49,8 @@ from .exact import (
     component_solve,
     grid_transfer_log_z,
     grid_transfer_map,
+    solve_components,
+    solve_model,
 )
 from .inference import (
     ErrorCertificate,

@@ -24,7 +24,7 @@ from .decompose import (
     minor_edge,
     minor_vertex,
 )
-from .exact import grid_transfer_log_z, grid_transfer_map
+from .exact import solve_model
 from .inference import log_partition_bounds, mode_estimate
 from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
 from .saw import build_saw_tree, msg_pass_mode, saw_max_ratio
@@ -78,12 +78,12 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_exact(args) -> int:
     mrf = load_mrf(args.graph)
-    log_z, (assignment, h) = grid_transfer_log_z(mrf), grid_transfer_map(mrf)
+    res = solve_model(mrf)
     if args.mode in ("logz", "both"):
-        print(f"log_z {log_z:.17g}")
+        print(f"log_z {res.log_z:.17g}")
     if args.mode in ("map", "both"):
-        print("map " + " ".join(map(str, assignment)))
-        print(f"map_energy {h:.17g}")
+        print("map " + " ".join(map(str, res.map_assignment)))
+        print(f"map_energy {res.map_energy:.17g}")
     return 0
 
 
@@ -103,11 +103,14 @@ def _decomp_for_args(mrf, args, seed):
 def _cmd_bounds(args, want_map: bool) -> int:
     mrf = load_mrf(args.graph)
     rows = ["seed,lb,ub,gap,exact,h_hat,h_star"]
-    exact_logz = ""
-    h_star = ""
+    exact_logz = h_star = ""
     if args.exact:
-        exact_logz = f"{grid_transfer_log_z(mrf):.17g}"
-        h_star = f"{grid_transfer_map(mrf)[1]:.17g}"
+        # a model too wide for the exact engine leaves the exact columns empty
+        try:
+            res = solve_model(mrf)
+            exact_logz, h_star = f"{res.log_z:.17g}", f"{res.map_energy:.17g}"
+        except CapExceeded as exc:
+            print(f"exact values skipped: {exc}", file=sys.stderr)
     for t in range(args.trials):
         seed = args.seed + t
         dec = _decomp_for_args(mrf, args, seed)
@@ -234,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--csv", default="-")
         p.add_argument("--exact", action="store_true",
-                       help="also compute the exact values when feasible")
+                       help="also compute the exact values; left empty when "
+                            "too wide for the exact engine")
         p.set_defaults(func=lambda a, w=want_map: _cmd_bounds(a, w))
 
     p = sub.add_parser("saw", help="walk-tree max-marginal ratios")

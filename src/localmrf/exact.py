@@ -1,33 +1,35 @@
-"""Exact solvers: the component engine, the transfer sweep and the oracle.
+"""Exact solvers: the elimination engine and the brute-force oracle.
 
-* ``component_solve`` is the production engine of the certified bounds: one
-  broadcast sweep per component gives its log Z and MAP together.
-* ``grid_transfer_log_z`` and ``grid_transfer_map`` are the exact
-  whole-model values on production paths: one sweep eliminates the nodes
-  one at a time in descending id order, on any graph, and costs ``q`` to
-  the number of nodes open at once (about ``q^(n+1)`` on an n x n lattice).
+* ``solve_components`` is the one exact engine.  It groups components by
+  shape and runs one batched variable-elimination sweep per group, which
+  eliminates the nodes in descending id order and yields log Z and the MAP
+  together.  ``component_solve`` (one component) and ``solve_model`` (a
+  whole model, one connected component at a time; also through
+  ``grid_transfer_log_z`` and ``grid_transfer_map``) are views of it.
 * ``brute_log_z``, ``brute_map`` and ``brute_max_marginal`` enumerate
-  through per-digit index gathers, independently of both, and serve only
-  as their test oracle.
+  through per-digit index gathers, independently of it, and serve only as
+  its test oracle.
 
 Every routine has an explicit cap: exceeding it raises ``CapExceeded``
-instead of silently truncating.  Assignments are enumerated in lexicographic
-order (node 0 is the most significant digit), so first-maximum selection
-yields the lexicographically smallest maximizer; the transfer sweep decodes
-node 0 first and takes each node's first maximizing state, which gives the
-same maximizer.  The component engine, the transfer sweep and the
-brute-force oracle all break MAP ties that way; the walk-tree
+instead of silently truncating.  The engine's cap bounds its widest table,
+``q`` to the number of nodes open at once (about ``q^(n+1)`` on an n x n
+lattice), per component; the oracle's cap bounds the ``q^n`` assignments it
+enumerates.  Assignments are enumerated in lexicographic order (node 0 is
+the most significant digit), so first-maximum selection yields the
+lexicographically smallest maximizer; the engine decodes node 0 first and
+takes each node's first maximizing state, which gives the same maximizer.
+The engine and the oracle both break MAP ties that way; the walk-tree
 ``saw_component_map`` promises only an energy-optimal MAP.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, PairwiseMrf, energy
+from .core import CapExceeded, PairwiseMrf, connected_components, energy
 
 DEFAULT_CAP = 2**24
 _CHUNK = 2**18
@@ -135,31 +137,149 @@ def _axes_shape(width: int, q: int, *axes: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def _block_energies(mrf: PairwiseMrf, lead: tuple[int, ...]) -> np.ndarray:
-    """Energies of the assignments whose leading digits are ``lead``.
+def _schedule(lower: tuple[tuple[int, ...], ...]) -> list:
+    """Open nodes before and while each node ``k-1, ..., 0`` is eliminated.
 
-    The trailing ``n - len(lead)`` nodes span the block's axes in
-    lexicographic order.  Every state receives its node terms in node order
-    and then its edge terms in edge order, each as one broadcast addition,
-    so each energy equals ``_chunk_energies``' bit for bit.
+    ``lower[v]`` lists ``v``'s lower neighbours.  A node opens when it or a
+    higher neighbour is reached; the open nodes are the table's axes in
+    ascending order, so the node being eliminated is always the last axis.
     """
-    q, k = mrf.q, len(lead)
-    width = mrf.n - k
-    e = np.zeros((q,) * width)
-    for v in range(mrf.n):
-        if v < k:
-            e += mrf.phi[v, lead[v]]
+    schedule = []
+    opened: list[int] = []
+    for v in range(len(lower) - 1, -1, -1):
+        nodes = sorted(set(opened).union([v], lower[v]))
+        schedule.append((v, opened, nodes))
+        opened = nodes[:-1]
+    return schedule
+
+
+def _eliminate(phi, psi, edges, schedule, q: int):
+    """One fused elimination over a batch of components of one shape.
+
+    ``phi`` is ``(B, k, q)`` and ``psi`` ``(B, m, q, q)``, with ``psi[:, j]``
+    the table of local edge ``edges[j] = (u, v)``, ``u < v``.
+    Each node's ``phi_v`` and lower edges' ``psi`` form one local table,
+    added to a log-sum-exp table and a max table over the open nodes, both
+    with a leading batch axis; the max table keeps each node's first argmax.
+    Decoding then runs in ascending id order, so each node takes the
+    smallest state with a maximizing completion of the states already
+    chosen: the lexicographically smallest maximizer.  A component whose
+    maximum is ``-inf`` decodes to all zeros, brute's first maximizer.
+
+    Returns log Z per component and the ``(B, k)`` MAP assignments.
+    """
+    batch, k = phi.shape[:2]
+    cols = [[] for _ in range(k)]
+    for j, (u, v) in enumerate(edges):
+        cols[v].append((u, j))
+    choice_dtype = np.min_scalar_type(q - 1)
+    lse = np.zeros(batch)
+    mx = np.zeros(batch)
+    choices = []
+    for v, before, nodes in schedule:
+        width = len(nodes)
+        local = phi[:, v].reshape((batch,) + _axes_shape(width, q, width - 1))
+        for u, j in cols[v]:
+            shape = (batch,) + _axes_shape(width, q, nodes.index(u), width - 1)
+            local = local + psi[:, j].reshape(shape)
+        new = tuple(1 + a for a, w in enumerate(nodes) if w not in before)
+        if new:
+            lse = np.expand_dims(lse, new) + local
+            mx = np.expand_dims(mx, new) + local
         else:
-            e += mrf.phi[v].reshape(_axes_shape(width, q, v - k))
-    for i, (u, v) in enumerate(mrf.edge_list):
-        t = mrf.psi[i]
-        if v < k:
-            e += t[lead[u], lead[v]]
-        elif u < k:
-            e += t[lead[u]].reshape(_axes_shape(width, q, v - k))
-        else:
-            e += t.reshape(_axes_shape(width, q, u - k, v - k))
-    return e.ravel()
+            lse += local
+            mx += local
+        # reduce the last axis one state at a time: numpy reduces a short
+        # last axis far more slowly than it adds two slices
+        lse = functools.reduce(np.logaddexp, (lse[..., s] for s in range(q)))
+        best = mx[..., 0]
+        choice = np.zeros(best.shape, dtype=choice_dtype)
+        for s in range(1, q):
+            np.copyto(choice, s, where=mx[..., s] > best)
+            best = np.maximum(best, mx[..., s])
+        choices.append((v, nodes[:-1], choice))
+        mx = best
+    rows = np.arange(batch)
+    x = np.zeros((batch, k), dtype=np.intp)
+    for v, axes, choice in reversed(choices):
+        x[:, v] = choice[(rows, *(x[:, u] for u in axes))]
+    x[mx == -np.inf] = 0
+    return lse, x
+
+
+def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch) -> list[ExactResult]:
+    """Solve components of one shape together; ``batch`` holds (order, rows)."""
+    size, k = len(batch), len(lower)
+    m = sum(map(len, lower))
+    phi = mrf.phi[np.array([o for o, _ in batch], dtype=np.intp).reshape(size, k)]
+    psi = mrf.psi[np.array([r for _, r in batch], dtype=np.intp).reshape(size, m)]
+    edges = [(u, v) for v, low in enumerate(lower) for u in low]
+    log_z, x = _eliminate(phi, psi, edges, schedule, mrf.q)
+    # energies in node-then-edge order, as ``energy`` sums them
+    rows = np.arange(size)
+    e = np.zeros(size)
+    for v in range(k):
+        e += phi[rows, v, x[:, v]]
+    for j in sorted(range(m), key=edges.__getitem__):
+        u, v = edges[j]
+        e += psi[rows, j, x[:, u], x[:, v]]
+    return [
+        ExactResult(float(log_z[b]), tuple(x[b].tolist()), float(e[b]), order)
+        for b, (order, _) in enumerate(batch)
+    ]
+
+
+def solve_components(
+    mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP
+) -> list[ExactResult]:
+    """Exact log Z and MAP of the sub-MRF induced on each node set.
+
+    Only edges with both endpoints inside a set contribute.  Components are
+    grouped by shape (their nodes relabelled ``0..k-1`` in ascending order,
+    with each node's lower neighbours), and each group runs one batched
+    elimination of its nodes in descending order; see ``_eliminate``.  A
+    component whose widest table holds more than ``cap`` entries raises
+    ``CapExceeded`` before any table is built; a group's batch is split so
+    that no batched table holds more than ``cap`` entries.  Results come
+    back in the order of ``components``.
+    """
+    adjacency, edge_index = mrf.graph.adjacency, mrf._edge_index
+    groups: dict[tuple, list] = {}
+    components = list(components)
+    for c, comp in enumerate(components):
+        order = tuple(sorted(comp))
+        pos = {g: i for i, g in enumerate(order)}
+        lower = []
+        rows = []
+        for g in order:
+            low = []
+            for u in adjacency[g]:
+                if u >= g:
+                    break
+                if u in pos:
+                    low.append(pos[u])
+                    rows.append(edge_index[(u, g)])
+            lower.append(tuple(low))
+        groups.setdefault(tuple(lower), []).append((c, order, rows))
+    q = mrf.q
+    plans = []
+    for lower, members in groups.items():
+        schedule = _schedule(lower)
+        width = max((len(nodes) for _, _, nodes in schedule), default=0)
+        if q**width > cap:
+            raise CapExceeded(
+                f"component of {len(lower)} nodes needs an elimination table "
+                f"of {q}^{width} entries (cap={cap})"
+            )
+        plans.append((lower, schedule, cap // q**width, members))
+    results: list = [None] * len(components)
+    for lower, schedule, step, members in plans:
+        for s in range(0, len(members), step):
+            part = members[s : s + step]
+            solved = _solve_batch(mrf, lower, schedule, [(o, r) for _, o, r in part])
+            for (c, _, _), res in zip(part, solved):
+                results[c] = res
+    return results
 
 
 def component_solve(
@@ -167,126 +287,43 @@ def component_solve(
 ) -> ExactResult:
     """Exact log Z and MAP of the sub-MRF induced on ``nodes``.
 
-    Only edges with both endpoints inside ``nodes`` contribute.  One sweep
-    over the ``q^k`` assignments of the ``k`` component nodes yields the
-    log-sum-exp and the first maximizer together.  The sweep runs in blocks:
-    a block fixes the leading digits and spans the trailing ``c`` nodes,
-    with ``c`` the largest width such that ``q^c <= 2^18``; blocks run in
-    lexicographic order, so the first maximum found is the lexicographically
-    smallest maximizer.  Energies equal ``brute_map``'s bit for bit, and for
-    q = 2 the blocks are ``brute_log_z``'s chunks, so log Z is bit-identical
-    too.  More than ``cap`` assignments raise ``CapExceeded``, which usually
-    means a decomposition produced an oversized component.
+    Only edges with both endpoints inside ``nodes`` contribute.  One
+    elimination sweep of ``solve_components`` gives the log Z and the
+    lexicographically smallest maximizer together; ``map_energy`` is summed
+    in node-then-edge order, so it equals ``energy`` on the induced
+    sub-model bit for bit.  A widest elimination table of more than ``cap``
+    entries raises ``CapExceeded``.
     """
-    sub, order = mrf.induced(nodes)
-    q, k = sub.q, sub.n
-    if q**k > cap:
-        raise CapExceeded(
-            f"component of {k} nodes needs {q}^{k} states (cap={cap})"
-        )
-    width = k
-    while q**width > _CHUNK:
-        width -= 1
-    # m is the running maximum energy and s the sum of exp(energy - m)
-    m = -np.inf
-    s = 0.0
-    best_idx = 0
-    for b, lead in enumerate(itertools.product(range(q), repeat=k - width)):
-        e = _block_energies(sub, lead)
-        i = int(np.argmax(e))
-        cm = float(e[i])
-        if cm > m:
-            s = s * np.exp(m - cm) + float(np.exp(e - cm).sum())
-            m = cm
-            best_idx = b * q**width + i
-        elif cm > -np.inf:
-            s += float(np.exp(e - m).sum())
-    log_z = -np.inf if m == -np.inf else m + float(np.log(s))
-    return ExactResult(log_z, _index_to_assignment(sub, best_idx), m, order)
+    return solve_components(mrf, [nodes], cap)[0]
 
 
-# ---------------------------------------------------------------------------
-# Node-by-node transfer sweep for whole models
-# ---------------------------------------------------------------------------
+def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
+    """Exact log Z and MAP of a whole model, one connected component at a time.
 
-
-def _sweep(mrf: PairwiseMrf, cap: int, maximize: bool):
-    """Eliminate nodes ``n-1, ..., 0`` into one table over the open nodes.
-
-    A node opens when it or a higher neighbour is reached; the table's axes
-    are the open nodes in ascending order, so the node being eliminated is
-    always the last axis.  Reaching ``v`` adds ``phi_v`` and the tables of
-    ``v``'s edges to lower neighbours, then reduces ``v``'s axis by
-    log-sum-exp or, when ``maximize``, by max, keeping the first argmax over
-    ``v`` per state of the remaining open nodes.  On a row-major lattice
-    this is the row transfer-matrix sweep taken one node at a time.
-
-    Returns the eliminated value (log Z, or the maximum energy) and the
-    argmax tables as ``(v, axes, table)`` in elimination order.  A table
-    over more than ``cap`` entries raises ``CapExceeded``.
+    log Z is the sum of the components' values and the MAP stitches their
+    maximizers; when a component has no feasible state every assignment
+    has energy ``-inf``, and the MAP is all zeros, brute's first maximizer.
     """
-    q = mrf.q
-    lower: list[list[tuple[int, int]]] = [[] for _ in range(mrf.n)]
-    for i, (u, v) in enumerate(mrf.edge_list):
-        lower[v].append((u, i))
-    # the open nodes before and while each node is eliminated, checked
-    # against the cap before any table is built
-    schedule = []
-    opened: list[int] = []
-    for v in range(mrf.n - 1, -1, -1):
-        merged = sorted(set(opened).union([v], (u for u, _ in lower[v])))
-        if q ** len(merged) > cap:
-            raise CapExceeded(
-                f"transfer sweep needs a table of {q}^{len(merged)} entries (cap={cap})"
-            )
-        schedule.append((v, opened, merged))
-        opened = merged[:-1]
-    choice_dtype = np.min_scalar_type(q - 1)
-    table = np.zeros(())
-    choices = []
-    for v, before, nodes in schedule:
-        table = np.expand_dims(
-            table, tuple(a for a, w in enumerate(nodes) if w not in before)
-        )
-        width = len(nodes)
-        table = table + mrf.phi[v].reshape(_axes_shape(width, q, width - 1))
-        for u, i in lower[v]:
-            shape = _axes_shape(width, q, nodes.index(u), width - 1)
-            table = table + mrf.psi[i].reshape(shape)
-        if maximize:
-            choice = table.argmax(axis=-1).astype(choice_dtype)
-            choices.append((v, tuple(nodes[:-1]), choice))
-            table = table.max(axis=-1)
-        else:
-            m = table.max(axis=-1, keepdims=True)
-            m[m == -np.inf] = 0.0
-            with np.errstate(divide="ignore"):
-                table = np.log(np.exp(table - m).sum(axis=-1)) + m[..., 0]
-    return float(table), choices
+    log_z = 0.0
+    x = [0] * mrf.n
+    for res in solve_components(mrf, connected_components(mrf.graph), cap):
+        log_z += res.log_z
+        for v, s in zip(res.nodes, res.map_assignment):
+            x[v] = s
+    if log_z == -np.inf:
+        x = [0] * mrf.n
+    assignment = tuple(x)
+    return ExactResult(log_z, assignment, energy(mrf, assignment), tuple(range(mrf.n)))
 
 
 def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:
-    """Exact log Z of a whole model by the node-by-node transfer sweep.
-
-    Works on any graph; the cost is set by the widest table, ``q`` to the
-    number of open nodes, which on an n x n lattice is about ``q^(n+1)``.
-    """
-    return _sweep(mrf, cap, maximize=False)[0]
+    """Exact log Z of a whole model; see ``solve_model``."""
+    return solve_model(mrf, cap).log_z
 
 
 def grid_transfer_map(
     mrf: PairwiseMrf, cap: int = DEFAULT_CAP
 ) -> tuple[tuple[int, ...], float]:
-    """Exact MAP of a whole model (lexicographically smallest) and its energy.
-
-    Decodes nodes in ascending id order from the sweep's first-argmax
-    tables: each node takes the smallest state with a maximizing completion
-    of the states already chosen, which yields the lexicographically
-    smallest maximizer.
-    """
-    _, choices = _sweep(mrf, cap, maximize=True)
-    x = [0] * mrf.n
-    for v, axes, table in reversed(choices):
-        x[v] = int(table[tuple(x[u] for u in axes)])
-    assignment = tuple(x)
-    return assignment, energy(mrf, assignment)
+    """Exact MAP of a whole model (lexicographically smallest) and its energy."""
+    res = solve_model(mrf, cap)
+    return res.map_assignment, res.map_energy

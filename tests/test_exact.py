@@ -1,4 +1,4 @@
-"""Brute-force solvers, the component engine and the transfer sweep."""
+"""Brute-force solvers and the elimination engine, per component and whole."""
 
 import math
 
@@ -19,8 +19,10 @@ from localmrf import (
     grid_graph,
     grid_transfer_log_z,
     grid_transfer_map,
+    solve_components,
 )
 from localmrf.core import CapExceeded
+from localmrf.exact import DEFAULT_CAP
 
 from helpers import (
     oracle_log_z,
@@ -125,7 +127,7 @@ class TestComponentSolve:
         res = component_solve(m, (1, 2))
         sub, order = m.induced((1, 2))
         assert order == (1, 2)
-        assert res.log_z == brute_log_z(sub)
+        assert res.log_z == pytest.approx(brute_log_z(sub), rel=1e-12)
         assert res.map_assignment == brute_map(sub)[0]
         assert res.map_energy == energy(sub, res.map_assignment)
 
@@ -141,9 +143,16 @@ class TestComponentSolve:
         assert whole <= a.log_z + b.log_z + hi + 1e-12
 
     def test_cap_signals_oversize(self):
+        # the cap bounds the widest elimination table, not the q^k states:
+        # a 3x3 grid opens at most four nodes at once, K10 all ten
         m = random_mrf(np.random.default_rng(7), grid_graph(3))
+        res = component_solve(m, tuple(range(9)), cap=16)
+        assert res.map_assignment == brute_map(m)[0]
+        k10 = Graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
+        m = random_mrf(np.random.default_rng(8), k10)
+        component_solve(m, tuple(range(10)), cap=2**10)
         with pytest.raises(CapExceeded):
-            component_solve(m, tuple(range(9)), cap=16)
+            component_solve(m, tuple(range(10)), cap=2**10 - 1)
 
 
 def _assert_solve_matches_brute(m, nodes):
@@ -151,13 +160,13 @@ def _assert_solve_matches_brute(m, nodes):
     sub, order = m.induced(nodes)
     x, h = brute_map(sub)
     assert res.nodes == order
-    assert res.log_z == brute_log_z(sub)
+    assert res.log_z == pytest.approx(brute_log_z(sub), rel=1e-12)
     assert res.map_assignment == x
     assert res.map_energy == h
 
 
 class TestComponentSolveProperties:
-    """The single-sweep engine against the brute-force oracle."""
+    """The elimination engine against the brute-force oracle."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -190,15 +199,15 @@ class TestComponentSolveProperties:
         assert (res.map_assignment, res.map_energy) == oracle_map_reversed(m)
 
     def test_multi_block_binary_component(self):
-        # 2^20 states: four blocks of 2^18, the brute chunks exactly
+        # 2^20 states: four of the brute oracle's chunks
         rng = np.random.default_rng(21)
         m = random_mrf(rng, random_graph(rng, 22, 0.2), lo=-1.0, hi=1.0)
         m = m.with_forced_node(19, 1)
         _assert_solve_matches_brute(m, tuple(range(1, 21)))
 
     def test_multi_block_three_states(self):
-        # 3^12 states in blocks of 3^11; the brute chunks differ, so the
-        # log-sum-exp may round differently, while energies and MAP do not
+        # 3^12 states in several brute chunks; elimination sums in another
+        # order, so the log-sum-exp may round differently, energies and MAP not
         rng = np.random.default_rng(22)
         m = random_mrf(rng, random_graph(rng, 12, 0.3), q=3, lo=-1.0, hi=1.0)
         res = component_solve(m, range(12))
@@ -211,6 +220,58 @@ class TestComponentSolveProperties:
         res = component_solve(m, (0,))
         assert res.log_z == brute_log_z(m) == -math.inf
         assert (res.map_assignment, res.map_energy) == brute_map(m)
+
+
+class TestSolveComponents:
+    """Batched solves equal one-component solves, field for field."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 6),
+        st.sampled_from(["none", "forced", "infeasible"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_single_solves(self, seed, q, copies, k, extra, minus_inf, small_cap):
+        rng = np.random.default_rng(seed)
+        # copies of one graph on interleaved ids share a shape; the extra
+        # nodes and the chords between them form other components
+        shape = random_graph(rng, k, float(rng.uniform(0.2, 0.9)))
+        n = copies * k + extra
+        edges = [(u * copies + c, v * copies + c)
+                 for c in range(copies) for u, v in shape.edge_list]
+        edges += [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if rng.random() < 0.1 and (u, v) not in edges]
+        m = random_mrf(rng, Graph(n, edges), q=q, lo=-1.0, hi=1.0)
+        phi = np.array(m.phi)
+        v = int(rng.integers(n))
+        if minus_inf == "forced":
+            phi[v, np.arange(q) != rng.integers(q)] = -math.inf
+        elif minus_inf == "infeasible":
+            phi[v] = -math.inf
+        m = PairwiseMrf(m.graph, q, phi, m.psi)
+        comps = [tuple(u * copies + c for u in range(k)) for c in range(copies)]
+        labels = rng.integers(0, 3, size=extra)
+        comps += [tuple(copies * k + int(u) for u in np.flatnonzero(labels == lab))
+                  for lab in set(labels.tolist())]
+        comps = [comps[i] for i in rng.permutation(len(comps))]
+        cap = DEFAULT_CAP
+        if small_cap:
+            # the smallest cap that solves splits the widest group's batch
+            # into single components, and any smaller one is refused
+            cap = 1
+            while True:
+                try:
+                    solve_components(m, comps, cap)
+                    break
+                except CapExceeded:
+                    cap *= q
+        singles = [component_solve(m, comp) for comp in comps]
+        assert solve_components(m, comps, cap) == singles
+        assert [r.nodes for r in singles] == [tuple(sorted(c)) for c in comps]
 
 
 class TestDegreeLowerBounds:
@@ -327,6 +388,33 @@ class TestTransferMatrix:
         m = single_node([-math.inf, -math.inf])
         assert grid_transfer_log_z(m) == brute_log_z(m) == -math.inf
         assert grid_transfer_map(m) == brute_map(m)
+
+    def test_infeasible_component_zeroes_the_map(self):
+        # one component without a feasible state makes every energy -inf;
+        # the feasible components' maximizers must not leak into the MAP
+        rng = np.random.default_rng(17)
+        m = random_mrf(rng, Graph(6, [(0, 1), (1, 2), (3, 4)]), lo=-1.0, hi=1.0)
+        phi = np.array(m.phi)
+        phi[4] = -math.inf
+        m = PairwiseMrf(m.graph, 2, phi, m.psi)
+        assert grid_transfer_log_z(m) == brute_log_z(m) == -math.inf
+        assert grid_transfer_map(m) == brute_map(m) == ((0,) * 6, -math.inf)
+
+    def test_components_solved_separately(self):
+        # 40 disjoint triangles on interleaved ids (i, i+40, i+80): one sweep
+        # over all nodes in id order would keep 41 nodes open, while each
+        # component's widest table holds 2^3 entries
+        tri_nodes = [(i, i + 40, i + 80) for i in range(40)]
+        edges = [(t[a], t[b]) for t in tri_nodes for a, b in ((0, 1), (0, 2), (1, 2))]
+        m = random_mrf(np.random.default_rng(18), Graph(120, edges), lo=-1.0, hi=1.0)
+        x, h = grid_transfer_map(m, cap=8)
+        tri = [component_solve(m, t) for t in tri_nodes]
+        for t, r in zip(tri_nodes, tri):
+            assert tuple(x[v] for v in t) == r.map_assignment
+        assert h == energy(m, x)
+        assert grid_transfer_log_z(m, cap=8) == pytest.approx(
+            math.fsum(r.log_z for r in tri), rel=1e-12
+        )
 
     def test_cap_signals_too_wide(self):
         # on K10 node 9 opens all ten nodes at once: a 2^10-entry table

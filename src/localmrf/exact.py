@@ -210,17 +210,16 @@ def _eliminate(phi, psi, edges, schedule, q: int):
 def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch) -> list[ExactResult]:
     """Solve components of one shape together; ``batch`` holds (order, rows)."""
     size, k = len(batch), len(lower)
-    m = sum(map(len, lower))
-    phi = mrf.phi[np.array([o for o, _ in batch], dtype=np.intp).reshape(size, k)]
-    psi = mrf.psi[np.array([r for _, r in batch], dtype=np.intp).reshape(size, m)]
     edges = [(u, v) for v, low in enumerate(lower) for u in low]
+    phi = mrf.phi[np.array([o for o, _ in batch], dtype=np.intp).reshape(size, k)]
+    psi = mrf.psi[np.array([r for _, r in batch], dtype=np.intp).reshape(size, len(edges))]
     log_z, x = _eliminate(phi, psi, edges, schedule, mrf.q)
     # energies in node-then-edge order, as ``energy`` sums them
     rows = np.arange(size)
     e = np.zeros(size)
     for v in range(k):
         e += phi[rows, v, x[:, v]]
-    for j in sorted(range(m), key=edges.__getitem__):
+    for j in sorted(range(len(edges)), key=edges.__getitem__):
         u, v = edges[j]
         e += psi[rows, j, x[:, u], x[:, v]]
     return [

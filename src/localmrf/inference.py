@@ -93,15 +93,16 @@ def log_partition_bounds(
     total = 0.0
     for res in results:
         total += res.log_z
-    lo = hi = 0.0
+    lo = hi = gap = 0.0
     for e in sorted(decomp.removed_edges):
         e_lo, e_hi = mrf.edge_bounds(*e)
         lo += e_lo
         hi += e_hi
+        gap += e_hi - e_lo  # edge_range_sum's order: the same double
     return InferenceBounds(
         log_z_lb=total + lo,
         log_z_ub=total + hi,
-        gap=(total + hi) - (total + lo),
+        gap=gap,
         component_log_z=tuple(
             (comp, res.log_z) for comp, res in zip(decomp.components, results)
         ),

@@ -16,6 +16,9 @@ flood path sequences outward and answer with computation sequences carrying
 normalized message pairs; the two implementations share their numeric
 kernels and agree bit for bit.
 
+Both read the model through one directed-edge table, built once per call
+from plain Python floats, so their inner loops touch no numpy objects.
+
 Ratios are kept as log-domain pairs rather than quotients so that 0 and
 infinity are exact.
 """
@@ -94,25 +97,57 @@ def _norm_pair(m0: float, m1: float) -> tuple[float, float]:
     return m0 - lse, m1 - lse
 
 
-def _send(psi, phi0: float, phi1: float, children) -> tuple[float, float]:
+def _send(psi, phi, children) -> tuple[float, float]:
     """Message toward a parent: max over the sender's state of
-    psi[state][parent_state] + phi[state] + sum of child messages."""
-    in0, in1 = phi0, phi1
+    psi[state][parent_state] + phi[state] + sum of child messages.
+
+    The hot path of both walk-tree routines, so the two ``max`` calls and
+    ``_norm_pair`` are spelled out inline, with the same operations and
+    tie rule (the first argument wins unless the second is larger).
+    """
+    in0, in1 = phi
     for c0, c1 in children:
         in0 += c0
         in1 += c1
-    m0 = max(psi[0][0] + in0, psi[1][0] + in1)
-    m1 = max(psi[0][1] + in0, psi[1][1] + in1)
-    return _norm_pair(m0, m1)
+    (p00, p01), (p10, p11) = psi
+    m0, m1 = p00 + in0, p01 + in0
+    a, b = p10 + in1, p11 + in1
+    if a > m0:
+        m0 = a
+    if b > m1:
+        m1 = b
+    if m0 == -math.inf and m1 == -math.inf:
+        return m0, m1
+    hi = m1 if m1 > m0 else m0
+    lse = hi + math.log(math.exp(m0 - hi) + math.exp(m1 - hi))
+    return m0 - lse, m1 - lse
 
 
-def _belief(phi0: float, phi1: float, children) -> RatioPair:
-    b0, b1 = phi0, phi1
+def _belief(phi, children) -> RatioPair:
+    b0, b1 = phi
     for c0, c1 in children:
         b0 += c0
         b1 += c1
     b0, b1 = _norm_pair(b0, b1)
     return RatioPair(log_num=b1, log_den=b0)
+
+
+def _potentials(mrf: PairwiseMrf, members):
+    """Plain-float node pairs and the directed-edge table of a binary model,
+    restricted to ``members``, a union of its connected components.
+
+    The table maps (child, parent) to the edge's potential indexed
+    [child_state][parent_state], for both orientations of every edge.
+    """
+    nodes = sorted(members)
+    phi = dict(zip(nodes, map(tuple, mrf.phi[nodes].tolist())))
+    edges = [i for i, (u, _) in enumerate(mrf.edge_list) if u in members]
+    table = {}
+    for i, ((a, b), (c, d)) in zip(edges, mrf.psi[edges].tolist()):
+        u, v = mrf.edge_list[i]
+        table[u, v] = ((a, b), (c, d))
+        table[v, u] = ((a, c), (b, d))
+    return phi, table
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +157,13 @@ def _belief(phi0: float, phi1: float, children) -> RatioPair:
 
 @dataclass
 class SawTree:
-    """Rooted walk tree; ids are BFS order, children ascend by original id."""
+    """Rooted walk tree.
+
+    Ids are BFS order and the children of a node are consecutive ids in
+    ascending original id, so a node's child messages form one slice of an
+    id-indexed list.  ``psi_to_parent`` entries come from the model's
+    directed-edge table, indexed [child_state][parent_state].
+    """
 
     root: int
     orig: list[int]
@@ -164,84 +205,62 @@ def build_saw_tree(
     """Walk tree of the root's component, with marked-leaf potentials set."""
     if mrf.q != 2:
         raise ValueError("walk trees are defined for binary models only")
+    if not 0 <= root < mrf.n:
+        raise ValueError(f"node {root} out of range for n={mrf.n}")
     graph = mrf.graph
-    members = None
-    for comp in connected_components(graph):
-        if root in comp:
-            members = frozenset(comp)
-            break
+    members = next(frozenset(c) for c in connected_components(graph) if root in c)
     _component_cap_check(mrf, members, cap)
+    phi, psi = _potentials(mrf, members)
+    adjacency = graph.adjacency
 
-    tree = SawTree(
-        root=root,
-        orig=[root],
-        parent=[-1],
-        depth=[0],
-        mark=[None],
-        children=[[]],
-        phi=[(float(mrf.phi[root, 0]), float(mrf.phi[root, 1]))],
-        psi_to_parent=[None],
-        mark_count={GREEN: 0, RED: 0},
-    )
-    queue = deque([0])
+    orig, parent, depth, mark, children = [root], [-1], [0], [None], [[]]
+    tree_phi, psi_to_parent = [phi[root]], [None]
+    mark_count = {GREEN: 0, RED: 0}
+    # each frontier entry carries its original-id path from the root
+    queue = deque([(0, (root,))])
     while queue:
-        t = queue.popleft()
-        u = tree.orig[t]
-        parent_orig = tree.orig[tree.parent[t]] if tree.parent[t] >= 0 else None
-        # original-id path from root to t, for revisit detection
-        path = []
-        walk = t
-        while walk >= 0:
-            path.append(tree.orig[walk])
-            walk = tree.parent[walk]
-        path.reverse()
-        on_path = {node: i for i, node in enumerate(path)}
-        for z in graph.adjacency[u]:
+        t, path = queue.popleft()
+        u, d = path[-1], len(path)
+        parent_orig = path[-2] if d > 1 else None
+        kids = children[t]
+        for z in adjacency[u]:
             if z == parent_orig:
                 continue
-            child_id = len(tree.orig)
-            tree.orig.append(z)
-            tree.parent.append(t)
-            tree.depth.append(tree.depth[t] + 1)
-            tree.children.append([])
-            tree.children[t].append(child_id)
-            table = mrf.edge_table(z, u)  # [child_state][parent_state]
-            tree.psi_to_parent.append(
-                (
-                    (float(table[0, 0]), float(table[0, 1])),
-                    (float(table[1, 0]), float(table[1, 1])),
-                )
-            )
-            if z in on_path:
-                first_successor = path[on_path[z] + 1]
-                mark = GREEN if u < first_successor else RED
-                tree.mark.append(mark)
-                tree.mark_count[mark] += 1
+            child_id = len(orig)
+            orig.append(z)
+            parent.append(t)
+            depth.append(d)
+            children.append([])
+            kids.append(child_id)
+            psi_to_parent.append(psi[z, u])
+            if z in path:
+                m = GREEN if u < path[path.index(z) + 1] else RED
+                mark.append(m)
+                mark_count[m] += 1
                 # the forced state carries unit weight: the leaf's own node
                 # potential would multiply every configuration of the tree
                 # and cancel in the root ratio, and dropping it keeps trees
                 # of conditioned models (phi with -inf entries) well defined
-                if mark == GREEN:
-                    tree.phi.append((-math.inf, 0.0))
-                else:
-                    tree.phi.append((0.0, -math.inf))
+                tree_phi.append((-math.inf, 0.0) if m == GREEN else (0.0, -math.inf))
             else:
-                tree.mark.append(None)
-                tree.phi.append((float(mrf.phi[z, 0]), float(mrf.phi[z, 1])))
-                queue.append(child_id)
-    return tree
+                mark.append(None)
+                tree_phi.append(phi[z])
+                queue.append((child_id, path + (z,)))
+    return SawTree(
+        root, orig, parent, depth, mark, children, tree_phi, psi_to_parent, mark_count
+    )
 
 
 def saw_max_ratio(tree: SawTree) -> RatioPair:
     """Leaf-to-root max-product sweep; returns the root's max-belief pair."""
-    messages: dict[int, tuple[float, float]] = {}
+    messages: list = [None] * tree.node_count
+    children, psi, phi = tree.children, tree.psi_to_parent, tree.phi
     for t in range(tree.node_count - 1, 0, -1):
-        child_msgs = [messages[c] for c in tree.children[t]]
-        messages[t] = _send(
-            tree.psi_to_parent[t], tree.phi[t][0], tree.phi[t][1], child_msgs
-        )
-    root_children = [messages[c] for c in tree.children[0]]
-    return _belief(tree.phi[0][0], tree.phi[0][1], root_children)
+        kids = children[t]
+        child_msgs = messages[kids[0] : kids[-1] + 1] if kids else ()
+        messages[t] = _send(psi[t], phi[t], child_msgs)
+    kids = children[0]
+    return _belief(phi[0], messages[kids[0] : kids[-1] + 1] if kids else ())
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +292,25 @@ def msg_pass_mode(
     graph = mrf.graph
     for comp in connected_components(graph):
         _component_cap_check(mrf, frozenset(comp), cap)
+    phi, psi = _potentials(mrf, range(graph.n))
+    adjacency = graph.adjacency
 
-    phi = [(float(mrf.phi[v, 0]), float(mrf.phi[v, 1])) for v in range(graph.n)]
-
-    def psi_pair(child: int, parent: int):
-        t = mrf.edge_table(child, parent)
-        return (
-            (float(t[0, 0]), float(t[0, 1])),
-            (float(t[1, 0]), float(t[1, 1])),
-        )
+    # a sequence entered at u from s floods, and waits for, kids[u, s]
+    # (ascending id); an origin u is entered from -1
+    kids = {}
+    for u, adj in enumerate(adjacency):
+        kids[u, -1] = adj
+        for s in adj:
+            kids[u, s] = tuple(w for w in adj if w != s)
 
     trace: list[str] | None = [] if keep_trace else None
-    counts = {v: 0 for v in range(graph.n)}
+    counts = [0] * graph.n
     ratios: dict[int, RatioPair] = {}
     pending: dict[tuple[int, ...], dict[int, tuple[float, float]]] = {}
+    # ("path", sequence, receiver) or ("comp", sequence, message)
     queue: deque = deque()
 
-    def emit_path(path: tuple[int, ...], to: int):
-        if trace is not None:
-            trace.append("path " + " ".join(map(str, path + (to,))))
-        queue.append(("path", path, to))
-
-    def emit_comp(path: tuple[int, ...], msg: tuple[float, float], to: int):
+    def emit_comp(path: tuple[int, ...], msg: tuple[float, float]) -> None:
         counts[path[0]] += 1
         if trace is not None:
             trace.append(
@@ -302,61 +318,58 @@ def msg_pass_mode(
                 + " ".join(map(str, path))
                 + f" {msg[0]:.17g} {msg[1]:.17g}"
             )
-        queue.append(("comp", path, msg, to))
+        queue.append(("comp", path, msg))
+
+    def flood(path: tuple[int, ...], to) -> None:
+        for w in to:
+            if trace is not None:
+                trace.append("path " + " ".join(map(str, path + (w,))))
+            queue.append(("path", path, w))
 
     for v in range(graph.n):
-        if not graph.adjacency[v]:
-            ratios[v] = _belief(phi[v][0], phi[v][1], [])
-            continue
-        for w in graph.adjacency[v]:
-            emit_path((v,), w)
+        if adjacency[v]:
+            flood((v,), adjacency[v])
+        else:
+            ratios[v] = _belief(phi[v], ())
 
     while queue:
-        kind, path, *rest = queue.popleft()
+        kind, path, item = queue.popleft()
         if kind == "path":
-            (to,) = rest
-            u, sender = to, path[-1]
+            u, sender = item, path[-1]
             if u in path:
                 # cycle closed: answer as a unit-weight forced copy of u
-                pos = path.index(u)
-                if sender < path[pos + 1]:
-                    f0, f1 = -math.inf, 0.0
+                if sender < path[path.index(u) + 1]:
+                    forced = (-math.inf, 0.0)
                 else:
-                    f0, f1 = 0.0, -math.inf
-                msg = _send(psi_pair(u, sender), f0, f1, [])
-                emit_comp(path + (u,), msg, sender)
-            elif len(graph.adjacency[u]) == 1:
-                msg = _send(psi_pair(u, sender), phi[u][0], phi[u][1], [])
-                emit_comp(path + (u,), msg, sender)
+                    forced = (0.0, -math.inf)
+                emit_comp(path + (u,), _send(psi[u, sender], forced, ()))
+            elif len(adjacency[u]) == 1:
+                emit_comp(path + (u,), _send(psi[u, sender], phi[u], ()))
             else:
-                for w in graph.adjacency[u]:
-                    if w != sender:
-                        emit_path(path + (u,), w)
+                flood(path + (u,), kids[u, sender])
         else:
-            msg, to = rest
-            child = path[-1]
             prefix = path[:-1]
             u = prefix[-1]
-            assert u == to
-            slot = pending.setdefault(prefix, {})
-            slot[child] = msg
-            if len(prefix) >= 2:
-                needed = [w for w in graph.adjacency[u] if w != prefix[-2]]
+            entered_from = prefix[-2] if len(prefix) > 1 else -1
+            needed = kids[u, entered_from]
+            if len(needed) == 1:
+                child_msgs = (item,)
             else:
-                needed = list(graph.adjacency[u])
-            if all(w in slot for w in needed):
-                child_msgs = [slot[w] for w in needed]  # ascending id order
+                slot = pending.setdefault(prefix, {})
+                slot[path[-1]] = item
+                if len(slot) < len(needed):
+                    continue
                 del pending[prefix]
-                if len(prefix) >= 2:
-                    out = _send(
-                        psi_pair(u, prefix[-2]), phi[u][0], phi[u][1], child_msgs
-                    )
-                    emit_comp(prefix, out, prefix[-2])
-                else:
-                    ratios[u] = _belief(phi[u][0], phi[u][1], child_msgs)
+                child_msgs = [slot[w] for w in needed]  # ascending id order
+            if entered_from >= 0:
+                emit_comp(prefix, _send(psi[u, entered_from], phi[u], child_msgs))
+            else:
+                ratios[u] = _belief(phi[u], child_msgs)
 
     assert len(ratios) == graph.n and not pending
-    return MsgPassResult(ratios=ratios, sequences_per_origin=counts, trace=trace)
+    return MsgPassResult(
+        ratios=ratios, sequences_per_origin=dict(enumerate(counts)), trace=trace
+    )
 
 
 # ---------------------------------------------------------------------------

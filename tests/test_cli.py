@@ -188,6 +188,13 @@ def test_saw_commands(tmp_path, capsys):
         main(["saw", "--graph", str(path), "--trace", str(trace)])
 
 
+def test_saw_rejects_out_of_range_root(tmp_path):
+    path = tmp_path / "tri.mrf"
+    dump_mrf(random_mrf(np.random.default_rng(0), Graph(3, [(0, 1), (0, 2), (1, 2)])), path)
+    with pytest.raises(SystemExit, match="^error: node 3 out of range"):
+        main(["saw", "--graph", str(path), "--root", "3"])
+
+
 def test_reduce_round_trip(tmp_path):
     model = FactorModel(
         (2, 2),

@@ -89,7 +89,23 @@ class TestLogPartitionBounds:
             dec = minor_edge(g, 2, 3, seed=seed)
             b = log_partition_bounds(m, dec)
             expected = m.edge_range_sum(dec.removed_edges)
-            assert b.gap == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert b.gap == mode_estimate(m, dec).guarantee_gap == expected
+
+    def test_gap_with_infeasible_component(self):
+        # a component with log Z = -inf makes UB - LB nan; the gap is still
+        # the removed edges' range sum
+        g = grid_graph(3)
+        rng = np.random.default_rng(21)
+        phi = np.zeros((9, 2))
+        phi[4] = -np.inf
+        psi = rng.integers(0, 7, size=(len(g.edge_list), 2, 2)).astype(float)
+        m = PairwiseMrf(g, 2, phi, psi)
+        dec = minor_edge(g, 1, 2, 0)
+        b = log_partition_bounds(m, dec)
+        assert b.log_z_lb == b.log_z_ub == -math.inf
+        expected = m.edge_range_sum(dec.removed_edges)
+        assert expected > 0.0
+        assert b.gap == mode_estimate(m, dec).guarantee_gap == expected
 
     def test_removed_edge_inside_surviving_component(self):
         # cutting one triangle edge leaves its endpoints connected through

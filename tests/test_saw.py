@@ -40,6 +40,97 @@ def ratios_match(mrf, v, tol=1e-9):
     return log_ratio_difference(pair, brute) <= tol
 
 
+# the complete schedule on the triangle-plus-pendant with integer tables:
+# event order, sequences and every message digit are pinned
+PENDANT_TRACE = """\
+path 0 1
+path 0 2
+path 1 0
+path 1 2
+path 2 0
+path 2 1
+path 2 3
+path 3 2
+path 0 1 2
+path 0 2 1
+path 0 2 3
+path 1 0 2
+path 1 2 0
+path 1 2 3
+path 2 0 1
+path 2 1 0
+comp 2 3 -3.0485873515737421 -0.048587351573742055
+path 3 2 0
+path 3 2 1
+path 0 1 2 0
+path 0 1 2 3
+path 0 2 1 0
+comp 0 2 3 -3.0485873515737421 -0.048587351573742055
+path 1 0 2 1
+path 1 0 2 3
+path 1 2 0 1
+comp 1 2 3 -3.0485873515737421 -0.048587351573742055
+path 2 0 1 2
+path 2 1 0 2
+path 3 2 0 1
+path 3 2 1 0
+comp 0 1 2 0 -1.3132616875182228 -0.31326168751822281
+comp 0 1 2 3 -3.0485873515737421 -0.048587351573742055
+comp 0 2 1 0 -2.1269280110429727 -0.12692801104297269
+comp 1 0 2 1 -0.12692801104297269 -2.1269280110429727
+comp 1 0 2 3 -3.0485873515737421 -0.048587351573742055
+comp 1 2 0 1 -2.1269280110429727 -0.12692801104297269
+comp 2 0 1 2 -0.12692801104297269 -2.1269280110429727
+comp 2 1 0 2 -0.31326168751822281 -1.3132616875182228
+path 3 2 0 1 2
+path 3 2 1 0 2
+comp 0 1 2 -0.69314718055994518 -0.69314718055994518
+comp 0 2 1 -0.12692801104297269 -2.1269280110429727
+comp 1 0 2 -0.31326168751822286 -1.3132616875182228
+comp 1 2 0 -0.31326168751822303 -1.313261687518223
+comp 2 0 1 -0.31326168751822303 -1.313261687518223
+comp 2 1 0 -1.3132616875182228 -0.31326168751822281
+comp 3 2 0 1 2 -0.12692801104297269 -2.1269280110429727
+comp 3 2 1 0 2 -0.31326168751822281 -1.3132616875182228
+comp 0 1 -0.31326168751822303 -1.3132616875182228
+comp 0 2 -0.31326168751822286 -1.3132616875182228
+comp 1 0 -1.3132616875182228 -0.31326168751822281
+comp 1 2 -0.69314718055994529 -0.69314718055994529
+comp 2 0 -0.6931471805599454 -0.6931471805599454
+comp 2 1 -0.12692801104297269 -2.1269280110429731
+comp 3 2 0 1 -0.31326168751822303 -1.313261687518223
+comp 3 2 1 0 -1.3132616875182228 -0.31326168751822281
+comp 3 2 0 -0.6931471805599454 -0.6931471805599454
+comp 3 2 1 -0.12692801104297269 -2.1269280110429731
+comp 3 2 -1.3132616875182226 -0.31326168751822303
+"""
+
+
+def pendant_mrf():
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    return PairwiseMrf(
+        g,
+        2,
+        [[0, 1], [2, 0], [1, 1], [0, 2]],
+        [[[1, 0], [0, 2]], [[0, 1], [1, 0]], [[2, 0], [0, 0]], [[0, 0], [1, 3]]],
+    )
+
+
+def components_mrf(seed, sizes, extra, forced):
+    """Disjoint random components (size 1 is an isolated node), some
+    nodes conditioned to one state."""
+    rng = np.random.default_rng(seed)
+    edges, n = [], 0
+    for size in sizes:
+        sub = random_connected_graph(rng, size, extra)
+        edges += [(u + n, v + n) for u, v in sub.edge_list]
+        n += size
+    m = random_mrf(rng, Graph(n, edges), lo=-1.5, hi=1.5)
+    for v, state in forced:
+        m = m.with_forced_node(v % n, state)
+    return m
+
+
 class TestBuildTree:
     def test_tree_input_has_no_marks(self):
         g = Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
@@ -91,6 +182,23 @@ class TestBuildTree:
         tree = build_saw_tree(m, 0)
         childs = [tree.orig[c] for c in tree.children[0]]
         assert childs == sorted(childs) == [1, 2, 3]
+
+    def test_children_are_consecutive_ids(self):
+        g = size_lower_bound_family(8, 3)
+        m = random_mrf(np.random.default_rng(3), g)
+        for v in range(g.n):
+            tree = build_saw_tree(m, v)
+            for kids in tree.children:
+                if kids:
+                    assert kids == list(range(kids[0], kids[-1] + 1))
+                    origs = [tree.orig[c] for c in kids]
+                    assert origs == sorted(origs)
+
+    def test_rejects_out_of_range_root(self):
+        m = triangle_mrf()
+        for root in (3, -1):
+            with pytest.raises(ValueError, match=f"node {root} out of range"):
+                build_saw_tree(m, root)
 
     def test_cap_preflight_reports_bound(self):
         g = random_connected_graph(np.random.default_rng(4), 8, 3)
@@ -185,16 +293,24 @@ class TestMsgPass:
         line = f"comp 0 1 2 {m0 - norm:.17g} {m1 - norm:.17g}"
         assert line in result.trace
 
-    def test_matches_centralized_exactly(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            n = int(rng.integers(2, 8))
-            g = random_connected_graph(rng, n, int(rng.integers(0, 4)))
-            m = random_mrf(rng, g)
-            result = msg_pass_mode(m)
-            for v in range(n):
-                pair = saw_max_ratio(build_saw_tree(m, v))
-                assert result.ratios[v] == pair  # bit-exact
+    def test_golden_trace(self):
+        result = msg_pass_mode(pendant_mrf(), keep_trace=True)
+        assert result.trace == PENDANT_TRACE.splitlines()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        st.integers(0, 3),
+        st.lists(st.tuples(st.integers(0, 17), st.integers(0, 1)), max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_centralized_exactly(self, seed, sizes, extra, forced):
+        m = components_mrf(seed, sizes, extra, forced)
+        result = msg_pass_mode(m)
+        for v in range(m.n):
+            tree = build_saw_tree(m, v)
+            assert result.ratios[v] == saw_max_ratio(tree)  # bit-exact
+            assert result.sequences_per_origin[v] == tree.edge_count
 
     def test_sequence_counts_equal_tree_edges(self):
         rng = np.random.default_rng(14)

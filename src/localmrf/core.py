@@ -14,9 +14,11 @@ force a state off (used for conditioning); everything else must be finite.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -358,26 +360,28 @@ class PairwiseMrf:
         """Per-edge table maximum, aligned with ``edge_list``."""
         return self.psi.max(axis=(1, 2)) if len(self.psi) else np.zeros(0)
 
-    def edge_bounds(self, u: int, v: int) -> tuple[float, float]:
-        """(table minimum, table maximum) of one edge."""
-        i = self._edge_index[_canon_edge(u, v)]
-        return float(self.edge_min[i]), float(self.edge_max[i])
+    def edge_rows(self, edges: Iterable[Edge]) -> np.ndarray:
+        """Ascending ``psi`` rows of the given edges, in either orientation;
+        an edge listed twice keeps both rows."""
+        rows = [self._edge_index[_canon_edge(u, v)] for u, v in edges]
+        return np.sort(np.array(rows, dtype=np.intp))
 
     def edge_range_sum(self, edges: Iterable[Edge]) -> float:
         """Sum of (max - min) over the given edges, in ascending edge order."""
-        total = 0.0
-        for e in sorted(_canon_edge(*e) for e in edges):
-            lo, hi = self.edge_bounds(*e)
-            total += hi - lo
-        return total
+        rows = self.edge_rows(edges)
+        return left_sum(self.edge_max[rows] - self.edge_min[rows])
 
     def with_forced_node(self, v: int, state: int) -> "PairwiseMrf":
-        """Copy with node ``v`` conditioned to ``state`` (others get -inf)."""
+        """Copy with node ``v`` conditioned to ``state`` (others get -inf);
+        it shares this model's graph, edge tables and edge index."""
         phi = np.array(self.phi)
         keep = phi[v, state]
         phi[v, :] = -np.inf
         phi[v, state] = keep
-        return PairwiseMrf(self.graph, self.q, phi, self.psi)
+        phi.setflags(write=False)
+        forced = copy.copy(self)
+        forced.phi = phi
+        return forced
 
     def without_edges(self, edges: Iterable[Edge]) -> "PairwiseMrf":
         """Copy with the given edges (and their tables) deleted."""
@@ -418,6 +422,12 @@ class PairwiseMrf:
         return f"PairwiseMrf(n={self.n}, m={len(self.edge_list)}, q={self.q})"
 
 
+def left_sum(terms: np.ndarray) -> float:
+    """``0.0 + terms[0] + terms[1] + ...`` in that order: the double a Python
+    loop accumulating the terms gives, computed by a sequential cumsum."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
 def check_assignment(mrf: PairwiseMrf, x: Sequence[int]) -> None:
     if len(x) != mrf.n:
         raise ValueError(f"assignment length {len(x)} != n={mrf.n}")
@@ -433,12 +443,13 @@ def energy(mrf: PairwiseMrf, x: Sequence[int]) -> float:
     order, so the result is deterministic.
     """
     check_assignment(mrf, x)
-    total = 0.0
-    for v in range(mrf.n):
-        total += float(mrf.phi[v, x[v]])
-    for i, (u, v) in enumerate(mrf.edge_list):
-        total += float(mrf.psi[i, x[u], x[v]])
-    return total
+    x = np.asarray(x, dtype=np.intp)
+    m = len(mrf.edge_list)
+    ends = np.fromiter(itertools.chain.from_iterable(mrf.edge_list), np.intp, 2 * m)
+    return left_sum(np.concatenate((
+        mrf.phi[np.arange(mrf.n), x],
+        mrf.psi[np.arange(m), x[ends[0::2]], x[ends[1::2]]],
+    )))
 
 
 def affine_shift(mrf: PairwiseMrf) -> tuple[PairwiseMrf, float]:
@@ -534,55 +545,87 @@ def _numbers(no: int, tokens: list[str], kind=float) -> list:
     return values
 
 
+def _rows(text: str):
+    """(line number, tokens) of each line that is not blank or a comment."""
+    for no, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield no, tokens
+
+
+def _raise_first_bad_line(text: str, n: int, q: int) -> NoReturn:
+    """Raise the ``FormatError`` of the first malformed line after the header;
+    a node line holds one id and ``q`` values, an edge line two ids and ``q^2``."""
+    rows, seen = _rows(text), set()
+    next(rows)
+    for no, row in rows:
+        kind = row[0]
+        k = {"node": 1, "edge": 2}.get(kind)
+        if k is None:
+            raise FormatError(f"line {no}: unknown line kind: {kind}")
+        if len(row) != 1 + k + q**k:
+            raise FormatError(f"line {no}: {kind} line needs {q**k} values")
+        ids = tuple(_numbers(no, row[1 : 1 + k], int))
+        if k == 1 and not 0 <= ids[0] < n:
+            raise FormatError(f"line {no}: node id {ids[0]} out of range")
+        if k == 2 and not 0 <= ids[0] < ids[1] < n:
+            raise FormatError(f"line {no}: edge must be written u < v < n, got {ids[0]} {ids[1]}")
+        if (kind, ids) in seen:
+            raise FormatError(f"line {no}: duplicate {kind} {' '.join(map(str, ids))}")
+        seen.add((kind, ids))
+        _numbers(no, row[1 + k :])
+    raise AssertionError("a bulk check failed on well-formed lines")
+
+
 def parse_mrf_text(text: str) -> PairwiseMrf:
     """Parse format v1; a malformed line raises ``FormatError`` naming it.
 
     Bad tokens, non-finite values, ids out of range and duplicate node or
-    edge lines are all rejected.
+    edge lines are all rejected.  One pass over the lines checks each
+    line's kind and token count and collects its tokens; the ids and values
+    are then converted and checked as arrays.  Only when a check fails are
+    the lines walked again, in file order, to name the first bad one.
     """
-    rows = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((no, line.split()))
-    if not rows or rows[0][1][0] != "mrf" or len(rows[0][1]) != 3:
+    rows = _rows(text)
+    no, header = next(rows, (0, [None]))
+    if header[0] != "mrf" or len(header) != 3:
         raise FormatError("expected header: mrf <n> <sigma>")
-    no, header = rows[0]
     n, q = _numbers(no, header[1:], int)
     if n < 0 or q < 2:
         raise FormatError(f"line {no}: need n >= 0 and sigma >= 2")
     phi = np.empty((n, q))
-    seen = bytearray(n)
-    edges = []
-    tables = {}
-    for no, row in rows[1:]:
-        kind = row[0]
-        if kind == "node":
-            if len(row) != 2 + q:
-                raise FormatError(f"line {no}: node line needs {q} values")
-            (v,) = _numbers(no, row[1:2], int)
-            if not 0 <= v < n:
-                raise FormatError(f"line {no}: node id {v} out of range")
-            if seen[v]:
-                raise FormatError(f"line {no}: duplicate node {v}")
-            seen[v] = 1
-            phi[v] = _numbers(no, row[2:])
-        elif kind == "edge":
-            if len(row) != 3 + q * q:
-                raise FormatError(f"line {no}: edge line needs {q * q} values")
-            u, v = _numbers(no, row[1:3], int)
-            if not 0 <= u < v < n:
-                raise FormatError(f"line {no}: edge must be written u < v < n, got {u} {v}")
-            if (u, v) in tables:
-                raise FormatError(f"line {no}: duplicate edge {u} {v}")
-            edges.append((u, v))
-            tables[(u, v)] = np.array(_numbers(no, row[3:])).reshape(q, q)
+    node_ids, node_values, edge_ids, edge_values = [], [], [], []
+    for _, row in rows:
+        if row[0] == "node" and len(row) == 2 + q:
+            node_ids.append(row[1])
+            node_values += row[2:]
+        elif row[0] == "edge" and len(row) == 3 + q * q:
+            edge_ids += row[1:3]
+            edge_values += row[3:]
         else:
-            raise FormatError(f"line {no}: unknown line kind: {kind}")
-    if 0 in seen:
-        missing = [v for v in range(n) if not seen[v]]
+            _raise_first_bad_line(text, n, q)
+    try:
+        v = np.array(list(map(int, node_ids)), dtype=np.int64)
+        u, w = np.array(list(map(int, edge_ids)), dtype=np.int64).reshape(-1, 2).T
+        values = np.array(list(map(float, node_values + edge_values)))
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(text, n, q)
+    order = np.lexsort((w, u))  # edge_list order
+    u, w = u[order], w[order]
+    if not (
+        np.isfinite(values).all()
+        and ((0 <= v) & (v < n)).all()
+        and np.bincount(v, minlength=n).max(initial=0) <= 1
+        and ((0 <= u) & (u < w) & (w < n)).all()
+        and ((u[1:] != u[:-1]) | (w[1:] != w[:-1])).all()
+    ):
+        _raise_first_bad_line(text, n, q)
+    if len(v) < n:
+        missing = np.flatnonzero(np.bincount(v, minlength=n) == 0).tolist()
         raise FormatError(f"missing node lines for: {missing}")
-    return PairwiseMrf(Graph(n, edges), q, phi, tables)
+    phi[v] = values[: n * q].reshape(n, q)
+    psi = values[n * q :].reshape(-1, q, q)[order]
+    return PairwiseMrf(Graph(n, zip(u.tolist(), w.tolist())), q, phi, psi)
 
 
 def load_mrf(path) -> PairwiseMrf:

@@ -5,7 +5,8 @@
   eliminates the nodes in descending id order and yields log Z and the MAP
   together.  ``component_solve`` (one component) and ``solve_model`` (a
   whole model, one connected component at a time; also through
-  ``grid_transfer_log_z`` and ``grid_transfer_map``) are views of it.
+  ``grid_transfer_map``) are views of it, and ``grid_transfer_log_z`` runs
+  it for log Z alone, building no MAP table.
 * ``brute_log_z``, ``brute_map`` and ``brute_max_marginal`` enumerate
   through per-digit index gathers, independently of it, and serve only as
   its test oracle.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, PairwiseMrf, connected_components, energy
+from .core import CapExceeded, PairwiseMrf, connected_components, energy, left_sum
 
 DEFAULT_CAP = 2**24
 _CHUNK = 2**18
@@ -40,8 +41,8 @@ class ExactResult:
     """Exact log-partition value and MAP for (a sub-model of) an MRF."""
 
     log_z: float
-    map_assignment: tuple[int, ...]
-    map_energy: float
+    map_assignment: tuple[int, ...] | None  # None for a log-Z-only solve
+    map_energy: float | None
     nodes: tuple[int, ...]
 
 
@@ -153,7 +154,7 @@ def _schedule(lower: tuple[tuple[int, ...], ...]) -> list:
     return schedule
 
 
-def _eliminate(phi, psi, edges, schedule, q: int):
+def _eliminate(phi, psi, edges, schedule, q: int, with_map: bool):
     """One fused elimination over a batch of components of one shape.
 
     ``phi`` is ``(B, k, q)`` and ``psi`` ``(B, m, q, q)``, with ``psi[:, j]``
@@ -166,7 +167,8 @@ def _eliminate(phi, psi, edges, schedule, q: int):
     chosen: the lexicographically smallest maximizer.  A component whose
     maximum is ``-inf`` decodes to all zeros, brute's first maximizer.
 
-    Returns log Z per component and the ``(B, k)`` MAP assignments.
+    Returns log Z per component and the ``(B, k)`` MAP assignments; without
+    ``with_map`` only the log-sum-exp table is kept and the MAP is None.
     """
     batch, k = phi.shape[:2]
     cols = [[] for _ in range(k)]
@@ -185,13 +187,17 @@ def _eliminate(phi, psi, edges, schedule, q: int):
         new = tuple(1 + a for a, w in enumerate(nodes) if w not in before)
         if new:
             lse = np.expand_dims(lse, new) + local
-            mx = np.expand_dims(mx, new) + local
         else:
             lse += local
-            mx += local
         # reduce the last axis one state at a time: numpy reduces a short
         # last axis far more slowly than it adds two slices
         lse = functools.reduce(np.logaddexp, (lse[..., s] for s in range(q)))
+        if not with_map:
+            continue
+        if new:
+            mx = np.expand_dims(mx, new) + local
+        else:
+            mx += local
         best = mx[..., 0]
         choice = np.zeros(best.shape, dtype=choice_dtype)
         for s in range(1, q):
@@ -199,6 +205,8 @@ def _eliminate(phi, psi, edges, schedule, q: int):
             best = np.maximum(best, mx[..., s])
         choices.append((v, nodes[:-1], choice))
         mx = best
+    if not with_map:
+        return lse, None
     rows = np.arange(batch)
     x = np.zeros((batch, k), dtype=np.intp)
     for v, axes, choice in reversed(choices):
@@ -207,13 +215,15 @@ def _eliminate(phi, psi, edges, schedule, q: int):
     return lse, x
 
 
-def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch) -> list[ExactResult]:
+def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch, with_map) -> list[ExactResult]:
     """Solve components of one shape together; ``batch`` holds (order, rows)."""
     size, k = len(batch), len(lower)
     edges = [(u, v) for v, low in enumerate(lower) for u in low]
     phi = mrf.phi[np.array([o for o, _ in batch], dtype=np.intp).reshape(size, k)]
     psi = mrf.psi[np.array([r for _, r in batch], dtype=np.intp).reshape(size, len(edges))]
-    log_z, x = _eliminate(phi, psi, edges, schedule, mrf.q)
+    log_z, x = _eliminate(phi, psi, edges, schedule, mrf.q, with_map)
+    if not with_map:
+        return [ExactResult(float(z), None, None, o) for z, (o, _) in zip(log_z, batch)]
     # energies in node-then-edge order, as ``energy`` sums them
     rows = np.arange(size)
     e = np.zeros(size)
@@ -229,14 +239,18 @@ def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch) -> list[ExactResult]:
 
 
 def solve_components(
-    mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP
+    mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP,
+    removed_edges: frozenset = frozenset(), with_map: bool = True,
 ) -> list[ExactResult]:
     """Exact log Z and MAP of the sub-MRF induced on each node set.
 
-    Only edges with both endpoints inside a set contribute.  Components are
-    grouped by shape (their nodes relabelled ``0..k-1`` in ascending order,
-    with each node's lower neighbours), and each group runs one batched
-    elimination of its nodes in descending order; see ``_eliminate``.  A
+    Only edges with both endpoints inside a set contribute, less the
+    ``removed_edges`` (canonical ``u < v`` pairs): the results are those of
+    the pruned model.  Without ``with_map`` no MAP table is built and the
+    results' MAP fields are None.  Components are grouped by shape (their
+    nodes relabelled ``0..k-1`` in ascending order, with each node's lower
+    neighbours), and each group runs one batched elimination of its nodes
+    in descending order; see ``_eliminate``.  A
     component whose widest table holds more than ``cap`` entries raises
     ``CapExceeded`` before any table is built; a group's batch is split so
     that no batched table holds more than ``cap`` entries.  Results come
@@ -255,9 +269,10 @@ def solve_components(
             for u in adjacency[g]:
                 if u >= g:
                     break
-                if u in pos:
+                e = (u, g)
+                if u in pos and e not in removed_edges:
                     low.append(pos[u])
-                    rows.append(edge_index[(u, g)])
+                    rows.append(edge_index[e])
             lower.append(tuple(low))
         groups.setdefault(tuple(lower), []).append((c, order, rows))
     q = mrf.q
@@ -275,7 +290,8 @@ def solve_components(
     for lower, schedule, step, members in plans:
         for s in range(0, len(members), step):
             part = members[s : s + step]
-            solved = _solve_batch(mrf, lower, schedule, [(o, r) for _, o, r in part])
+            batch = [(o, r) for _, o, r in part]
+            solved = _solve_batch(mrf, lower, schedule, batch, with_map)
             for (c, _, _), res in zip(part, solved):
                 results[c] = res
     return results
@@ -316,8 +332,10 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
 
 
 def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:
-    """Exact log Z of a whole model; see ``solve_model``."""
-    return solve_model(mrf, cap).log_z
+    """Exact log Z of a whole model, summed over its connected components as
+    ``solve_model`` sums it, but with no MAP table built."""
+    comps = connected_components(mrf.graph)
+    return left_sum([res.log_z for res in solve_components(mrf, comps, cap, with_map=False)])
 
 
 def grid_transfer_map(

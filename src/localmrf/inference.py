@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PairwiseMrf, energy
+from .core import PairwiseMrf, energy, left_sum
 from .decompose import Decomposition
 from .exact import DEFAULT_CAP, solve_components
 from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
@@ -83,26 +83,20 @@ def log_partition_bounds(
     LB adds each removed edge's table minimum on top of the component
     log-partition sum, UB its maximum; LB <= log Z <= UB always holds.
 
-    Components are solved on the edge-pruned model: a removed edge whose
+    Components are solved as on the edge-pruned model: a removed edge whose
     endpoints stay connected through another path must not contribute its
-    table inside the component, only its scalar minimum/maximum.
+    table inside the component, only its scalar minimum/maximum.  The
+    solver skips the removed edges, so no pruned copy is built.
     """
     _check_decomposition(mrf, decomp)
-    pruned = mrf.without_edges(decomp.removed_edges)
-    results = solve_components(pruned, decomp.components, cap)
-    total = 0.0
-    for res in results:
-        total += res.log_z
-    lo = hi = gap = 0.0
-    for e in sorted(decomp.removed_edges):
-        e_lo, e_hi = mrf.edge_bounds(*e)
-        lo += e_lo
-        hi += e_hi
-        gap += e_hi - e_lo  # edge_range_sum's order: the same double
+    results = solve_components(mrf, decomp.components, cap, decomp.removed_edges)
+    total = left_sum([res.log_z for res in results])
+    rows = mrf.edge_rows(decomp.removed_edges)
+    lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]
     return InferenceBounds(
-        log_z_lb=total + lo,
-        log_z_ub=total + hi,
-        gap=gap,
+        log_z_lb=total + left_sum(lo),
+        log_z_ub=total + left_sum(hi),
+        gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
         component_log_z=tuple(
             (comp, res.log_z) for comp, res in zip(decomp.components, results)
         ),
@@ -119,9 +113,8 @@ def mode_estimate(
     the full model's, removed edges included.
     """
     _check_decomposition(mrf, decomp)
-    pruned = mrf.without_edges(decomp.removed_edges)
     x = [0] * mrf.n
-    for res in solve_components(pruned, decomp.components, cap):
+    for res in solve_components(mrf, decomp.components, cap, decomp.removed_edges):
         for node, state in zip(res.nodes, res.map_assignment):
             x[node] = state
     gap = mrf.edge_range_sum(decomp.removed_edges)

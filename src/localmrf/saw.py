@@ -29,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .core import CapExceeded, Graph, PairwiseMrf, connected_components
+from .core import CapExceeded, Graph, PairwiseMrf, bfs_depths, connected_components
 
 DEFAULT_SAW_CAP = 2**20
 
@@ -141,7 +141,8 @@ def _potentials(mrf: PairwiseMrf, members):
     """
     nodes = sorted(members)
     phi = dict(zip(nodes, map(tuple, mrf.phi[nodes].tolist())))
-    edges = [i for i, (u, _) in enumerate(mrf.edge_list) if u in members]
+    index = mrf._edge_index
+    edges = [index[u, v] for u in nodes for v in mrf.graph.adjacency[u] if v > u]
     table = {}
     for i, ((a, b), (c, d)) in zip(edges, mrf.psi[edges].tolist()):
         u, v = mrf.edge_list[i]
@@ -185,11 +186,8 @@ class SawTree:
 
 
 def _component_cap_check(mrf: PairwiseMrf, members, cap: int) -> None:
-    inner = sum(
-        1
-        for (u, v) in mrf.edge_list
-        if u in members and v in members
-    )
+    adjacency = mrf.graph.adjacency
+    inner = sum(v in members for u in members for v in adjacency[u]) // 2
     k = inner - len(members) + 1
     bound = saw_size_upper(len(members), max(0, k))
     if bound > cap:
@@ -207,11 +205,10 @@ def build_saw_tree(
         raise ValueError("walk trees are defined for binary models only")
     if not 0 <= root < mrf.n:
         raise ValueError(f"node {root} out of range for n={mrf.n}")
-    graph = mrf.graph
-    members = next(frozenset(c) for c in connected_components(graph) if root in c)
+    adjacency = mrf.graph.adjacency
+    members = frozenset(bfs_depths(mrf.graph, root))
     _component_cap_check(mrf, members, cap)
     phi, psi = _potentials(mrf, members)
-    adjacency = graph.adjacency
 
     orig, parent, depth, mark, children = [root], [-1], [0], [None], [[]]
     tree_phi, psi_to_parent = [phi[root]], [None]

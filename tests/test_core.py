@@ -36,6 +36,52 @@ def path_graph(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+@st.composite
+def written_models(draw, min_n=0):
+    """Models of 0-7 nodes whose tables survive the 17-digit text format."""
+    n = draw(st.integers(min_n, 7))
+    q = draw(st.integers(2, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    value = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 5e-324])
+    phi = draw(st.lists(value, min_size=n * q, max_size=n * q))
+    psi = draw(st.lists(value, min_size=len(edges) * q * q, max_size=len(edges) * q * q))
+    graph = Graph(n, edges)
+    return PairwiseMrf(
+        graph, q, np.reshape(phi, (n, q)), np.reshape(psi, (len(edges), q, q))
+    )
+
+
+@st.composite
+def corruptions(draw, lines, i, clean):
+    """One malformed version of ``lines[i]`` and the error text it must raise."""
+    kind, *tokens = lines[i].split()
+    ids = 1 if kind == "node" else 2
+    earlier = [j for j in clean if j < i and lines[j].startswith(kind)]
+    options = ["token", "finite", "range", "count", "kind"] + ["duplicate"] * bool(earlier)
+    how = draw(st.sampled_from(options))
+    if how == "token":
+        k = draw(st.integers(0, len(tokens) - 1))
+        tokens[k] = draw(st.sampled_from(["x", "1.5.0", "--2", "0x1f", ""])) + "z"
+        return " ".join([kind, *tokens]), "not a number in: "
+    if how == "finite":
+        k = draw(st.integers(ids, len(tokens) - 1))
+        tokens[k] = draw(st.sampled_from(["nan", "inf", "-inf", "-Infinity"]))
+        return " ".join([kind, *tokens]), "values must be finite: "
+    if how == "range":
+        if kind == "node":
+            tokens[0] = draw(st.sampled_from(["-1", "7", "99999999999999999999999"]))
+            return " ".join([kind, *tokens]), "node id -?[0-9]+ out of range"
+        tokens[0], tokens[1] = tokens[1], draw(st.sampled_from([tokens[0], "8", "-3"]))
+        return " ".join([kind, *tokens]), "edge must be written u < v < n"
+    if how == "count":
+        tokens = tokens[:-1] if draw(st.booleans()) else tokens + ["0"]
+        return " ".join([kind, *tokens]), f"{kind} line needs "
+    if how == "kind":
+        return " ".join([kind.upper(), *tokens]), "unknown line kind: "
+    return lines[draw(st.sampled_from(earlier))], f"duplicate {kind} "
+
+
 class TestGraph:
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError):
@@ -139,6 +185,31 @@ class TestEnergy:
         terms += [float(m.edge_table(u, v)[x[u], x[v]]) for u, v in m.edge_list]
         rng.shuffle(terms)
         assert energy(m, x) == pytest.approx(math.fsum(terms), rel=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.sampled_from([2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_energy_and_range_sum_are_left_folds(self, seed, n, q):
+        rng = np.random.default_rng(seed)
+        m = random_mrf(rng, random_graph(rng, n, 0.5), q=q, lo=-1e3, hi=1e3)
+        phi = np.array(m.phi)
+        phi[rng.random((n, q)) < 0.2] = -math.inf
+        m = PairwiseMrf(m.graph, q, phi, m.psi)
+        x = tuple(rng.integers(q, size=n).tolist())
+        total = 0.0
+        for v in range(n):
+            total += float(m.phi[v, x[v]])
+        for u, v in m.edge_list:
+            total += float(m.edge_table(u, v)[x[u], x[v]])
+        assert repr(energy(m, x)) == repr(total)
+        # edges in either orientation, some twice, in a shuffled order
+        edges = [e[::-1] if rng.random() < 0.5 else e for e in m.edge_list
+                 for _ in range(int(rng.integers(0, 3)))]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        total = 0.0
+        for u, v in sorted(tuple(sorted(e)) for e in edges):
+            table = m.edge_table(u, v)
+            total += float(table.max()) - float(table.min())
+        assert repr(m.edge_range_sum(edges)) == repr(total)
 
     def test_rejects_bad_assignment(self):
         m = PairwiseMrf(Graph(1, []), 2, [[0.0, 0.0]], {})
@@ -272,6 +343,10 @@ class TestModelEdits:
         forced = m.with_forced_node(0, 1)
         assert forced.phi[0, 0] == -math.inf
         assert forced.phi[0, 1] == m.phi[0, 1]
+        assert m.phi[0, 0] != -math.inf
+        # the copy shares the graph, edge tables and edge index
+        assert forced.graph is m.graph and forced.psi is m.psi
+        assert forced._edge_index is m._edge_index
 
 
 class TestInduced:
@@ -337,6 +412,39 @@ class TestTextFormat:
     def test_bad_line_named(self, text, line):
         with pytest.raises(FormatError, match=f"^line {line}: "):
             parse_mrf_text(text)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_lines_parse_back_bit_exact(self, data):
+        m = data.draw(written_models())
+        header, *body = write_mrf_text(m).splitlines()
+        body = data.draw(st.permutations(body))
+        lines = [header]
+        for line in body:
+            lines += data.draw(st.lists(st.sampled_from(["", "  ", "# note"]), max_size=2))
+            lines.append(line + data.draw(st.sampled_from(["", " ", "  # trailing"])))
+        back = parse_mrf_text("\n".join(lines))
+        assert back.graph == m.graph and back.q == m.q
+        assert back.phi.tobytes() == m.phi.tobytes()
+        assert back.psi.tobytes() == m.psi.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupted_line_named(self, data):
+        m = data.draw(written_models(min_n=2))
+        lines = write_mrf_text(m).splitlines()
+        count = data.draw(st.integers(1, 2))
+        picks = sorted(data.draw(
+            st.lists(st.integers(1, len(lines) - 1), min_size=count, max_size=count, unique=True)
+        ))
+        clean = [i for i in range(1, len(lines)) if i not in picks]
+        expected = []
+        for i in picks:
+            lines[i], message = data.draw(corruptions(lines, i, clean))
+            expected.append(message)
+        # the first malformed line in file order is the one named
+        with pytest.raises(FormatError, match=f"^line {picks[0] + 1}: {expected[0]}"):
+            parse_mrf_text("\n".join(lines) + "\n")
 
     def test_distribution_survives_round_trip(self):
         rng = np.random.default_rng(11)

@@ -1,6 +1,7 @@
 """Brute-force solvers and the elimination engine, per component and whole."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from localmrf import (
     grid_transfer_log_z,
     grid_transfer_map,
     solve_components,
+    solve_model,
 )
 from localmrf.core import CapExceeded
 from localmrf.exact import DEFAULT_CAP
@@ -415,6 +417,21 @@ class TestTransferMatrix:
         assert grid_transfer_log_z(m, cap=8) == pytest.approx(
             math.fsum(r.log_z for r in tri), rel=1e-12
         )
+
+    def test_log_z_only_builds_no_map_tables(self):
+        # log Z alone keeps one table of the open nodes; the MAP also keeps
+        # one argmax table per node
+        m = random_mrf(np.random.default_rng(19), grid_graph(14), lo=-1.0, hi=1.0)
+        peaks = []
+        for solve in (solve_model, grid_transfer_log_z):
+            tracemalloc.start()
+            try:
+                solve(m)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert grid_transfer_log_z(m) == solve_model(m).log_z
+        assert peaks[1] < peaks[0] / 2
 
     def test_cap_signals_too_wide(self):
         # on K10 node 9 opens all ten nodes at once: a 2^10-entry table

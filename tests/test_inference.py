@@ -26,6 +26,8 @@ from localmrf import (
 )
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
 from localmrf.decompose import Decomposition
+from localmrf.exact import solve_components
+from localmrf.inference import InferenceBounds, MapEstimate
 from localmrf.core import connected_components
 
 from helpers import random_graph, random_mrf
@@ -197,6 +199,65 @@ class TestLogPartitionBounds:
             )
             with pytest.raises(ValueError):
                 log_partition_bounds(m, leaky)
+
+
+def left_fold(terms):
+    total = 0.0
+    for t in terms:
+        total += float(t)
+    return total
+
+
+class TestPrunedReference:
+    """Bounds and MAPs equal a reference built on the pruned model, bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.integers(1, 4),
+        st.sampled_from([2, 3]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_without_edges_reference(self, seed, n, groups, q, forced):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
+        m = random_mrf(rng, g, q=q, lo=-2.0, hi=2.0)
+        if forced:
+            phi = np.array(m.phi)
+            phi[rng.integers(n), rng.integers(q)] = -math.inf
+            m = PairwiseMrf(g, q, phi, m.psi)
+        # components need not be connected; every crossing edge is removed,
+        # and so are some edges inside a component
+        label = rng.integers(0, groups, size=n)
+        comps = tuple(
+            tuple(int(v) for v in rng.permutation(np.flatnonzero(label == c)))
+            for c in range(groups) if (label == c).any()
+        )
+        removed = frozenset(
+            (u, v) for u, v in g.edge_list if label[u] != label[v] or rng.random() < 0.3
+        )
+        dec = Decomposition("manual", n, comps, 0.0, None, removed_edges=removed)
+
+        ref = solve_components(m.without_edges(removed), comps)
+        rows = [g.edge_list.index(e) for e in sorted(removed)]
+        lo, hi = m.edge_min[rows], m.edge_max[rows]
+        total = left_fold(r.log_z for r in ref)
+        gap = left_fold(hi - lo)
+        b = log_partition_bounds(m, dec)
+        assert repr(b) == repr(InferenceBounds(
+            total + left_fold(lo),
+            total + left_fold(hi),
+            gap,
+            tuple((c, r.log_z) for c, r in zip(comps, ref)),
+        ))
+        x = [0] * n
+        for r in ref:
+            for v, s in zip(r.nodes, r.map_assignment):
+                x[v] = s
+        h = left_fold([m.phi[v, x[v]] for v in range(n)]
+                      + [m.edge_table(u, v)[x[u], x[v]] for u, v in g.edge_list])
+        assert repr(mode_estimate(m, dec)) == repr(MapEstimate(tuple(x), h, gap))
 
 
 class TestModeEstimate:

@@ -57,18 +57,31 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.add(_canon_edge(u, v))
         self.edges: frozenset[Edge] = frozenset(canon)
+        # edges sorted ascending: the canonical edge indexing
+        self.edge_list: tuple[Edge, ...] = tuple(sorted(canon))
+        # in edge_list order each node meets its lower neighbours ascending,
+        # then its higher ones, so the lists come out sorted
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(canon):
+        for u, v in self.edge_list:
             adj[u].append(v)
             adj[v].append(u)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
-        )
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @cached_property
-    def edge_list(self) -> tuple[Edge, ...]:
-        """Edges sorted ascending; the canonical edge indexing."""
-        return tuple(sorted(self.edges))
+    def edge_index(self) -> dict[Edge, int]:
+        """Each edge's position in ``edge_list``."""
+        return {e: i for i, e in enumerate(self.edge_list)}
+
+    @cached_property
+    def edge_ids(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, the ``edge_list`` index of the edge to each of its
+        ``adjacency`` neighbours, in the same order; zipped with
+        ``adjacency[v]`` it gives ``v``'s (neighbour, edge index) pairs."""
+        ids: list[list[int]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edge_list):
+            ids[u].append(i)
+            ids[v].append(i)
+        return tuple(map(tuple, ids))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -124,22 +137,13 @@ def shortest_path_ball(graph: Graph, v: int, r: float) -> frozenset[int]:
     return frozenset(bfs_depths(graph, v, max_depth=max_depth))
 
 
-def bfs_depths(
-    graph: Graph,
-    root: int,
-    allowed: frozenset[int] | set[int] | None = None,
-    removed_edges: frozenset[Edge] | set[Edge] | None = None,
-    max_depth: int | None = None,
-) -> dict[int, int]:
-    """BFS depth of every reachable node, exploring neighbors ascending.
+def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[int, int]:
+    """BFS depth of every node reachable from ``root``, exploring neighbors
+    ascending; the dict lists the nodes in visit order.
 
-    ``allowed`` restricts the search to an induced node subset and
-    ``removed_edges`` masks out deleted edges; both default to unrestricted.
     ``max_depth`` stops the search there: only nodes at depth <= max_depth
     are visited and returned.
     """
-    if allowed is not None and root not in allowed:
-        raise ValueError("root not in allowed set")
     depth = {root: 0}
     frontier = [root]
     level = 0
@@ -148,16 +152,54 @@ def bfs_depths(
         nxt = []
         for u in frontier:
             for w in graph.adjacency[u]:
-                if w in depth:
-                    continue
-                if allowed is not None and w not in allowed:
-                    continue
-                if removed_edges and _canon_edge(u, w) in removed_edges:
-                    continue
-                depth[w] = level
-                nxt.append(w)
+                if w not in depth:
+                    depth[w] = level
+                    nxt.append(w)
         frontier = nxt
     return depth
+
+
+def sweep(graph: Graph, dead=None, cut=None):
+    """Components and BFS depths of ``graph`` without the nodes flagged in
+    ``dead`` (a mask over ``0..n-1``) and the edges flagged in ``cut`` (a
+    mask over ``edge_list``); a mask left None removes nothing.
+
+    A BFS, exploring neighbors ascending, starts from each live node not yet
+    visited, in ascending order, so it starts from its component's lowest
+    id.  One pass over the edge-indexed adjacency (``adjacency`` zipped with
+    ``edge_ids``), O(n + m).  Returns ``(components, depth, comp_of,
+    order)``: ascending node tuples ordered by smallest member; each node's
+    depth from its component's lowest id and its component's index (-1 and
+    -2 for a removed node); and the live nodes in visit order, component by
+    component.
+    """
+    n = graph.n
+    comp_of = [-1] * n if dead is None else [-2 if d else -1 for d in dead]
+    if cut is None:
+        cut = bytes(len(graph.edge_list))
+    adj, ids = graph.adjacency, graph.edge_ids
+    depth = [-1] * n
+    order: list[int] = []
+    comps: list[tuple[int, ...]] = []
+    for s in range(n):
+        if comp_of[s] != -1:
+            continue
+        c, head = len(comps), len(order)
+        comp_of[s], depth[s] = c, 0
+        order.append(s)
+        frontier, d = [s], 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w, e in zip(adj[u], ids[u]):
+                    if comp_of[w] == -1 and not cut[e]:
+                        comp_of[w], depth[w] = c, d
+                        nxt.append(w)
+            order += nxt
+            frontier = nxt
+        comps.append(tuple(sorted(order[head:])))
+    return tuple(comps), depth, comp_of, order
 
 
 def connected_components(
@@ -168,30 +210,22 @@ def connected_components(
     """Connected components after optional node/edge removal.
 
     Components are returned as ascending node tuples, ordered by their
-    smallest member, so output is deterministic.
+    smallest member, so output is deterministic.  Removed ids outside the
+    graph and removed pairs that are not edges (in either orientation) are
+    ignored.
     """
-    dead = set(removed_nodes)
-    cut = {_canon_edge(u, v) for u, v in removed_edges}
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for s in range(graph.n):
-        if s in dead or s in seen:
-            continue
-        stack = [s]
-        seen.add(s)
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in graph.adjacency[u]:
-                if w in seen or w in dead:
-                    continue
-                if cut and _canon_edge(u, w) in cut:
-                    continue
-                seen.add(w)
-                stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+    n = graph.n
+    dead = bytearray(n)
+    for v in removed_nodes:
+        if 0 <= v < n:
+            dead[v] = 1
+    cut = bytearray(len(graph.edge_list))
+    index = graph.edge_index
+    for u, v in removed_edges:
+        e = index.get(_canon_edge(u, v))
+        if e is not None:
+            cut[e] = 1
+    return sweep(graph, dead, cut)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +368,7 @@ class PairwiseMrf:
             raise ValueError("edge potentials must be finite")
         self.psi = psi
         self.psi.setflags(write=False)
-        self._edge_index = {e: i for i, e in enumerate(edge_list)}
+        self._edge_index = graph.edge_index
 
     @property
     def n(self) -> int:
@@ -610,6 +644,9 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
         values = np.array(list(map(float, node_values + edge_values)))
     except (ValueError, OverflowError):
         _raise_first_bad_line(text, n, q)
+    # the token strings would otherwise stay alive while the model is built,
+    # and set the parse's peak memory
+    del node_ids, node_values, edge_ids, edge_values
     order = np.lexsort((w, u))  # edge_list order
     u, w = u[order], w[order]
     if not (

@@ -6,7 +6,8 @@ of what survives:
 * random ball carving driven by a truncated geometric radius, suited to
   graphs whose metric balls grow polynomially (low doubling dimension);
 * iterated BFS-layer cutting, suited to minor-excluded graphs (r rounds,
-  layers taken modulo a stride Lambda);
+  layers taken modulo a stride Lambda; each round is one BFS sweep of the
+  graph, ``core.sweep``, with the nodes or edges cut so far as masks);
 * the deterministic axis-aligned slab cut of an n x n lattice.
 
 Every scheme is reproducible: all randomness comes from numpy PCG64
@@ -28,6 +29,7 @@ from .core import (
     bfs_depths,
     connected_components,
     grid_graph,
+    sweep,
 )
 
 
@@ -223,14 +225,16 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _layer_levels(graph, r, lam, seed, choose_level, removed_nodes, removed_edges):
-    """Check the layer-cutting arguments, then yield ``(component, depth,
-    level)`` per round and surviving component: the BFS depths inside the
-    component from its lowest-id node, and its drawn (or chosen) level.
+def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
+    """Check the layer-cutting arguments, then yield ``(depth, comp_of,
+    order, levels)`` per round: one ``core.sweep`` of the graph without the
+    nodes flagged in ``dead`` and the edges flagged in ``cut`` (the BFS
+    depths inside each component from its lowest-id node, each node's
+    component index and the visit order), and the drawn (or chosen) level
+    of each component, in component order.
 
-    Each round's components are those left after ``removed_nodes`` and
-    ``removed_edges``; the caller adds each cut to them before taking the
-    next item.
+    The caller flags each round's cut in the masks before taking the next
+    item.
     """
     if r < 1 or lam < 1:
         raise ValueError("need r >= 1 and lam >= 1")
@@ -242,17 +246,14 @@ def _layer_levels(graph, r, lam, seed, choose_level, removed_nodes, removed_edge
             return int(_rng(seed, i, j).integers(lam))
 
     for i in range(r):
-        comps = connected_components(
-            graph, removed_nodes=removed_nodes, removed_edges=removed_edges
-        )
-        for j, comp in enumerate(comps):
-            depth = bfs_depths(
-                graph, comp[0], allowed=frozenset(comp), removed_edges=removed_edges
-            )
+        comps, depth, comp_of, order = sweep(graph, dead, cut)
+        levels = []
+        for j in range(len(comps)):
             level = choose_level(i, j)
             if not 0 <= level < lam:
                 raise ValueError(f"level {level} outside 0..{lam - 1}")
-            yield comp, depth, level
+            levels.append(level)
+        yield depth, comp_of, order, levels
 
 
 def minor_vertex(
@@ -270,9 +271,17 @@ def minor_vertex(
     lam.  ``choose_level(round, comp_index)`` overrides the random draw,
     which is how traces are replayed in tests.
     """
+    dead = bytearray(graph.n)
     removed: set[int] = set()
-    for _, depth, level in _layer_levels(graph, r, lam, seed, choose_level, removed, ()):
-        removed.update(v for v, d in depth.items() if d % lam == level)
+    for depth, comp_of, order, levels in _layer_levels(
+        graph, r, lam, seed, choose_level, dead=dead
+    ):
+        # visit order, component by component, is the removed set's
+        # insertion order, which fixes its iteration order
+        new = [v for v in order if depth[v] % lam == levels[comp_of[v]]]
+        removed.update(new)
+        for v in new:
+            dead[v] = 1
     return _carve(graph, "minorv", r / lam, seed, nodes=removed)
 
 
@@ -289,15 +298,25 @@ def minor_edge(
     depth congruent to L mod lam; that rule also severs non-tree edges
     between equal-depth nodes' layers correctly.
     """
+    edges, adj, ids = graph.edge_list, graph.adjacency, graph.edge_ids
+    cut = bytearray(len(edges))
     removed: set[Edge] = set()
-    for comp, depth, level in _layer_levels(graph, r, lam, seed, choose_level, (), removed):
-        members = set(comp)
-        for u in comp:
-            for w in graph.adjacency[u]:
-                if w < u or w not in members or (u, w) in removed:
-                    continue
-                if min(depth[u], depth[w]) % lam == level:
-                    removed.add((u, w))
+    for depth, comp_of, order, levels in _layer_levels(
+        graph, r, lam, seed, choose_level, cut=cut
+    ):
+        # an edge is cut from its lower-depth endpoint u, in a cut layer
+        new = []
+        for u in order:
+            d, c = depth[u], comp_of[u]
+            if d % lam == levels[c]:
+                for w, e in zip(adj[u], ids[u]):
+                    if depth[w] >= d and not cut[e]:
+                        cut[e] = 1
+                        new.append((c, e))
+        # component by component, then in edge order, is the removed set's
+        # insertion order, which fixes its iteration order
+        new.sort()
+        removed.update(edges[e] for _, e in new)
     return _carve(graph, "minore", r / lam, seed, edges=removed)
 
 

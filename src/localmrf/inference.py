@@ -89,7 +89,9 @@ def log_partition_bounds(
     solver skips the removed edges, so no pruned copy is built.
     """
     _check_decomposition(mrf, decomp)
-    results = solve_components(mrf, decomp.components, cap, decomp.removed_edges)
+    results = solve_components(
+        mrf, decomp.components, cap, decomp.removed_edges, with_map=False
+    )
     total = left_sum([res.log_z for res in results])
     rows = mrf.edge_rows(decomp.removed_edges)
     lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]

@@ -19,7 +19,7 @@ from localmrf import (
     shortest_path_ball,
     write_mrf_text,
 )
-from localmrf.core import CapExceeded, FormatError
+from localmrf.core import CapExceeded, FormatError, bfs_depths, sweep
 
 from helpers import (
     distances_by_floyd,
@@ -323,6 +323,46 @@ class TestComponents:
         g = path_graph(5)
         assert connected_components(g, removed_edges={(1, 2)}) == ((0, 1), (2, 3, 4))
         assert connected_components(g, removed_nodes={2}) == ((0, 1), (3, 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sweep_matches_union_find_and_bfs(self, data):
+        n = data.draw(st.integers(0, 14))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True)) if pairs else []
+        g = Graph(n, edges)
+        dead = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        chosen = data.draw(st.lists(st.sampled_from(edges))) if edges else []
+        # removed pairs also come reversed, and as arbitrary pairs: those
+        # that are not edges in either orientation are ignored
+        removed = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
+        removed += data.draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=4))
+        cut = {(min(p), max(p)) for p in removed} & g.edges
+        kept = [(u, v) for u, v in g.edge_list if (u, v) not in cut and not {u, v} & dead]
+        pruned = Graph(n, kept)
+
+        comps = connected_components(g, removed_nodes=dead, removed_edges=removed)
+        assert {frozenset(c) for c in comps} == {
+            c for c in union_find_components(pruned) if not c <= dead
+        }
+        assert all(list(c) == sorted(c) for c in comps)
+        assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+        dead_mask = bytearray(v in dead for v in range(n))
+        cut_mask = bytearray(e in cut for e in g.edge_list)
+        components, depth, comp_of, order = sweep(g, dead_mask, cut_mask)
+        assert components == comps
+        assert sorted(order) == sorted(set(range(n)) - dead)
+        for j, comp in enumerate(comps):
+            # the BFS from the lowest id visits the component in the sweep's order
+            reference = bfs_depths(pruned, comp[0])
+            start = sum(map(len, comps[:j]))
+            assert order[start : start + len(comp)] == list(reference)
+            for v in comp:
+                assert depth[v] == reference[v]
+                assert comp_of[v] == j
+        for v in dead:
+            assert depth[v] == -1 and comp_of[v] < 0
 
 
 class TestModelEdits:

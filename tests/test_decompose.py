@@ -1,6 +1,7 @@
 """Decomposition schemes: traces, certificates, Monte Carlo frequencies."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from localmrf import (
     Graph,
     RadiusLaw,
     connected_components,
+    criscross_graph,
     db_dim_edge,
     db_dim_vertex,
     doubling_dimension_exact,
@@ -415,3 +417,72 @@ class TestTargetEps:
 
         assert db_dim_target_eps(0.5, 2.0) == 0.5 * 2.0 ** (-5)
         assert db_dim_target_eps(0.5, 2.0, offset=2) == 0.5 * 2.0 ** (-4)
+
+
+def golden_graphs():
+    """The graphs of the golden layer-cutting records: lattices, a
+    cris-cross, and sparse random graphs with isolated nodes and several
+    components whose ids interleave."""
+    graphs = {"grid7": grid_graph(7), "grid12": grid_graph(12), "criscross6": criscross_graph(6)}
+    for s in range(3):
+        graphs[f"random{s}"] = random_graph(np.random.default_rng(100 + s), 40, 0.05)
+    return graphs
+
+
+def record_digest(records) -> str:
+    """sha256 of the records' reprs, one per line."""
+    return hashlib.sha256("".join(repr(rec) + "\n" for rec in records).encode()).hexdigest()
+
+
+def seeded_records(scheme, graph):
+    return [
+        scheme(graph, r, lam, seed=seed)
+        for r in (1, 2, 3)
+        for lam in (1, 2, 3, 5)
+        for seed in range(10)
+    ]
+
+
+# sha256 of the reprs of seeded_records (and of the replay below) as the
+# layer-cutting code gave them before it moved to one sweep per round; the
+# reprs include the removed sets' iteration order
+GOLDEN_DIGESTS = {
+    "grid7/minor_vertex": "3a26bea44697f5dac5548be763af483fba579598322a0688f34f1721516cadbf",
+    "grid7/minor_edge": "266b3f815231b8dc0134df40e8c3acf19d025bd0485cff6c7f8717375fb84974",
+    "grid12/minor_vertex": "7eff461a4db86103c54480b7f505792fdad6456ef3a0d33aa216008104b4e5fc",
+    "grid12/minor_edge": "72fdc8f96c97df30e7fad07d0a7d3592b8aeef55c415e7d0bf9a53b452f97c42",
+    "criscross6/minor_vertex": "a86d035b708f723326529c6b9f743bfac5fe795be9e7ef8205d090ff90912f1c",
+    "criscross6/minor_edge": "b6292d806d2f6f162ae90e39839cbb13dd0a36d99cfb82a768f8aab2dafc7979",
+    "random0/minor_vertex": "35400ae13f55cf633857b0dee211d8d38076cc2bf0e2111751e1171aa0d917db",
+    "random0/minor_edge": "75ca6162ce3df57b77a1bb6ec2a169f110d4368bd92aeeb52841c56753844ad0",
+    "random1/minor_vertex": "820aaba756749c5ddc32adb936486fdf2e340a811157cadf189b38a1bdfb5638",
+    "random1/minor_edge": "f915e061a4d58fec147fe25b19138fc546a0748154661b5df4c0576db34c28e0",
+    "random2/minor_vertex": "636c4d5e1efeb119aee94fc5e291b04d43934d47ce90f91867daff4857420893",
+    "random2/minor_edge": "abde2f381253fb20db28f9aa9a0aa316a0322329cf9625c4765ab51294bbd8d9",
+    "grid12/replay": "2705b57e6132c03da40d1b5699ae1f346f1865a70ae794a2bcf2d4698102693b",
+}
+
+
+class TestGoldenLayerCutting:
+    def test_random_graphs_have_isolated_nodes_and_several_components(self):
+        for name, g in golden_graphs().items():
+            if name.startswith("random"):
+                comps = connected_components(g)
+                assert len(comps) >= 3
+                assert any(len(c) == 1 for c in comps)
+                assert any(len(c) > 2 for c in comps)
+
+    @pytest.mark.parametrize("scheme", [minor_vertex, minor_edge], ids=["minorv", "minore"])
+    def test_seeded_records_match_digests(self, scheme):
+        for name, g in golden_graphs().items():
+            key = f"{name}/{scheme.__name__}"
+            assert record_digest(seeded_records(scheme, g)) == GOLDEN_DIGESTS[key], key
+
+    def test_choose_level_replay_matches_digest(self):
+        g = grid_graph(12)
+
+        def level(i, j):
+            return (3 * i + j) % 5
+
+        records = [minor_vertex(g, 3, 5, choose_level=level), minor_edge(g, 3, 5, choose_level=level)]
+        assert record_digest(records) == GOLDEN_DIGESTS["grid12/replay"]

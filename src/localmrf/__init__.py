@@ -56,6 +56,7 @@ from .inference import (
     ErrorCertificate,
     InferenceBounds,
     MapEstimate,
+    certify,
     log_partition_bounds,
     mode_estimate,
     relative_error_bound,

@@ -39,7 +39,8 @@ from .decompose import (
 )
 from .exact import grid_transfer_log_z, solve_model
 from .exact import grid_transfer_map  # noqa: F401  the perfbench tracer wraps this name
-from .inference import log_partition_bounds, mode_estimate
+from .inference import certify, log_partition_bounds
+from .inference import mode_estimate  # noqa: F401  the perfbench tracer wraps this name
 
 VARYING_INTERACTION = "varying-interaction"
 VARYING_FIELD = "varying-field"
@@ -137,6 +138,8 @@ class ExperimentSpec:
             raise ValueError("slab decomposition needs a lattice topology")
         if not self.alphas or not self.params_grid():
             raise ValueError("parameter grids must be non-empty")
+        if self.decomp == "grid" and min(self.ks) < 1:
+            raise ValueError("slab widths ks must be >= 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.oracle not in ("transfer", "none"):
@@ -304,8 +307,7 @@ def run_trial(
     mrf = sample_potentials(graph, spec.mode, alpha, model_seed)
     start = time.perf_counter()
     dec = _decompose_for_trial(spec, graph, param, decomp_seed)
-    bounds = log_partition_bounds(mrf, dec)
-    estimate = mode_estimate(mrf, dec)
+    bounds, estimate = certify(mrf, dec)
     wall = time.perf_counter() - start
 
     # a model too wide for the exact engine carries no exact fields

@@ -25,7 +25,7 @@ from .decompose import (
     minor_vertex,
 )
 from .exact import solve_model
-from .inference import log_partition_bounds, mode_estimate
+from .inference import certify, log_partition_bounds
 from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
 from .saw import build_saw_tree, msg_pass_mode, saw_max_ratio
 
@@ -47,17 +47,21 @@ def _write_decomposition(dec, out) -> None:
             fh.write(text)
 
 
-def _grid_decomposition(graph, k: int, l1: int, l2: int):
-    """Slab cut of a square grid, lifted when the input is cris-cross."""
+def _grid_decomposition(graph, k: int):
+    """Slab cut of a square grid as a function of its offsets, lifted when
+    the input is cris-cross; the lattice and k are checked once, up front."""
     side = math.isqrt(graph.n)
-    if graph == grid_graph(side):
-        return grid_decomp(side, k, l1, l2)
-    if graph == criscross_graph(side):
-        return criscross_decomposition(graph, grid_decomp(side, k, l1, l2))
-    raise ValueError(
-        "grid decomposition needs a square grid or cris-cross lattice, got"
-        f" {graph.n} nodes and {len(graph.edges)} edges"
-    )
+    lift = graph != grid_graph(side)
+    if lift and graph != criscross_graph(side):
+        raise ValueError(
+            "grid decomposition needs a square grid or cris-cross lattice, got"
+            f" {graph.n} nodes and {len(graph.edges)} edges"
+        )
+    if not 1 <= k <= side:
+        raise ValueError("need 1 <= k <= n")
+    if lift:
+        return lambda l1, l2: criscross_decomposition(graph, grid_decomp(side, k, l1, l2))
+    return lambda l1, l2: grid_decomp(side, k, l1, l2)
 
 
 def _cmd_decompose(args) -> int:
@@ -71,7 +75,7 @@ def _cmd_decompose(args) -> int:
     elif args.alg == "minore":
         dec = minor_edge(graph, args.r, args.lam, args.seed)
     else:
-        dec = _grid_decomposition(graph, args.k, args.l1, args.l2)
+        dec = _grid_decomposition(graph, args.k)(args.l1, args.l2)
     _write_decomposition(dec, args.out)
     return 0
 
@@ -87,16 +91,14 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _decomp_for_args(mrf, args, seed):
-    graph = mrf.graph
+def _decomp_for_args(graph, args, seed, slab):
     if args.decomp == "dbdim":
         return db_dim_edge(graph, args.eps, args.K, seed)
     if args.decomp == "minore":
         return minor_edge(graph, args.r, args.lam, seed)
     if args.decomp == "grid":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
-        return _grid_decomposition(graph, args.k,
-                                   int(rng.integers(args.k)), int(rng.integers(args.k)))
+        return slab(int(rng.integers(args.k)), int(rng.integers(args.k)))
     return empty_edge_decomposition(graph)
 
 
@@ -111,13 +113,12 @@ def _cmd_bounds(args, want_map: bool) -> int:
             exact_logz, h_star = f"{res.log_z:.17g}", f"{res.map_energy:.17g}"
         except CapExceeded as exc:
             print(f"exact values skipped: {exc}", file=sys.stderr)
+    slab = _grid_decomposition(mrf.graph, args.k) if args.decomp == "grid" else None
     for t in range(args.trials):
         seed = args.seed + t
-        dec = _decomp_for_args(mrf, args, seed)
-        b = log_partition_bounds(mrf, dec)
-        h_hat = ""
-        if want_map:
-            h_hat = f"{mode_estimate(mrf, dec).energy:.17g}"
+        dec = _decomp_for_args(mrf.graph, args, seed, slab)
+        b, est = certify(mrf, dec) if want_map else (log_partition_bounds(mrf, dec), None)
+        h_hat = f"{est.energy:.17g}" if want_map else ""
         rows.append(
             f"{seed},{b.log_z_lb:.17g},{b.log_z_ub:.17g},{b.gap:.17g},"
             f"{exact_logz},{h_hat},{h_star}"

@@ -394,15 +394,11 @@ class PairwiseMrf:
         """Per-edge table maximum, aligned with ``edge_list``."""
         return self.psi.max(axis=(1, 2)) if len(self.psi) else np.zeros(0)
 
-    def edge_rows(self, edges: Iterable[Edge]) -> np.ndarray:
-        """Ascending ``psi`` rows of the given edges, in either orientation;
-        an edge listed twice keeps both rows."""
-        rows = [self._edge_index[_canon_edge(u, v)] for u, v in edges]
-        return np.sort(np.array(rows, dtype=np.intp))
-
     def edge_range_sum(self, edges: Iterable[Edge]) -> float:
-        """Sum of (max - min) over the given edges, in ascending edge order."""
-        rows = self.edge_rows(edges)
+        """Sum of (max - min) over the given edges, in either orientation, in
+        ascending edge order; an edge listed twice counts twice."""
+        rows = [self._edge_index[_canon_edge(u, v)] for u, v in edges]
+        rows = np.sort(np.array(rows, dtype=np.intp))
         return left_sum(self.edge_max[rows] - self.edge_min[rows])
 
     def with_forced_node(self, v: int, state: int) -> "PairwiseMrf":

@@ -240,23 +240,25 @@ def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch, with_map) -> list[Exa
 
 def solve_components(
     mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP,
-    removed_edges: frozenset = frozenset(), with_map: bool = True,
+    cut=None, with_map: bool = True,
 ) -> list[ExactResult]:
     """Exact log Z and MAP of the sub-MRF induced on each node set.
 
-    Only edges with both endpoints inside a set contribute, less the
-    ``removed_edges`` (canonical ``u < v`` pairs): the results are those of
-    the pruned model.  Without ``with_map`` no MAP table is built and the
-    results' MAP fields are None.  Components are grouped by shape (their
-    nodes relabelled ``0..k-1`` in ascending order, with each node's lower
-    neighbours), and each group runs one batched elimination of its nodes
-    in descending order; see ``_eliminate``.  A
+    Only edges with both endpoints inside a set contribute, less the edges
+    flagged in ``cut`` (a mask over ``edge_list``; None removes nothing):
+    the results are those of the pruned model.  Without ``with_map`` no MAP
+    table is built and the results' MAP fields are None.  Components are
+    grouped by shape (their nodes relabelled ``0..k-1`` in ascending order,
+    with each node's lower neighbours), and each group runs one batched
+    elimination of its nodes in descending order; see ``_eliminate``.  A
     component whose widest table holds more than ``cap`` entries raises
     ``CapExceeded`` before any table is built; a group's batch is split so
     that no batched table holds more than ``cap`` entries.  Results come
     back in the order of ``components``.
     """
-    adjacency, edge_index = mrf.graph.adjacency, mrf._edge_index
+    adjacency, edge_ids = mrf.graph.adjacency, mrf.graph.edge_ids
+    if cut is None:
+        cut = bytes(len(mrf.edge_list))
     groups: dict[tuple, list] = {}
     components = list(components)
     for c, comp in enumerate(components):
@@ -266,13 +268,12 @@ def solve_components(
         rows = []
         for g in order:
             low = []
-            for u in adjacency[g]:
+            for u, e in zip(adjacency[g], edge_ids[g]):
                 if u >= g:
                     break
-                e = (u, g)
-                if u in pos and e not in removed_edges:
+                if u in pos and not cut[e]:
                     low.append(pos[u])
-                    rows.append(edge_index[e])
+                    rows.append(e)
             lower.append(tuple(low))
         groups.setdefault(tuple(lower), []).append((c, order, rows))
     q = mrf.q

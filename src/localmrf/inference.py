@@ -1,15 +1,17 @@
 """Certified bounds on log Z and MAP estimates with a computable gap.
 
-Both algorithms take an edge decomposition, solve each surviving component
-exactly, and account for every removed edge by its table minimum/maximum.
-The upper-minus-lower gap therefore equals the removed edges' range sum
-identically, with no oracle needed, and the true quantity always lies
-inside the bracket.
+``certify`` checks an edge decomposition, solves each surviving component
+exactly once, and accounts for every removed edge by its table minimum and
+maximum, so the gap is the removed edges' range sum (no oracle needed) and
+the true quantity lies inside the bracket.  ``mode_estimate`` is its MAP and
+``log_partition_bounds`` its bracket, from a solve that builds no MAP tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import PairwiseMrf, energy, left_sum
 from .decompose import Decomposition
@@ -17,13 +19,13 @@ from .exact import DEFAULT_CAP, solve_components
 from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
 
 
-def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> None:
+def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> bytearray:
     """Reject a decomposition the certificate does not cover, in O(n + m).
 
     Only edges may be removed.  The components must partition the nodes,
     and every edge that is not removed must lie inside one component; an
     edge that is neither would be dropped from both the component solves
-    and the bracket.
+    and the bracket.  Returns the removed edges as a mask over ``edge_list``.
     """
     n = mrf.n
     if decomp.n != n:
@@ -32,6 +34,9 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> None:
         raise ValueError(f"decomposition {decomp.alg} removes nodes, not edges")
     if not decomp.removed_edges <= mrf.graph.edges:
         raise ValueError("decomposition removes edges the model does not have")
+    index, cut = mrf.graph.edge_index, bytearray(len(mrf.edge_list))
+    for e in decomp.removed_edges:
+        cut[index[e]] = 1
     comp_of = [-1] * n
     for i, comp in enumerate(decomp.components):
         for v in comp:
@@ -40,9 +45,10 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> None:
             comp_of[v] = i
     if -1 in comp_of:
         raise ValueError(f"components do not cover node {comp_of.index(-1)}")
-    for u, v in mrf.edge_list:
-        if comp_of[u] != comp_of[v] and (u, v) not in decomp.removed_edges:
+    for (u, v), removed in zip(mrf.edge_list, cut):
+        if comp_of[u] != comp_of[v] and not removed:
             raise ValueError(f"kept edge ({u},{v}) crosses two components")
+    return cut
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,24 @@ class ErrorCertificate:
     absolute_only: bool
 
 
+def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
+    """Check ``decomp``, solve its components and bracket log Z: (bounds, solves)."""
+    cut = _check_decomposition(mrf, decomp)
+    results = solve_components(mrf, decomp.components, cap, cut, with_map)
+    total = left_sum([res.log_z for res in results])
+    rows = np.flatnonzero(cut)
+    lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]
+    bounds = InferenceBounds(
+        log_z_lb=total + left_sum(lo),
+        log_z_ub=total + left_sum(hi),
+        gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
+        component_log_z=tuple(
+            (comp, res.log_z) for comp, res in zip(decomp.components, results)
+        ),
+    )
+    return bounds, results
+
+
 def log_partition_bounds(
     mrf: PairwiseMrf, decomp: Decomposition, cap: int = DEFAULT_CAP
 ) -> InferenceBounds:
@@ -88,21 +112,21 @@ def log_partition_bounds(
     table inside the component, only its scalar minimum/maximum.  The
     solver skips the removed edges, so no pruned copy is built.
     """
-    _check_decomposition(mrf, decomp)
-    results = solve_components(
-        mrf, decomp.components, cap, decomp.removed_edges, with_map=False
-    )
-    total = left_sum([res.log_z for res in results])
-    rows = mrf.edge_rows(decomp.removed_edges)
-    lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]
-    return InferenceBounds(
-        log_z_lb=total + left_sum(lo),
-        log_z_ub=total + left_sum(hi),
-        gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
-        component_log_z=tuple(
-            (comp, res.log_z) for comp, res in zip(decomp.components, results)
-        ),
-    )
+    return _bracket(mrf, decomp, cap, with_map=False)[0]
+
+
+def certify(
+    mrf: PairwiseMrf, decomp: Decomposition, cap: int = DEFAULT_CAP
+) -> tuple[InferenceBounds, MapEstimate]:
+    """``log_partition_bounds`` and ``mode_estimate`` bit for bit, from one
+    check and one fused solve per component, whose log Z is the same double."""
+    bounds, results = _bracket(mrf, decomp, cap, with_map=True)
+    x = [0] * mrf.n
+    for res in results:
+        for node, state in zip(res.nodes, res.map_assignment):
+            x[node] = state
+    assignment = tuple(x)
+    return bounds, MapEstimate(assignment, energy(mrf, assignment), bounds.gap)
 
 
 def mode_estimate(
@@ -114,14 +138,7 @@ def mode_estimate(
     optimum: H(x*) - gap <= H(estimate) <= H(x*).  The reported energy is
     the full model's, removed edges included.
     """
-    _check_decomposition(mrf, decomp)
-    x = [0] * mrf.n
-    for res in solve_components(mrf, decomp.components, cap, decomp.removed_edges):
-        for node, state in zip(res.nodes, res.map_assignment):
-            x[node] = state
-    gap = mrf.edge_range_sum(decomp.removed_edges)
-    assignment = tuple(x)
-    return MapEstimate(assignment, energy(mrf, assignment), gap)
+    return certify(mrf, decomp, cap)[1]
 
 
 def relative_error_bound(

@@ -1,5 +1,7 @@
 """Experiment harness: generators, trial invariants, curves, free energy."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -187,6 +189,21 @@ class TestRunExperiment:
     def test_grid_decomp_rejected_off_lattice(self):
         with pytest.raises(ValueError):
             ExperimentSpec(topology="random", decomp="grid").validate()
+
+    def test_zero_slab_width_rejected(self):
+        with pytest.raises(ValueError, match="ks must be >= 1"):
+            ExperimentSpec(decomp="grid", ks=(2, 0)).validate()
+        with pytest.raises(ValueError, match="ks must be >= 1"):
+            parse_experiment_spec("decomp=grid\nks=0\n")
+
+    def test_harness_sweep_digest(self):
+        # sha256 of the benchmark's 120-trial 7x7 sweep as CSV, wall times
+        # blanked, as the code gave it when the bracket and the MAP came from
+        # two separate certificate passes
+        spec = ExperimentSpec(topology="grid", n=7, lambdas=(3, 4, 5), trials=4, seed=0)
+        records = [dataclasses.replace(rec, wall_time=None) for rec in run_experiment(spec)]
+        digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
+        assert digest == "920c5f17731d62616f197cfbb77979b0c597fa7a075631b40f282115269333ee"
 
     def test_shared_models_across_params(self):
         spec = ExperimentSpec(

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand's happy path plus file formats."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -156,6 +157,36 @@ def test_grid_decomp_lifted_on_criscross(tmp_path):
     assert "alg=grid+diag" in dec.read_text()
 
 
+# sha256 of the CSV of ``map --exact`` over four seeds, as the code gave it
+# when the bracket and the MAP came from two separate certificate passes
+MAP_CSV_DIGESTS = [
+    ("grid7", ["--decomp", "minore", "--lambda", "3"],
+     "32fe38e8cfdcf269463388c73202a701f44990c29e395e71272fdb5064bf5a98"),
+    ("grid7", ["--decomp", "grid", "--k", "3"],
+     "07986bb6bae25a1c76396798ea68edd5dd8cc56bb111eb3dff29c237000eb935"),
+    ("criscross4", ["--decomp", "grid", "--k", "2"],
+     "7c92f4820c3db54f36bd4b612b194e95963949c5094b1c958c7c10b7ef233025"),
+    ("criscross4", ["--decomp", "minore"],
+     "3d1ac22b0e98b9e8717dd4729452a97ba40d862eaf0993153a994742abec4f69"),
+]
+
+
+@pytest.mark.parametrize(
+    "lattice, params, digest", MAP_CSV_DIGESTS,
+    ids=[f"{lattice}-{params[1]}" for lattice, params, _ in MAP_CSV_DIGESTS],
+)
+def test_map_csv_digest(tmp_path, lattice, params, digest):
+    graph = grid_graph(7) if lattice == "grid7" else criscross_graph(4)
+    path = tmp_path / "model.mrf"
+    dump_mrf(sample_potentials(graph, VARYING_INTERACTION, 1.0, seed=5), path)
+    out = tmp_path / "runs.csv"
+    assert main([
+        "map", "--graph", str(path), *params,
+        "--seed", "0", "--trials", "4", "--exact", "--csv", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_bad_inputs_are_errors_not_tracebacks(tmp_path):
     rect = tmp_path / "rect.mrf"
     dump_mrf(sample_potentials(grid_graph(2, 3), VARYING_INTERACTION, 1.0, 0), rect)
@@ -163,6 +194,12 @@ def test_bad_inputs_are_errors_not_tracebacks(tmp_path):
         main(["logz", "--graph", str(rect), "--decomp", "grid"])
     with pytest.raises(SystemExit, match="^error: grid decomposition needs a square"):
         main(["decompose", "--alg", "grid", "--graph", str(rect)])
+    square = tmp_path / "square.mrf"
+    dump_mrf(sample_potentials(grid_graph(3), VARYING_INTERACTION, 1.0, 0), square)
+    for cmd in ("logz", "map"):
+        for k in ("0", "-1", "4"):
+            with pytest.raises(SystemExit, match=r"^error: need 1 <= k <= n$"):
+                main([cmd, "--graph", str(square), "--decomp", "grid", "--k", k])
     bad = tmp_path / "bad.mrf"
     bad.write_text("mrf 1 2\nnode 0 0 x\n")
     with pytest.raises(SystemExit, match="^error: line 2: "):

@@ -13,6 +13,7 @@ from localmrf import (
     PairwiseMrf,
     brute_log_z,
     brute_map,
+    certify,
     empty_edge_decomposition,
     energy,
     grid_decomp,
@@ -137,7 +138,7 @@ class TestLogPartitionBounds:
         # would be solved nowhere: UB 21.09 < log Z 22.14 if accepted
         m = sample_potentials(criscross_graph(4), VARYING_INTERACTION, 1.0, 3)
         dec = grid_decomp(4, 2, 0, 0)
-        for run in (log_partition_bounds, mode_estimate):
+        for run in (log_partition_bounds, mode_estimate, certify):
             with pytest.raises(ValueError, match="crosses two components"):
                 run(m, dec)
 
@@ -146,7 +147,7 @@ class TestLogPartitionBounds:
         g = grid_graph(3)
         m = sample_potentials(g, VARYING_INTERACTION, 1.0, 1)
         dec = Decomposition("manual", 9, ((0,), (1,)), 0.0, None, removed_edges=g.edges)
-        for run in (log_partition_bounds, mode_estimate):
+        for run in (log_partition_bounds, mode_estimate, certify):
             with pytest.raises(ValueError, match="do not cover node 2"):
                 run(m, dec)
 
@@ -164,7 +165,7 @@ class TestLogPartitionBounds:
         m = random_mrf(np.random.default_rng(2), g)
         dec = minor_vertex(g, r=1, lam=2, seed=0)
         assert dec.removed_nodes
-        for run in (log_partition_bounds, mode_estimate):
+        for run in (log_partition_bounds, mode_estimate, certify):
             with pytest.raises(ValueError, match="removes nodes"):
                 run(m, dec)
 
@@ -192,13 +193,15 @@ class TestLogPartitionBounds:
         _, h_star = brute_map(m)
         est = mode_estimate(m, dec)
         assert h_star - est.guarantee_gap - 1e-9 <= est.energy <= h_star + 1e-9
+        assert repr(certify(m, dec)) == repr((b, est))
         if crossing:
             kept = min(crossing)
             leaky = Decomposition(
                 "manual", n, comps, 0.0, None, removed_edges=frozenset(removed - {kept})
             )
-            with pytest.raises(ValueError):
-                log_partition_bounds(m, leaky)
+            for run in (log_partition_bounds, certify):
+                with pytest.raises(ValueError):
+                    run(m, leaky)
 
 
 def left_fold(terms):
@@ -257,7 +260,9 @@ class TestPrunedReference:
                 x[v] = s
         h = left_fold([m.phi[v, x[v]] for v in range(n)]
                       + [m.edge_table(u, v)[x[u], x[v]] for u, v in g.edge_list])
-        assert repr(mode_estimate(m, dec)) == repr(MapEstimate(tuple(x), h, gap))
+        est = mode_estimate(m, dec)
+        assert repr(est) == repr(MapEstimate(tuple(x), h, gap))
+        assert repr(certify(m, dec)) == repr((b, est))
 
 
 class TestModeEstimate:

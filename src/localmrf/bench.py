@@ -460,8 +460,11 @@ def free_energy_sequence(
 
     When ``slab_k`` is given, each n also gets the certified bracket from
     the deterministic slab decomposition with offsets (0, 0), normalized
-    by n^2.
+    by n^2.  A side below 1 raises ``ValueError`` before anything is solved.
     """
+    n_list = list(n_list)
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"grid sides must be at least 1, got {min(n_list)}")
     points = []
     for n in n_list:
         mrf = homogeneous_grid_mrf(phi_table, psi_table, n)

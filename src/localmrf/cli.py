@@ -30,6 +30,15 @@ from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
 from .saw import build_saw_tree, msg_pass_mode, saw_max_ratio
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout for ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _write_decomposition(dec, out) -> None:
     lines = [
         f"# decomposition alg={dec.alg} n={dec.n} eps_target={dec.eps_target:.17g}"
@@ -39,12 +48,7 @@ def _write_decomposition(dec, out) -> None:
     lines += [f"removed_edge {u} {v}" for u, v in sorted(dec.removed_edges)]
     for comp in dec.components:
         lines.append("component " + " ".join(map(str, comp)))
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(out, "\n".join(lines) + "\n")
 
 
 def _grid_decomposition(graph, k: int):
@@ -123,12 +127,7 @@ def _cmd_bounds(args, want_map: bool) -> int:
             f"{seed},{b.log_z_lb:.17g},{b.log_z_ub:.17g},{b.gap:.17g},"
             f"{exact_logz},{h_hat},{h_star}"
         )
-    text = "\n".join(rows) + "\n"
-    if args.csv == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args.csv, "\n".join(rows) + "\n")
     return 0
 
 
@@ -166,13 +165,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = bench.parse_experiment_spec(fh.read())
-    records = bench.run_experiment(spec)
-    text = bench.records_to_csv(records)
-    if args.csv == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args.csv, bench.records_to_csv(bench.run_experiment(spec)))
     return 0
 
 
@@ -188,12 +181,7 @@ def _cmd_limit(args) -> int:
         lb = "" if p.slab_lb is None else f"{p.slab_lb:.17g}"
         ub = "" if p.slab_ub is None else f"{p.slab_ub:.17g}"
         rows.append(f"{p.n},{p.log_z:.17g},{p.a_n:.17g},{lb},{ub}")
-    text = "\n".join(rows) + "\n"
-    if args.csv == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write(args.csv, "\n".join(rows) + "\n")
     return 0
 
 
@@ -278,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, ValueError) as exc:
+    except (CapExceeded, OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 
 

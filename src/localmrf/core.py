@@ -511,6 +511,8 @@ def affine_shift(mrf: PairwiseMrf) -> tuple[PairwiseMrf, float]:
 def grid_graph(rows: int, cols: int | None = None) -> Graph:
     """Axis-aligned lattice; node (r, c) has id ``r * cols + c``."""
     cols = rows if cols is None else cols
+    if rows < 0 or cols < 0:
+        raise ValueError(f"grid sides must be non-negative, got {rows} x {cols}")
     edges = []
     for r in range(rows):
         for c in range(cols):

@@ -352,10 +352,12 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> Decomposition:
 def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decomposition:
     """Lift a grid-subgraph edge decomposition to the cris-cross graph.
 
-    Keeps the grid removals and additionally removes every diagonal whose
+    Keeps the grid removals and additionally removes every edge whose
     endpoints land in different grid components, so the cris-cross
-    components coincide with the grid ones.  Each diagonal's removal
-    probability is at most twice the grid edges', hence the doubled target.
+    components coincide with the grid ones.  Such a grid edge is already
+    among the removals, so only diagonals are added.  Each diagonal's
+    removal probability is at most twice the grid edges', hence the
+    doubled target.
     A record that removes nodes has no such lift and raises ``ValueError``.
     """
     if grid_dec.removed_nodes:
@@ -365,10 +367,7 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
         for v in comp:
             comp_of[v] = i
     removed = set(grid_dec.removed_edges)
-    grid_edges = grid_graph(int(math.isqrt(cc_graph.n))).edges
     for (u, v) in cc_graph.edge_list:
-        if (u, v) in grid_edges:
-            continue
         if comp_of[u] != comp_of[v]:
             removed.add((u, v))
     eps_target = min(1.0, 2.0 * grid_dec.eps_target)

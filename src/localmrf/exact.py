@@ -3,10 +3,13 @@
 * ``solve_components`` is the one exact engine.  It groups components by
   shape and runs one batched variable-elimination sweep per group, which
   eliminates the nodes in descending id order and yields log Z and the MAP
-  together.  ``component_solve`` (one component) and ``solve_model`` (a
-  whole model, one connected component at a time; also through
-  ``grid_transfer_map``) are views of it, and ``grid_transfer_log_z`` runs
-  it for log Z alone, building no MAP table.
+  together.  It returns arrays: each component's log Z, and one assignment
+  over all nodes that stitches the components' maximizers.
+  ``component_solve`` (one component) and ``solve_model`` (a whole model,
+  one connected component at a time; also through ``grid_transfer_map``)
+  read those arrays and call ``energy`` for the MAP's energy, and
+  ``grid_transfer_log_z`` runs the engine for log Z alone, building no MAP
+  table.
 * ``brute_log_z``, ``brute_map`` and ``brute_max_marginal`` enumerate
   through per-digit index gathers, independently of it, and serve only as
   its test oracle.
@@ -38,11 +41,11 @@ _CHUNK = 2**18
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact log-partition value and MAP for (a sub-model of) an MRF."""
+    """Exact log-partition value and MAP of one component or a whole model."""
 
     log_z: float
-    map_assignment: tuple[int, ...] | None  # None for a log-Z-only solve
-    map_energy: float | None
+    map_assignment: tuple[int, ...]
+    map_energy: float
     nodes: tuple[int, ...]
 
 
@@ -215,58 +218,43 @@ def _eliminate(phi, psi, edges, schedule, q: int, with_map: bool):
     return lse, x
 
 
-def _solve_batch(mrf: PairwiseMrf, lower, schedule, batch, with_map) -> list[ExactResult]:
-    """Solve components of one shape together; ``batch`` holds (order, rows)."""
-    size, k = len(batch), len(lower)
-    edges = [(u, v) for v, low in enumerate(lower) for u in low]
-    phi = mrf.phi[np.array([o for o, _ in batch], dtype=np.intp).reshape(size, k)]
-    psi = mrf.psi[np.array([r for _, r in batch], dtype=np.intp).reshape(size, len(edges))]
-    log_z, x = _eliminate(phi, psi, edges, schedule, mrf.q, with_map)
-    if not with_map:
-        return [ExactResult(float(z), None, None, o) for z, (o, _) in zip(log_z, batch)]
-    # energies in node-then-edge order, as ``energy`` sums them
-    rows = np.arange(size)
-    e = np.zeros(size)
-    for v in range(k):
-        e += phi[rows, v, x[:, v]]
-    for j in sorted(range(len(edges)), key=edges.__getitem__):
-        u, v = edges[j]
-        e += psi[rows, j, x[:, u], x[:, v]]
-    return [
-        ExactResult(float(log_z[b]), tuple(x[b].tolist()), float(e[b]), order)
-        for b, (order, _) in enumerate(batch)
-    ]
-
-
 def solve_components(
     mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP,
     cut=None, with_map: bool = True,
-) -> list[ExactResult]:
-    """Exact log Z and MAP of the sub-MRF induced on each node set.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact log Z and MAP of the sub-MRF induced on each of disjoint node sets.
 
     Only edges with both endpoints inside a set contribute, less the edges
     flagged in ``cut`` (a mask over ``edge_list``; None removes nothing):
-    the results are those of the pruned model.  Without ``with_map`` no MAP
-    table is built and the results' MAP fields are None.  Components are
-    grouped by shape (their nodes relabelled ``0..k-1`` in ascending order,
-    with each node's lower neighbours), and each group runs one batched
-    elimination of its nodes in descending order; see ``_eliminate``.  A
-    component whose widest table holds more than ``cap`` entries raises
-    ``CapExceeded`` before any table is built; a group's batch is split so
-    that no batched table holds more than ``cap`` entries.  Results come
-    back in the order of ``components``.
+    the results are those of the pruned model.  Returns ``(log_z, x)``:
+    ``log_z`` holds one float per set, in the order of ``components``, and
+    ``x`` is one assignment over all ``n`` nodes that holds each set's
+    lexicographically smallest maximizer on that set's nodes and 0 on
+    nodes in no set.  Without ``with_map`` no MAP table is built and ``x``
+    is None.  A node listed twice raises ``ValueError``.
+
+    Components are grouped by shape (their nodes relabelled ``0..k-1`` in
+    ascending order, with each node's lower neighbours), and each group
+    runs one batched elimination of its nodes in descending order; see
+    ``_eliminate``.  A component whose widest table holds more than ``cap``
+    entries raises ``CapExceeded`` before any table is built; a group's
+    batch is split so that no batched table holds more than ``cap`` entries.
     """
     adjacency, edge_ids = mrf.graph.adjacency, mrf.graph.edge_ids
     if cut is None:
         cut = bytes(len(mrf.edge_list))
     groups: dict[tuple, list] = {}
     components = list(components)
+    seen = bytearray(mrf.n)
     for c, comp in enumerate(components):
         order = tuple(sorted(comp))
         pos = {g: i for i, g in enumerate(order)}
         lower = []
         rows = []
         for g in order:
+            if seen[g]:
+                raise ValueError(f"node {g} lies in two components")
+            seen[g] = 1
             low = []
             for u, e in zip(adjacency[g], edge_ids[g]):
                 if u >= g:
@@ -287,15 +275,21 @@ def solve_components(
                 f"of {q}^{width} entries (cap={cap})"
             )
         plans.append((lower, schedule, cap // q**width, members))
-    results: list = [None] * len(components)
+    log_z = np.zeros(len(components))
+    x = np.zeros(mrf.n, dtype=np.intp) if with_map else None
     for lower, schedule, step, members in plans:
+        k = len(lower)
+        edges = [(u, v) for v, low in enumerate(lower) for u in low]
         for s in range(0, len(members), step):
             part = members[s : s + step]
-            batch = [(o, r) for _, o, r in part]
-            solved = _solve_batch(mrf, lower, schedule, batch, with_map)
-            for (c, _, _), res in zip(part, solved):
-                results[c] = res
-    return results
+            idx = np.array([c for c, _, _ in part], dtype=np.intp)
+            orders = np.array([o for _, o, _ in part], dtype=np.intp).reshape(len(part), k)
+            rows = np.array([r for _, _, r in part], dtype=np.intp).reshape(len(part), len(edges))
+            z, xs = _eliminate(mrf.phi[orders], mrf.psi[rows], edges, schedule, q, with_map)
+            log_z[idx] = z
+            if with_map:
+                x[orders] = xs
+    return log_z, x
 
 
 def component_solve(
@@ -305,12 +299,14 @@ def component_solve(
 
     Only edges with both endpoints inside ``nodes`` contribute.  One
     elimination sweep of ``solve_components`` gives the log Z and the
-    lexicographically smallest maximizer together; ``map_energy`` is summed
-    in node-then-edge order, so it equals ``energy`` on the induced
-    sub-model bit for bit.  A widest elimination table of more than ``cap``
-    entries raises ``CapExceeded``.
+    lexicographically smallest maximizer together; ``map_energy`` is
+    ``energy`` on the induced sub-model.  A widest elimination table of
+    more than ``cap`` entries raises ``CapExceeded``.
     """
-    return solve_components(mrf, [nodes], cap)[0]
+    sub, order = mrf.induced(nodes)
+    log_z, x = solve_components(mrf, [order], cap)
+    assignment = tuple(x[list(order)].tolist())
+    return ExactResult(float(log_z[0]), assignment, energy(sub, assignment), order)
 
 
 def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
@@ -320,23 +316,17 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
     maximizers; when a component has no feasible state every assignment
     has energy ``-inf``, and the MAP is all zeros, brute's first maximizer.
     """
-    log_z = 0.0
-    x = [0] * mrf.n
-    for res in solve_components(mrf, connected_components(mrf.graph), cap):
-        log_z += res.log_z
-        for v, s in zip(res.nodes, res.map_assignment):
-            x[v] = s
-    if log_z == -np.inf:
-        x = [0] * mrf.n
-    assignment = tuple(x)
-    return ExactResult(log_z, assignment, energy(mrf, assignment), tuple(range(mrf.n)))
+    log_z, x = solve_components(mrf, connected_components(mrf.graph), cap)
+    total = left_sum(log_z)
+    assignment = (0,) * mrf.n if total == -np.inf else tuple(x.tolist())
+    return ExactResult(total, assignment, energy(mrf, assignment), tuple(range(mrf.n)))
 
 
 def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:
     """Exact log Z of a whole model, summed over its connected components as
     ``solve_model`` sums it, but with no MAP table built."""
     comps = connected_components(mrf.graph)
-    return left_sum([res.log_z for res in solve_components(mrf, comps, cap, with_map=False)])
+    return left_sum(solve_components(mrf, comps, cap, with_map=False)[0])
 
 
 def grid_transfer_map(

@@ -82,21 +82,19 @@ class ErrorCertificate:
 
 
 def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
-    """Check ``decomp``, solve its components and bracket log Z: (bounds, solves)."""
+    """Check ``decomp``, solve its components and bracket log Z: (bounds, x)."""
     cut = _check_decomposition(mrf, decomp)
-    results = solve_components(mrf, decomp.components, cap, cut, with_map)
-    total = left_sum([res.log_z for res in results])
+    log_z, x = solve_components(mrf, decomp.components, cap, cut, with_map)
+    total = left_sum(log_z)
     rows = np.flatnonzero(cut)
     lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]
     bounds = InferenceBounds(
         log_z_lb=total + left_sum(lo),
         log_z_ub=total + left_sum(hi),
         gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
-        component_log_z=tuple(
-            (comp, res.log_z) for comp, res in zip(decomp.components, results)
-        ),
+        component_log_z=tuple(zip(decomp.components, log_z.tolist())),
     )
-    return bounds, results
+    return bounds, x
 
 
 def log_partition_bounds(
@@ -120,12 +118,8 @@ def certify(
 ) -> tuple[InferenceBounds, MapEstimate]:
     """``log_partition_bounds`` and ``mode_estimate`` bit for bit, from one
     check and one fused solve per component, whose log Z is the same double."""
-    bounds, results = _bracket(mrf, decomp, cap, with_map=True)
-    x = [0] * mrf.n
-    for res in results:
-        for node, state in zip(res.nodes, res.map_assignment):
-            x[node] = state
-    assignment = tuple(x)
+    bounds, x = _bracket(mrf, decomp, cap, with_map=True)
+    assignment = tuple(x.tolist())
     return bounds, MapEstimate(assignment, energy(mrf, assignment), bounds.gap)
 
 

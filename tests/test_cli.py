@@ -204,6 +204,17 @@ def test_bad_inputs_are_errors_not_tracebacks(tmp_path):
     bad.write_text("mrf 1 2\nnode 0 0 x\n")
     with pytest.raises(SystemExit, match="^error: line 2: "):
         main(["logz", "--graph", str(bad)])
+    missing = str(tmp_path / "missing.mrf")
+    for argv in (["logz", "--graph", missing], ["experiment", "--spec", missing],
+                 ["reduce", "--in", missing, "--out", str(tmp_path / "out.mrf")],
+                 ["decompose", "--alg", "minore", "--graph", str(square),
+                  "--out", str(tmp_path / "no-dir" / "dec.txt")]):
+        with pytest.raises(SystemExit, match=r"^error: \[Errno 2\] "):
+            main(argv)
+    for nmin in ("0", "-1"):
+        with pytest.raises(SystemExit, match="^error: grid sides must be at least 1"):
+            main(["limit", "--phi", "0", "0", "--psi", "0", "0", "0", "1",
+                  "--nmin", nmin, "--nmax", "1"])
 
 
 def test_saw_commands(tmp_path, capsys):

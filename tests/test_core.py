@@ -90,6 +90,9 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+        # (-1) x (-1) would pass as one node
+        with pytest.raises(ValueError, match="non-negative"):
+            grid_graph(-1)
 
     def test_dedupes_and_sorts_adjacency(self):
         g = Graph(3, [(2, 0), (0, 2), (1, 0)])

@@ -272,8 +272,25 @@ class TestSolveComponents:
                 except CapExceeded:
                     cap *= q
         singles = [component_solve(m, comp) for comp in comps]
-        assert solve_components(m, comps, cap) == singles
+        log_z, x = solve_components(m, comps, cap)
+        assert log_z.tolist() == [r.log_z for r in singles]
+        assert [tuple(x[list(r.nodes)].tolist()) for r in singles] == [
+            r.map_assignment for r in singles
+        ]
         assert [r.nodes for r in singles] == [tuple(sorted(c)) for c in comps]
+        z_only, no_map = solve_components(m, comps, cap, with_map=False)
+        assert z_only.tolist() == log_z.tolist() and no_map is None
+
+    def test_overlapping_sets_rejected(self):
+        # one assignment cannot hold two states for a node
+        m = random_mrf(np.random.default_rng(22), grid_graph(2))
+        for comps in ([(0, 1), (2, 1)], [(3, 0, 3)]):
+            with pytest.raises(ValueError, match="^node [13] lies in two components$"):
+                solve_components(m, comps)
+        # nodes in no set read 0
+        log_z, x = solve_components(m, [(3,)])
+        assert x.tolist() == [0, 0, 0, int(np.argmax(m.phi[3]))]
+        assert log_z.tolist() == [component_solve(m, (3,)).log_z]
 
 
 class TestDegreeLowerBounds:

@@ -432,6 +432,9 @@ class PairwiseMrf:
         of a partition of V cost O(n + m) together.
         """
         order = tuple(sorted(nodes))
+        if order and not (0 <= order[0] and order[-1] < self.n):
+            bad = order[0] if order[0] < 0 else order[-1]
+            raise ValueError(f"node {bad} out of range for n={self.n}")
         pos = {g: i for i, g in enumerate(order)}
         sub_edges = []
         rows = []

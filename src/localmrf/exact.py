@@ -231,7 +231,7 @@ def solve_components(
     ``x`` is one assignment over all ``n`` nodes that holds each set's
     lexicographically smallest maximizer on that set's nodes and 0 on
     nodes in no set.  Without ``with_map`` no MAP table is built and ``x``
-    is None.  A node listed twice raises ``ValueError``.
+    is None.  A node listed twice or outside ``0..n-1`` raises ``ValueError``.
 
     Components are grouped by shape (their nodes relabelled ``0..k-1`` in
     ascending order, with each node's lower neighbours), and each group
@@ -248,6 +248,9 @@ def solve_components(
     seen = bytearray(mrf.n)
     for c, comp in enumerate(components):
         order = tuple(sorted(comp))
+        if order and not (0 <= order[0] and order[-1] < mrf.n):
+            bad = order[0] if order[0] < 0 else order[-1]
+            raise ValueError(f"node {bad} out of range for n={mrf.n}")
         pos = {g: i for i, g in enumerate(order)}
         lower = []
         rows = []

@@ -11,13 +11,16 @@ keeps trees of conditioned models well defined.
 
 A leaf-to-root max-product sweep over this tree yields the exact
 max-marginal ratio of the root in the original model.  The same computation
-also runs as a distributed message-passing schedule (`msg_pass_mode`): nodes
-flood path sequences outward and answer with computation sequences carrying
-normalized message pairs; the two implementations share their numeric
-kernels and agree bit for bit.
+also runs as a message-passing schedule (`msg_pass_mode`): nodes flood path
+sequences outward and answer with computation sequences carrying
+normalized message pairs.  Origins run in ascending id, and each origin's
+sequences are explored depth first: a sequence floods all its receivers
+and then waits for their answers.  The schedule and `saw_component_map`
+walk the tree depth first without building it (`_walk`); the walk and the
+tree sweep share their numeric kernels and agree bit for bit.
 
-Both read the model through one directed-edge table, built once per call
-from plain Python floats, so their inner loops touch no numpy objects.
+All of them read the model through one directed-edge table, built once per
+call from plain Python floats, so their inner loops touch no numpy objects.
 
 Ratios are kept as log-domain pairs rather than quotients so that 0 and
 infinity are exact.
@@ -265,6 +268,66 @@ def saw_max_ratio(tree: SawTree) -> RatioPair:
 # ---------------------------------------------------------------------------
 
 
+def _binary_tables(mrf: PairwiseMrf, cap: int):
+    """``_potentials`` of a whole binary model whose every component passes
+    the walk-tree cap."""
+    if mrf.q != 2:
+        raise ValueError("walk trees are defined for binary models only")
+    for comp in connected_components(mrf.graph):
+        _component_cap_check(mrf, frozenset(comp), cap)
+    return _potentials(mrf, range(mrf.n))
+
+
+def _walk(phi, psi, adjacency, root: int, trace=None) -> tuple[RatioPair, int]:
+    """The root's max-belief pair and walk-tree edge count, by a depth-first
+    sweep of the walk tree that builds no tree.
+
+    A stack frame (node, its parent, its unvisited neighbours, its children's
+    messages) per path node, not recursion: a path can span a component.
+    Children go in ascending id, so ``_send`` and ``_belief`` get the
+    arguments ``saw_max_ratio`` gives them, in the same order.  A sequence
+    traces its path lines when it floods and its comp line when it answers.
+    """
+    path, pos = [root], {root: 0}
+    stack = [(root, -1, iter(adjacency[root]), [])]
+    if trace is not None:
+        trace.extend(f"path {root} {w}" for w in adjacency[root])
+    edges = 0
+    while True:
+        u, parent, rest, msgs = stack[-1]
+        for z in rest:
+            if z == parent:
+                continue
+            edges += 1
+            if z in pos:
+                # cycle closed: answer as a unit-weight forced copy of z
+                forced = (-math.inf, 0.0) if u < path[pos[z] + 1] else (0.0, -math.inf)
+                msg = _send(psi[z, u], forced, ())
+            elif len(adjacency[z]) == 1:
+                msg = _send(psi[z, u], phi[z], ())
+            else:
+                pos[z] = len(path)
+                path.append(z)
+                stack.append((z, u, iter(adjacency[z]), []))
+                if trace is not None:
+                    prefix = " ".join(map(str, path))
+                    trace.extend(f"path {prefix} {w}" for w in adjacency[z] if w != u)
+                break
+            msgs.append(msg)
+            if trace is not None:
+                trace.append(f"comp {' '.join(map(str, path))} {z} {msg[0]:.17g} {msg[1]:.17g}")
+        else:
+            stack.pop()
+            if not stack:
+                return _belief(phi[u], msgs), edges
+            msg = _send(psi[u, parent], phi[u], msgs)
+            if trace is not None:
+                trace.append(f"comp {' '.join(map(str, path))} {msg[0]:.17g} {msg[1]:.17g}")
+            del pos[u]
+            path.pop()
+            stack[-1][3].append(msg)
+
+
 @dataclass
 class MsgPassResult:
     ratios: dict[int, RatioPair]
@@ -275,98 +338,25 @@ class MsgPassResult:
 def msg_pass_mode(
     mrf: PairwiseMrf, cap: int = DEFAULT_SAW_CAP, keep_trace: bool = False
 ) -> MsgPassResult:
-    """Event-driven walk-tree exploration computing every node's max-belief.
+    """Walk-tree exploration computing every node's max-belief.
 
-    Phase one floods path sequences outward from every origin; leaves and
-    cycle-closing revisits answer with computation sequences whose message
-    pairs are normalized to linear-domain sum 1; interior nodes combine
-    sibling messages and pass the result back.  The event loop is a single
-    FIFO queue, so the schedule is deterministic.  Per origin, the number
-    of computation sequences emitted equals the walk-tree edge count.
+    Every origin floods path sequences outward; leaves and cycle-closing
+    revisits answer with computation sequences whose message pairs are
+    normalized to linear-domain sum 1; interior nodes combine sibling
+    messages and pass the result back.  Origins run in ascending id, and
+    each origin's sequences are explored depth first: a sequence floods all
+    its receivers, in ascending id, and then waits for their answers, so
+    the schedule is deterministic.  Per origin, the number of path
+    sequences and of computation sequences each equal the walk-tree edge
+    count.
     """
-    if mrf.q != 2:
-        raise ValueError("the schedule is defined for binary models only")
-    graph = mrf.graph
-    for comp in connected_components(graph):
-        _component_cap_check(mrf, frozenset(comp), cap)
-    phi, psi = _potentials(mrf, range(graph.n))
-    adjacency = graph.adjacency
-
-    # a sequence entered at u from s floods, and waits for, kids[u, s]
-    # (ascending id); an origin u is entered from -1
-    kids = {}
-    for u, adj in enumerate(adjacency):
-        kids[u, -1] = adj
-        for s in adj:
-            kids[u, s] = tuple(w for w in adj if w != s)
-
+    phi, psi = _binary_tables(mrf, cap)
     trace: list[str] | None = [] if keep_trace else None
-    counts = [0] * graph.n
     ratios: dict[int, RatioPair] = {}
-    pending: dict[tuple[int, ...], dict[int, tuple[float, float]]] = {}
-    # ("path", sequence, receiver) or ("comp", sequence, message)
-    queue: deque = deque()
-
-    def emit_comp(path: tuple[int, ...], msg: tuple[float, float]) -> None:
-        counts[path[0]] += 1
-        if trace is not None:
-            trace.append(
-                "comp "
-                + " ".join(map(str, path))
-                + f" {msg[0]:.17g} {msg[1]:.17g}"
-            )
-        queue.append(("comp", path, msg))
-
-    def flood(path: tuple[int, ...], to) -> None:
-        for w in to:
-            if trace is not None:
-                trace.append("path " + " ".join(map(str, path + (w,))))
-            queue.append(("path", path, w))
-
-    for v in range(graph.n):
-        if adjacency[v]:
-            flood((v,), adjacency[v])
-        else:
-            ratios[v] = _belief(phi[v], ())
-
-    while queue:
-        kind, path, item = queue.popleft()
-        if kind == "path":
-            u, sender = item, path[-1]
-            if u in path:
-                # cycle closed: answer as a unit-weight forced copy of u
-                if sender < path[path.index(u) + 1]:
-                    forced = (-math.inf, 0.0)
-                else:
-                    forced = (0.0, -math.inf)
-                emit_comp(path + (u,), _send(psi[u, sender], forced, ()))
-            elif len(adjacency[u]) == 1:
-                emit_comp(path + (u,), _send(psi[u, sender], phi[u], ()))
-            else:
-                flood(path + (u,), kids[u, sender])
-        else:
-            prefix = path[:-1]
-            u = prefix[-1]
-            entered_from = prefix[-2] if len(prefix) > 1 else -1
-            needed = kids[u, entered_from]
-            if len(needed) == 1:
-                child_msgs = (item,)
-            else:
-                slot = pending.setdefault(prefix, {})
-                slot[path[-1]] = item
-                if len(slot) < len(needed):
-                    continue
-                del pending[prefix]
-                child_msgs = [slot[w] for w in needed]  # ascending id order
-            if entered_from >= 0:
-                emit_comp(prefix, _send(psi[u, entered_from], phi[u], child_msgs))
-            else:
-                ratios[u] = _belief(phi[u], child_msgs)
-
-    assert len(ratios) == graph.n and not pending
-    return MsgPassResult(
-        ratios=ratios, sequences_per_origin=dict(enumerate(counts)), trace=trace
-    )
+    counts: dict[int, int] = {}
+    for v in range(mrf.n):
+        ratios[v], counts[v] = _walk(phi, psi, mrf.graph.adjacency, v, trace)
+    return MsgPassResult(ratios=ratios, sequences_per_origin=counts, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +382,13 @@ def saw_component_map(
     turn an exact tie into a ratio just above 1; either state of a tied
     node extends to an optimum.
     """
-    current = mrf
+    phi, psi = _binary_tables(mrf, cap)
     states: list[int] = []
     for v in range(mrf.n):
-        ratio = saw_max_ratio(build_saw_tree(current, v, cap))
-        r = ratio.log_ratio()
+        r = _walk(phi, psi, mrf.graph.adjacency, v)[0].log_ratio()
         state = 1 if r > 0.0 else 0
         states.append(state)
-        current = current.with_forced_node(v, state)
+        # the floats ``with_forced_node(v, state)`` gives
+        phi0, phi1 = phi[v]
+        phi[v] = (-math.inf, phi1) if state else (phi0, -math.inf)
     return tuple(states)

@@ -15,8 +15,10 @@ from localmrf import (
     Graph,
     PairwiseMrf,
     RadiusLaw,
+    build_saw_tree,
     connected_components,
     line_graph,
+    saw_max_ratio,
 )
 
 
@@ -134,6 +136,19 @@ def oracle_max_marginal(mrf: PairwiseMrf, v: int):
     for x, e in enumerate_energies(mrf):
         best[x[v]] = max(best[x[v]], e)
     return best[0], best[1]
+
+
+def saw_map_by_trees(mrf: PairwiseMrf):
+    """MAP by conditioning, with one walk tree per node and one conditioned
+    model copy per decision (the loop that ``saw_component_map`` replaced)."""
+    current = mrf
+    states = []
+    for v in range(mrf.n):
+        r = saw_max_ratio(build_saw_tree(current, v)).log_ratio()
+        state = 1 if r > 0.0 else 0
+        states.append(state)
+        current = current.with_forced_node(v, state)
+    return tuple(states)
 
 
 def three_sigma_binomial(p: float, trials: int) -> float:

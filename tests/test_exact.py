@@ -287,6 +287,14 @@ class TestSolveComponents:
         for comps in ([(0, 1), (2, 1)], [(3, 0, 3)]):
             with pytest.raises(ValueError, match="^node [13] lies in two components$"):
                 solve_components(m, comps)
+        # a negative id would index from the end, one of n or more past it
+        for bad in (-1, 4):
+            for comps in ([(bad,)], [(0, 1), (2, bad)]):
+                with pytest.raises(ValueError, match=f"^node {bad} out of range for n=4$"):
+                    solve_components(m, comps)
+            for solve in (m.induced, lambda nodes: component_solve(m, nodes)):
+                with pytest.raises(ValueError, match=f"^node {bad} out of range for n=4$"):
+                    solve((0, bad))
         # nodes in no set read 0
         log_z, x = solve_components(m, [(3,)])
         assert x.tolist() == [0, 0, 0, int(np.argmax(m.phi[3]))]

@@ -1,6 +1,9 @@
 """Walk trees, max-marginal ratios, the distributed schedule, conditioning."""
 
+import inspect
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from localmrf import (
 from localmrf.core import CapExceeded
 from localmrf.saw import GREEN, RED, RatioPair, log_ratio_difference
 
-from helpers import random_connected_graph, random_mrf
+from helpers import random_connected_graph, random_mrf, saw_map_by_trees
 
 
 def triangle_mrf(rng=None):
@@ -43,6 +46,71 @@ def ratios_match(mrf, v, tol=1e-9):
 # the complete schedule on the triangle-plus-pendant with integer tables:
 # event order, sequences and every message digit are pinned
 PENDANT_TRACE = """\
+path 0 1
+path 0 2
+path 0 1 2
+path 0 1 2 0
+path 0 1 2 3
+comp 0 1 2 0 -1.3132616875182228 -0.31326168751822281
+comp 0 1 2 3 -3.0485873515737421 -0.048587351573742055
+comp 0 1 2 -0.69314718055994518 -0.69314718055994518
+comp 0 1 -0.31326168751822303 -1.3132616875182228
+path 0 2 1
+path 0 2 3
+path 0 2 1 0
+comp 0 2 1 0 -2.1269280110429727 -0.12692801104297269
+comp 0 2 1 -0.12692801104297269 -2.1269280110429727
+comp 0 2 3 -3.0485873515737421 -0.048587351573742055
+comp 0 2 -0.31326168751822286 -1.3132616875182228
+path 1 0
+path 1 2
+path 1 0 2
+path 1 0 2 1
+path 1 0 2 3
+comp 1 0 2 1 -0.12692801104297269 -2.1269280110429727
+comp 1 0 2 3 -3.0485873515737421 -0.048587351573742055
+comp 1 0 2 -0.31326168751822286 -1.3132616875182228
+comp 1 0 -1.3132616875182228 -0.31326168751822281
+path 1 2 0
+path 1 2 3
+path 1 2 0 1
+comp 1 2 0 1 -2.1269280110429727 -0.12692801104297269
+comp 1 2 0 -0.31326168751822303 -1.313261687518223
+comp 1 2 3 -3.0485873515737421 -0.048587351573742055
+comp 1 2 -0.69314718055994529 -0.69314718055994529
+path 2 0
+path 2 1
+path 2 3
+path 2 0 1
+path 2 0 1 2
+comp 2 0 1 2 -0.12692801104297269 -2.1269280110429727
+comp 2 0 1 -0.31326168751822303 -1.313261687518223
+comp 2 0 -0.6931471805599454 -0.6931471805599454
+path 2 1 0
+path 2 1 0 2
+comp 2 1 0 2 -0.31326168751822281 -1.3132616875182228
+comp 2 1 0 -1.3132616875182228 -0.31326168751822281
+comp 2 1 -0.12692801104297269 -2.1269280110429731
+comp 2 3 -3.0485873515737421 -0.048587351573742055
+path 3 2
+path 3 2 0
+path 3 2 1
+path 3 2 0 1
+path 3 2 0 1 2
+comp 3 2 0 1 2 -0.12692801104297269 -2.1269280110429727
+comp 3 2 0 1 -0.31326168751822303 -1.313261687518223
+comp 3 2 0 -0.6931471805599454 -0.6931471805599454
+path 3 2 1 0
+path 3 2 1 0 2
+comp 3 2 1 0 2 -0.31326168751822281 -1.3132616875182228
+comp 3 2 1 0 -1.3132616875182228 -0.31326168751822281
+comp 3 2 1 -0.12692801104297269 -2.1269280110429731
+comp 3 2 -1.3132616875182226 -0.31326168751822303
+"""
+
+# the same schedule run from one FIFO queue over all origins: the same
+# events with the same message bits, in breadth-first order
+PENDANT_TRACE_FIFO = """\
 path 0 1
 path 0 2
 path 1 0
@@ -116,9 +184,9 @@ def pendant_mrf():
     )
 
 
-def components_mrf(seed, sizes, extra, forced):
+def components_mrf(seed, sizes, extra, forced, integer=False):
     """Disjoint random components (size 1 is an isolated node), some
-    nodes conditioned to one state."""
+    nodes conditioned to one state; integer tables in {0, 1, 2} tie often."""
     rng = np.random.default_rng(seed)
     edges, n = [], 0
     for size in sizes:
@@ -126,6 +194,8 @@ def components_mrf(seed, sizes, extra, forced):
         edges += [(u + n, v + n) for u, v in sub.edge_list]
         n += size
     m = random_mrf(rng, Graph(n, edges), lo=-1.5, hi=1.5)
+    if integer:
+        m = PairwiseMrf(m.graph, 2, np.round(m.phi) + 1, np.round(m.psi) + 1)
     for v, state in forced:
         m = m.with_forced_node(v % n, state)
     return m
@@ -296,21 +366,53 @@ class TestMsgPass:
     def test_golden_trace(self):
         result = msg_pass_mode(pendant_mrf(), keep_trace=True)
         assert result.trace == PENDANT_TRACE.splitlines()
+        assert sorted(result.trace) == sorted(PENDANT_TRACE_FIFO.splitlines())
 
     @given(
         st.integers(0, 2**32 - 1),
         st.lists(st.integers(1, 6), min_size=1, max_size=3),
         st.integers(0, 3),
         st.lists(st.tuples(st.integers(0, 17), st.integers(0, 1)), max_size=3),
+        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_centralized_exactly(self, seed, sizes, extra, forced):
-        m = components_mrf(seed, sizes, extra, forced)
+    def test_matches_centralized_exactly(self, seed, sizes, extra, forced, integer):
+        m = components_mrf(seed, sizes, extra, forced, integer)
         result = msg_pass_mode(m)
         for v in range(m.n):
             tree = build_saw_tree(m, v)
             assert result.ratios[v] == saw_max_ratio(tree)  # bit-exact
             assert result.sequences_per_origin[v] == tree.edge_count
+        traced = msg_pass_mode(m, keep_trace=True)
+        assert traced.ratios == result.ratios
+        assert traced.sequences_per_origin == result.sequences_per_origin
+        # per origin one path and one comp line per walk-tree edge, and each
+        # comp line after its own sequence's path line
+        flooded, paths, comps = set(), Counter(), Counter()
+        for line in traced.trace:
+            kind, *ids = line.split()
+            if kind == "path":
+                assert tuple(ids) not in flooded
+                flooded.add(tuple(ids))
+                paths[int(ids[0])] += 1
+            else:
+                assert tuple(ids[:-2]) in flooded
+                comps[int(ids[0])] += 1
+        assert paths == comps == Counter(result.sequences_per_origin)
+        assert saw_component_map(m) == saw_map_by_trees(m)  # bit-exact
+
+    def test_long_path_needs_no_recursion(self):
+        # a walk runs along the whole path: 300 nested calls would overflow
+        m = random_mrf(np.random.default_rng(13), Graph(300, [(i, i + 1) for i in range(299)]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            result = msg_pass_mode(m)
+            x = saw_component_map(m)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert set(result.sequences_per_origin.values()) == {299}
+        assert x == component_solve(m, range(300)).map_assignment
 
     def test_sequence_counts_equal_tree_edges(self):
         rng = np.random.default_rng(14)
@@ -393,4 +495,6 @@ class TestComponentMap:
             rng.integers(0, top + 1, size=(n, 2)).astype(float),
             rng.integers(0, top + 1, size=(len(g.edge_list), 2, 2)).astype(float),
         )
-        assert energy(m, saw_component_map(m)) == brute_map(m)[1]
+        x = saw_component_map(m)
+        assert energy(m, x) == brute_map(m)[1]
+        assert x == saw_map_by_trees(m)  # bit-exact

@@ -246,23 +246,30 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
+    """Parse ``records_to_csv`` output; a wrong header, a row with the wrong
+    number of fields or a bad number raises ``FormatError`` naming the line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
     names = [f.name for f in fields(TrialRecord)]
     if header != names:
-        raise ValueError("unexpected CSV header")
+        raise FormatError("line 1: unexpected CSV header")
     records = []
     for row in reader:
+        no = reader.line_num
+        if len(row) != len(names):
+            raise FormatError(f"line {no}: expected {len(names)} fields, got {len(row)}")
         kwargs = {}
         for name, val in zip(names, row):
             if val == "" and name in _OPTIONAL:
                 kwargs[name] = None
-            elif name in _FLOATISH:
-                kwargs[name] = float(val)
             elif name in ("topology", "mode", "decomp"):
                 kwargs[name] = val
             else:
-                kwargs[name] = int(val)
+                kind = float if name in _FLOATISH else int
+                try:
+                    kwargs[name] = kind(val)
+                except ValueError:
+                    raise FormatError(f"line {no}: {name} is not a number: {val!r}") from None
         records.append(TrialRecord(**kwargs))
     return records
 

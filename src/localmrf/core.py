@@ -628,7 +628,6 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
     n, q = _numbers(no, header[1:], int)
     if n < 0 or q < 2:
         raise FormatError(f"line {no}: need n >= 0 and sigma >= 2")
-    phi = np.empty((n, q))
     node_ids, node_values, edge_ids, edge_values = [], [], [], []
     for _, row in rows:
         if row[0] == "node" and len(row) == 2 + q:
@@ -650,17 +649,23 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
     del node_ids, node_values, edge_ids, edge_values
     order = np.lexsort((w, u))  # edge_list order
     u, w = u[order], w[order]
+    # nothing is sized by the header alone: a huge n or q fails here, on
+    # the lines that are there, before any table is allocated
+    ids = np.sort(v)
     if not (
         np.isfinite(values).all()
         and ((0 <= v) & (v < n)).all()
-        and np.bincount(v, minlength=n).max(initial=0) <= 1
+        and (ids[1:] != ids[:-1]).all()
         and ((0 <= u) & (u < w) & (w < n)).all()
         and ((u[1:] != u[:-1]) | (w[1:] != w[:-1])).all()
     ):
         _raise_first_bad_line(text, n, q)
     if len(v) < n:
-        missing = np.flatnonzero(np.bincount(v, minlength=n) == 0).tolist()
-        raise FormatError(f"missing node lines for: {missing}")
+        # ids is ascending and duplicate-free, so it starts 0, 1, ... up to
+        # the first missing id
+        first = np.count_nonzero(ids == np.arange(len(ids)))
+        raise FormatError(f"missing node lines for {n - len(v)} of {n} nodes, first node {first}")
+    phi = np.empty((n, q))
     phi[v] = values[: n * q].reshape(n, q)
     psi = values[n * q :].reshape(-1, q, q)[order]
     return PairwiseMrf(Graph(n, zip(u.tolist(), w.tolist())), q, phi, psi)

@@ -19,6 +19,7 @@ could be processed concurrently without changing the output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,43 +122,6 @@ def k_param(eps: float, rho: float) -> int:
     return max(3, math.ceil(value))
 
 
-class _WhiteNodes:
-    """Nodes ``0..n-1`` still white, indexable as their ascending list.
-
-    A Fenwick tree over 0/1 presence counts: the k-th white node and the
-    removal of a node each cost O(log n).
-    """
-
-    def __init__(self, n: int):
-        self.count = n
-        self.present = bytearray([1]) * n
-        self.tree = [i & -i for i in range(n + 1)]
-        self.top = 1 << n.bit_length()
-
-    def kth(self, k: int) -> int:
-        """The k-th (from 0) white node in ascending order."""
-        pos, step = 0, self.top
-        while step:
-            nxt = pos + step
-            if nxt < len(self.tree) and self.tree[nxt] <= k:
-                pos = nxt
-                k -= self.tree[nxt]
-            step >>= 1
-        return pos
-
-    def discard(self, v: int) -> bool:
-        """Remove ``v``; False if it was not white."""
-        if not self.present[v]:
-            return False
-        self.present[v] = 0
-        self.count -= 1
-        i = v + 1
-        while i < len(self.tree):
-            self.tree[i] -= 1
-            i += i & -i
-        return True
-
-
 def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     """Random ball carving on the shortest-path metric.
 
@@ -173,8 +137,8 @@ def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     the chosen centers.
 
     Each ball is a BFS from u over the whole graph that stops at depth Q,
-    so a run costs the sum of its ball sizes (plus O(log n) per node to
-    keep the white list indexable), not an all-pairs distance matrix.
+    so a run costs the sum of its ball sizes, not an all-pairs distance
+    matrix.
     """
     blue = _ball_cut(graph, eps, K, seed)
     return _carve(graph, "dbdim-v", 2.0 * eps, seed, nodes=blue)
@@ -184,14 +148,18 @@ def _ball_cut(graph: Graph, eps: float, K: int, seed: int) -> set[int]:
     """The blue nodes of one ball-carving run (see ``db_dim_vertex``)."""
     law = RadiusLaw(eps, K)
     rng = _rng(seed)
-    white = _WhiteNodes(graph.n)
+    white = list(range(graph.n))  # ascending
     blue: set[int] = set()
-    while white.count:
-        u = white.kth(int(rng.integers(white.count)))
+    while white:
+        u = white[int(rng.integers(len(white)))]
         radius = law.sample(rng)
         for w, d in bfs_depths(graph, u, max_depth=radius).items():
-            if white.discard(w) and d == radius:
-                blue.add(w)
+            # only a node that is still white can turn blue
+            i = bisect_left(white, w)
+            if i < len(white) and white[i] == w:
+                del white[i]
+                if d == radius:
+                    blue.add(w)
     return blue
 
 
@@ -200,17 +168,12 @@ def line_graph(graph: Graph) -> Graph:
 
     Line-graph node i corresponds to ``graph.edge_list[i]``.
     """
-    edges = graph.edge_list
-    incident: dict[int, list[int]] = {}
-    for i, (u, v) in enumerate(edges):
-        incident.setdefault(u, []).append(i)
-        incident.setdefault(v, []).append(i)
     meta = set()
-    for ids in incident.values():
+    for ids in graph.edge_ids:
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 meta.add((ids[a], ids[b]))
-    return Graph(len(edges), meta)
+    return Graph(len(graph.edge_list), meta)
 
 
 def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
@@ -358,10 +321,17 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     among the removals, so only diagonals are added.  Each diagonal's
     removal probability is at most twice the grid edges', hence the
     doubled target.
-    A record that removes nodes has no such lift and raises ``ValueError``.
+    A record that removes nodes, or that decomposes another graph (another
+    node count, or a removed edge the graph does not have), has no such
+    lift and raises ``ValueError``.
     """
     if grid_dec.removed_nodes:
         raise ValueError("cannot lift a node-removing decomposition to cris-cross")
+    if grid_dec.n != cc_graph.n:
+        raise ValueError(f"decomposition has {grid_dec.n} nodes, the graph {cc_graph.n}")
+    if not grid_dec.removed_edges <= cc_graph.edges:
+        stray = sorted(grid_dec.removed_edges - cc_graph.edges)
+        raise ValueError(f"removed edges not in the graph: {stray}")
     comp_of = {}
     for i, comp in enumerate(grid_dec.components):
         for v in comp:

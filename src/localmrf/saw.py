@@ -303,8 +303,6 @@ def _walk(phi, psi, adjacency, root: int, trace=None) -> tuple[RatioPair, int]:
                 # cycle closed: answer as a unit-weight forced copy of z
                 forced = (-math.inf, 0.0) if u < path[pos[z] + 1] else (0.0, -math.inf)
                 msg = _send(psi[z, u], forced, ())
-            elif len(adjacency[z]) == 1:
-                msg = _send(psi[z, u], phi[z], ())
             else:
                 pos[z] = len(path)
                 path.append(z)

@@ -108,6 +108,15 @@ class TestCriscrossLift:
         with pytest.raises(ValueError, match="node-removing"):
             criscross_decomposition(gen_criscross(4), dec)
 
+    def test_rejects_decomposition_of_another_graph(self):
+        base = grid_decomp(4, 2, 1, 0)
+        with pytest.raises(ValueError, match="16 nodes, the graph 25"):
+            criscross_decomposition(gen_criscross(5), base)
+        # a 9-node record whose removed edges are not all edges of the graph
+        other = dataclasses.replace(grid_decomp(3, 2, 1, 0), removed_edges=base.removed_edges)
+        with pytest.raises(ValueError, match="removed edges not in the graph"):
+            criscross_decomposition(gen_criscross(3), other)
+
 
 class TestRunExperiment:
     def test_no_removal_zero_error(self):
@@ -233,6 +242,23 @@ class TestCsvRoundTrip:
             1.5, 2.5, 1.0, None, None, 2.0, None, None, 4, 6, 0.25,
         )
         assert records_from_csv(records_to_csv([rec])) == [rec]
+
+    def test_malformed_rows_named(self):
+        rec = TrialRecord(
+            "grid", 4, VARYING_INTERACTION, 0.5, "minore", 3, 0, 1, 2,
+            1.5, 2.5, 1.0, None, None, 2.0, None, None, 4, 6, 0.25,
+        )
+        header, row = records_to_csv([rec]).splitlines()
+        for text, message in [
+            (f"{header}\n{row}\n{row[: row.rindex(',')]}\n", "line 3: expected 20 fields, got 19"),
+            (f"{header}\n{row},7\n", "line 2: expected 20 fields, got 21"),
+            (f"{header}\n{row.replace(',4,', ',four,', 1)}\n", "line 2: n is not a number"),
+            (f"{header}\n{row.replace('0.5', 'half', 1)}\n", "line 2: alpha is not a number"),
+            (f"{header.replace('alpha', 'beta')}\n{row}\n", "line 1: unexpected CSV header"),
+            ("", "line 1: unexpected CSV header"),
+        ]:
+            with pytest.raises(FormatError, match=f"^{message}"):
+                records_from_csv(text)
 
 
 class TestSpecFile:

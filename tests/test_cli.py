@@ -217,6 +217,13 @@ def test_bad_inputs_are_errors_not_tracebacks(tmp_path):
                   "--nmin", nmin, "--nmax", "1"])
 
 
+def test_huge_header_is_an_error_not_a_traceback(tmp_path):
+    huge = tmp_path / "huge.mrf"
+    huge.write_text("mrf 10000000000000 2\n")
+    with pytest.raises(SystemExit, match="^error: missing node lines for 10000000000000 of "):
+        main(["logz", "--graph", str(huge)])
+
+
 def test_saw_commands(tmp_path, capsys):
     m = random_mrf(np.random.default_rng(0), Graph(3, [(0, 1), (0, 2), (1, 2)]))
     path = tmp_path / "tri.mrf"

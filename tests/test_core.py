@@ -489,6 +489,20 @@ class TestTextFormat:
         with pytest.raises(FormatError, match=f"^line {picks[0] + 1}: {expected[0]}"):
             parse_mrf_text("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mrf 10000000000000 2\n", "missing node lines for 10000000000000 of 10000000000000 nodes, first node 0"),
+            ("mrf 10000000000000 2\nnode 0 1 2\nnode 2 1 2\n", "missing node lines for 9999999999998 of 10000000000000 nodes, first node 1"),
+            ("mrf 1 10000000000000\n", "missing node lines for 1 of 1 nodes, first node 0"),
+            ("mrf 1 10000000000000\nnode 0 1 2\n", "line 2: node line needs 10000000000000 values"),
+        ],
+    )
+    def test_huge_header_allocates_nothing(self, text, message):
+        # sizes where a table sized by the header alone cannot be allocated
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_mrf_text(text)
+
     def test_distribution_survives_round_trip(self):
         rng = np.random.default_rng(11)
         m = random_mrf(rng, path_graph(4), lo=-3.0, hi=3.0)

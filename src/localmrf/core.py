@@ -665,6 +665,9 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
         # the first missing id
         first = np.count_nonzero(ids == np.arange(len(ids)))
         raise FormatError(f"missing node lines for {n - len(v)} of {n} nodes, first node {first}")
+    if q * q * values.itemsize > np.iinfo(np.intp).max:
+        # not even an empty (0, q, q) edge table has a numpy shape
+        raise FormatError(f"line {no}: sigma {q} is too large for an edge table")
     phi = np.empty((n, q))
     phi[v] = values[: n * q].reshape(n, q)
     psi = values[n * q :].reshape(-1, q, q)[order]

@@ -7,7 +7,7 @@ is marked Green when id(v_k) < id(v_1) and Red otherwise (neighbor order is
 ascending node id everywhere).  Green forces the leaf copy to state 1, Red
 to state 0, realized by a -inf entry in the leaf's node potential; the
 surviving state carries weight one, which leaves every ratio unchanged and
-keeps trees of conditioned models well defined.
+keeps trees of models with -inf node entries well defined.
 
 A leaf-to-root max-product sweep over this tree yields the exact
 max-marginal ratio of the root in the original model.  The same computation
@@ -18,6 +18,9 @@ sequences are explored depth first: a sequence floods all its receivers
 and then waits for their answers.  The schedule and `saw_component_map`
 walk the tree depth first without building it (`_walk`); the walk and the
 tree sweep share their numeric kernels and agree bit for bit.
+`saw_component_map` conditions on a fixed node by deleting it and adding
+its edge rows to its free neighbours' node potentials, so each later root
+walks the tree of the shrinking free graph.
 
 All of them read the model through one directed-edge table, built once per
 call from plain Python floats, so their inner loops touch no numpy objects.
@@ -369,8 +372,10 @@ def saw_component_map(
 
     Fixes nodes in ascending id order: each node's max-marginal ratio is
     computed on the current conditioned model, the node is fixed to 1 when
-    the ratio exceeds 1 and to 0 otherwise.  Conditioning is a -inf entry
-    in the node potential.
+    the ratio exceeds 1 and to 0 otherwise.  Conditioning deletes the node
+    and adds its edge rows for the chosen state to its free neighbours'
+    node potentials, so each later root walks the tree of the shrinking
+    free graph only.
 
     The result is an energy-optimal assignment, up to the rounding of the
     ratios: exactly optimal when distinct energies differ by more than that
@@ -381,12 +386,16 @@ def saw_component_map(
     node extends to an optimum.
     """
     phi, psi = _binary_tables(mrf, cap)
+    free = [list(a) for a in mrf.graph.adjacency]
     states: list[int] = []
     for v in range(mrf.n):
-        r = _walk(phi, psi, mrf.graph.adjacency, v)[0].log_ratio()
+        r = _walk(phi, psi, free, v)[0].log_ratio()
         state = 1 if r > 0.0 else 0
         states.append(state)
-        # the floats ``with_forced_node(v, state)`` gives
-        phi0, phi1 = phi[v]
-        phi[v] = (-math.inf, phi1) if state else (phi0, -math.inf)
+        for w in free[v]:
+            row0, row1 = psi[v, w][state]
+            phi0, phi1 = phi[w]
+            phi[w] = (phi0 + row0, phi1 + row1)
+            # v is the smallest free id, so it heads w's ascending list
+            del free[w][0]
     return tuple(states)

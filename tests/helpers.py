@@ -138,16 +138,25 @@ def oracle_max_marginal(mrf: PairwiseMrf, v: int):
     return best[0], best[1]
 
 
-def saw_map_by_trees(mrf: PairwiseMrf):
-    """MAP by conditioning, with one walk tree per node and one conditioned
-    model copy per decision (the loop that ``saw_component_map`` replaced)."""
-    current = mrf
+def saw_map_by_trees(mrf: PairwiseMrf, trees=None):
+    """MAP by conditioning, with one reduced model and one built walk tree
+    per node.  Fixing v deletes it: the model of root v is the one induced
+    on v..n-1, whose node potentials carry the edge rows of every fixed
+    neighbour's chosen state, added in ascending order of the fixed nodes.
+    Each tree is appended to ``trees`` when a list is given."""
+    phi = mrf.phi.tolist()
     states = []
     for v in range(mrf.n):
-        r = saw_max_ratio(build_saw_tree(current, v)).log_ratio()
-        state = 1 if r > 0.0 else 0
+        sub, _ = mrf.induced(range(v, mrf.n))
+        tree = build_saw_tree(PairwiseMrf(sub.graph, 2, phi[v:], sub.psi), 0)
+        if trees is not None:
+            trees.append(tree)
+        state = 1 if saw_max_ratio(tree).log_ratio() > 0.0 else 0
         states.append(state)
-        current = current.with_forced_node(v, state)
+        for w in mrf.graph.adjacency[v]:
+            if w > v:
+                row = mrf.edge_table(v, w)[state]
+                phi[w] = [phi[w][0] + float(row[0]), phi[w][1] + float(row[1])]
     return tuple(states)
 
 

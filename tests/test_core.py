@@ -496,6 +496,7 @@ class TestTextFormat:
             ("mrf 10000000000000 2\nnode 0 1 2\nnode 2 1 2\n", "missing node lines for 9999999999998 of 10000000000000 nodes, first node 1"),
             ("mrf 1 10000000000000\n", "missing node lines for 1 of 1 nodes, first node 0"),
             ("mrf 1 10000000000000\nnode 0 1 2\n", "line 2: node line needs 10000000000000 values"),
+            ("mrf 0 10000000000000\n", "line 1: sigma 10000000000000 is too large for an edge table"),
         ],
     )
     def test_huge_header_allocates_nothing(self, text, message):

@@ -24,6 +24,7 @@ from localmrf import (
     saw_size_upper,
     size_lower_bound_family,
 )
+from localmrf import saw
 from localmrf.core import CapExceeded
 from localmrf.saw import GREEN, RED, RatioPair, log_ratio_difference
 
@@ -498,3 +499,42 @@ class TestComponentMap:
         x = saw_component_map(m)
         assert energy(m, x) == brute_map(m)[1]
         assert x == saw_map_by_trees(m)  # bit-exact
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8),
+        st.integers(0, 4),
+        st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from([(0,), (1,), (0, 1)])), max_size=4
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_energy_optimal_with_infeasible_entries(self, seed, n, extra, blocked):
+        # -inf node entries, sometimes both of one node's: conditioning adds
+        # edge rows onto them and the walks meet infinite messages
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, n, extra)
+        m = random_mrf(rng, g, lo=-1.5, hi=1.5)
+        phi = np.array(m.phi)
+        for v, states in blocked:
+            phi[v % n, list(states)] = -np.inf
+        m = PairwiseMrf(g, 2, phi, m.psi)
+        assert energy(m, saw_component_map(m)) == brute_map(m)[1]
+
+    def test_walks_only_the_free_graph(self, monkeypatch):
+        # each root walks the tree of the model with the fixed nodes deleted:
+        # 16,531 edges over the 40 roots, where the full trees have 169,188
+        m = random_mrf(np.random.default_rng(18), size_lower_bound_family(40, 8))
+        walk, walked = saw._walk, []
+
+        def counting_walk(*args):
+            pair, edges = walk(*args)
+            walked.append(edges)
+            return pair, edges
+
+        monkeypatch.setattr(saw, "_walk", counting_walk)
+        x = saw_component_map(m)
+        trees = []
+        assert x == saw_map_by_trees(m, trees)
+        assert walked == [tree.edge_count for tree in trees]
+        assert sum(walked) == 16531

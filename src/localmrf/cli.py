@@ -133,7 +133,7 @@ def _cmd_bounds(args, want_map: bool) -> int:
 
 def _cmd_saw(args) -> int:
     mrf = load_mrf(args.graph)
-    if args.trace and not args.msgpass:
+    if args.trace is not None and not args.msgpass:
         raise SystemExit("--trace records the schedule; combine it with --msgpass")
     if args.msgpass:
         result = msg_pass_mode(mrf, keep_trace=args.trace is not None)
@@ -141,7 +141,7 @@ def _cmd_saw(args) -> int:
             r = result.ratios[v]
             print(f"node {v} log_q1 {r.log_num:.17g} log_q0 {r.log_den:.17g} "
                   f"log_ratio {r.log_ratio():.17g}")
-        if args.trace:
+        if args.trace is not None:
             with open(args.trace, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(result.trace) + "\n")
     else:

@@ -14,7 +14,6 @@ force a state off (used for conditioning); everything else must be finite.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from functools import cached_property
@@ -400,18 +399,6 @@ class PairwiseMrf:
         rows = [self._edge_index[_canon_edge(u, v)] for u, v in edges]
         rows = np.sort(np.array(rows, dtype=np.intp))
         return left_sum(self.edge_max[rows] - self.edge_min[rows])
-
-    def with_forced_node(self, v: int, state: int) -> "PairwiseMrf":
-        """Copy with node ``v`` conditioned to ``state`` (others get -inf);
-        it shares this model's graph, edge tables and edge index."""
-        phi = np.array(self.phi)
-        keep = phi[v, state]
-        phi[v, :] = -np.inf
-        phi[v, state] = keep
-        phi.setflags(write=False)
-        forced = copy.copy(self)
-        forced.phi = phi
-        return forced
 
     def without_edges(self, edges: Iterable[Edge]) -> "PairwiseMrf":
         """Copy with the given edges (and their tables) deleted."""

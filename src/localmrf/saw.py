@@ -17,13 +17,17 @@ normalized message pairs.  Origins run in ascending id, and each origin's
 sequences are explored depth first: a sequence floods all its receivers
 and then waits for their answers.  The schedule and `saw_component_map`
 walk the tree depth first without building it (`_walk`); the walk and the
-tree sweep share their numeric kernels and agree bit for bit.
-`saw_component_map` conditions on a fixed node by deleting it and adding
-its edge rows to its free neighbours' node potentials, so each later root
-walks the tree of the shrinking free graph.
+tree sweep share their numeric kernel, `_send` on the summed incoming
+pair, and agree bit for bit.  `saw_component_map` conditions on a fixed
+node by deleting it and adding its edge rows to its free neighbours' node
+potentials, so each later root walks the tree of the shrinking free graph.
 
-All of them read the model through one directed-edge table, built once per
-call from plain Python floats, so their inner loops touch no numpy objects.
+All of them read the model as plain Python floats, copied once per call
+into each node's potential pair and its ascending list of (neighbour, edge
+potential) pairs, so their inner loops touch no numpy objects.  A walk
+step is a few list and dict reads: each path node keeps running sums of
+its incoming messages, and a cycle-closing leaf's answer, which depends
+only on its directed edge and mark, is computed once per call.
 
 Ratios are kept as log-domain pairs rather than quotients so that 0 and
 infinity are exact.
@@ -94,27 +98,16 @@ def log_ratio_difference(a: RatioPair, b: RatioPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _norm_pair(m0: float, m1: float) -> tuple[float, float]:
-    """Normalize a log-domain pair so the linear-domain sum is 1."""
-    if m0 == -math.inf and m1 == -math.inf:
-        return m0, m1
-    hi = max(m0, m1)
-    lse = hi + math.log(math.exp(m0 - hi) + math.exp(m1 - hi))
-    return m0 - lse, m1 - lse
-
-
-def _send(psi, phi, children) -> tuple[float, float]:
+def _send(psi, in0, in1) -> tuple[float, float]:
     """Message toward a parent: max over the sender's state of
-    psi[state][parent_state] + phi[state] + sum of child messages.
+    psi[state][parent_state] + in[state], normalized so that its
+    linear-domain sum is 1.  ``in0, in1`` are the sender's node potential
+    plus its child messages, summed in ascending child order.
 
-    The hot path of both walk-tree routines, so the two ``max`` calls and
-    ``_norm_pair`` are spelled out inline, with the same operations and
-    tie rule (the first argument wins unless the second is larger).
+    The hot path of both walk-tree routines, so the two ``max`` calls are
+    spelled out inline, with the same tie rule (the first argument wins
+    unless the second is larger).
     """
-    in0, in1 = phi
-    for c0, c1 in children:
-        in0 += c0
-        in1 += c1
     (p00, p01), (p10, p11) = psi
     m0, m1 = p00 + in0, p01 + in0
     a, b = p10 + in1, p11 + in1
@@ -129,32 +122,26 @@ def _send(psi, phi, children) -> tuple[float, float]:
     return m0 - lse, m1 - lse
 
 
-def _belief(phi, children) -> RatioPair:
-    b0, b1 = phi
-    for c0, c1 in children:
-        b0 += c0
-        b1 += c1
-    b0, b1 = _norm_pair(b0, b1)
-    return RatioPair(log_num=b1, log_den=b0)
+def _belief(in0, in1) -> RatioPair:
+    """The root's max-belief pair from its summed ``in0, in1``, normalized
+    as ``_send`` normalizes a message."""
+    if in0 == -math.inf and in1 == -math.inf:
+        return RatioPair(log_num=in1, log_den=in0)
+    hi = in1 if in1 > in0 else in0
+    lse = hi + math.log(math.exp(in0 - hi) + math.exp(in1 - hi))
+    return RatioPair(log_num=in1 - lse, log_den=in0 - lse)
 
 
-def _potentials(mrf: PairwiseMrf, members):
-    """Plain-float node pairs and the directed-edge table of a binary model,
-    restricted to ``members``, a union of its connected components.
-
-    The table maps (child, parent) to the edge's potential indexed
-    [child_state][parent_state], for both orientations of every edge.
-    """
-    nodes = sorted(members)
-    phi = dict(zip(nodes, map(tuple, mrf.phi[nodes].tolist())))
-    index = mrf._edge_index
-    edges = [index[u, v] for u in nodes for v in mrf.graph.adjacency[u] if v > u]
-    table = {}
-    for i, ((a, b), (c, d)) in zip(edges, mrf.psi[edges].tolist()):
-        u, v = mrf.edge_list[i]
-        table[u, v] = ((a, b), (c, d))
-        table[v, u] = ((a, c), (b, d))
-    return phi, table
+def _tables(mrf: PairwiseMrf):
+    """Plain-float node pairs of a binary model and each node z's ascending
+    list of (neighbour w, psi[w, z]) pairs, the edge potential indexed
+    [w_state][z_state]."""
+    nbrs = [[] for _ in range(mrf.n)]
+    # in edge_list order each node meets its neighbours ascending
+    for (u, v), ((a, b), (c, d)) in zip(mrf.edge_list, mrf.psi.tolist()):
+        nbrs[u].append((v, ((a, c), (b, d))))
+        nbrs[v].append((u, ((a, b), (c, d))))
+    return list(map(tuple, mrf.phi.tolist())), nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +155,8 @@ class SawTree:
 
     Ids are BFS order and the children of a node are consecutive ids in
     ascending original id, so a node's child messages form one slice of an
-    id-indexed list.  ``psi_to_parent`` entries come from the model's
-    directed-edge table, indexed [child_state][parent_state].
+    id-indexed list.  ``psi_to_parent`` entries are the model's edge
+    potentials indexed [child_state][parent_state].
     """
 
     root: int
@@ -211,10 +198,9 @@ def build_saw_tree(
         raise ValueError("walk trees are defined for binary models only")
     if not 0 <= root < mrf.n:
         raise ValueError(f"node {root} out of range for n={mrf.n}")
-    adjacency = mrf.graph.adjacency
     members = frozenset(bfs_depths(mrf.graph, root))
     _component_cap_check(mrf, members, cap)
-    phi, psi = _potentials(mrf, members)
+    phi, nbrs = _tables(mrf)
 
     orig, parent, depth, mark, children = [root], [-1], [0], [None], [[]]
     tree_phi, psi_to_parent = [phi[root]], [None]
@@ -226,7 +212,7 @@ def build_saw_tree(
         u, d = path[-1], len(path)
         parent_orig = path[-2] if d > 1 else None
         kids = children[t]
-        for z in adjacency[u]:
+        for z, psi_zu in nbrs[u]:
             if z == parent_orig:
                 continue
             child_id = len(orig)
@@ -235,7 +221,7 @@ def build_saw_tree(
             depth.append(d)
             children.append([])
             kids.append(child_id)
-            psi_to_parent.append(psi[z, u])
+            psi_to_parent.append(psi_zu)
             if z in path:
                 m = GREEN if u < path[path.index(z) + 1] else RED
                 mark.append(m)
@@ -258,12 +244,16 @@ def saw_max_ratio(tree: SawTree) -> RatioPair:
     """Leaf-to-root max-product sweep; returns the root's max-belief pair."""
     messages: list = [None] * tree.node_count
     children, psi, phi = tree.children, tree.psi_to_parent, tree.phi
-    for t in range(tree.node_count - 1, 0, -1):
+    for t in range(tree.node_count - 1, -1, -1):
+        in0, in1 = phi[t]
         kids = children[t]
-        child_msgs = messages[kids[0] : kids[-1] + 1] if kids else ()
-        messages[t] = _send(psi[t], phi[t], child_msgs)
-    kids = children[0]
-    return _belief(phi[0], messages[kids[0] : kids[-1] + 1] if kids else ())
+        if kids:
+            for c0, c1 in messages[kids[0] : kids[-1] + 1]:
+                in0 += c0
+                in1 += c1
+        if t:
+            messages[t] = _send(psi[t], in0, in1)
+    return _belief(in0, in1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,61 +262,76 @@ def saw_max_ratio(tree: SawTree) -> RatioPair:
 
 
 def _binary_tables(mrf: PairwiseMrf, cap: int):
-    """``_potentials`` of a whole binary model whose every component passes
-    the walk-tree cap."""
+    """``_tables`` of a binary model whose every component passes the
+    walk-tree cap."""
     if mrf.q != 2:
         raise ValueError("walk trees are defined for binary models only")
     for comp in connected_components(mrf.graph):
         _component_cap_check(mrf, frozenset(comp), cap)
-    return _potentials(mrf, range(mrf.n))
+    return _tables(mrf)
 
 
-def _walk(phi, psi, adjacency, root: int, trace=None) -> tuple[RatioPair, int]:
+def _walk(phi, nbrs, root: int, pos, leaves, trace=None) -> tuple[RatioPair, int]:
     """The root's max-belief pair and walk-tree edge count, by a depth-first
     sweep of the walk tree that builds no tree.
 
-    A stack frame (node, its parent, its unvisited neighbours, its children's
-    messages) per path node, not recursion: a path can span a component.
-    Children go in ascending id, so ``_send`` and ``_belief`` get the
-    arguments ``saw_max_ratio`` gives them, in the same order.  A sequence
-    traces its path lines when it floods and its comp line when it answers.
+    ``nbrs`` holds each node's (neighbour, psi[neighbour, node]) pairs in
+    ascending id, so each tree edge costs a few list and dict reads.  The
+    caller owns ``pos``, each node's depth on the current path or -1, which
+    the walk resets as it unwinds, and ``leaves``, the cycle-closing
+    answers by (leaf, parent, Green mark), computed on first use.
+
+    The current node's frame lives in locals, and the frames of the path
+    nodes above it on an explicit stack, not in recursion: a path can span
+    a component.  Each frame keeps running sums ``in0, in1``, which start
+    at the node's potential and gain the child answers in ascending child
+    order, the additions ``saw_max_ratio`` makes, so both agree bit for
+    bit.  A sequence traces its path lines when it floods and its comp line
+    when it answers.
     """
-    path, pos = [root], {root: 0}
-    stack = [(root, -1, iter(adjacency[root]), [])]
+    path, stack, edges = [root], [], 0
+    pos[root] = 0
+    u, parent, up, rest = root, -1, None, iter(nbrs[root])
+    in0, in1 = phi[root]
     if trace is not None:
-        trace.extend(f"path {root} {w}" for w in adjacency[root])
-    edges = 0
+        trace.extend(f"path {root} {w}" for w, _ in nbrs[root])
     while True:
-        u, parent, rest, msgs = stack[-1]
-        for z in rest:
+        for z, t in rest:
             if z == parent:
                 continue
             edges += 1
-            if z in pos:
-                # cycle closed: answer as a unit-weight forced copy of z
-                forced = (-math.inf, 0.0) if u < path[pos[z] + 1] else (0.0, -math.inf)
-                msg = _send(psi[z, u], forced, ())
-            else:
+            k = pos[z]
+            if k < 0:
+                stack.append((u, parent, up, rest, in0, in1))
                 pos[z] = len(path)
                 path.append(z)
-                stack.append((z, u, iter(adjacency[z]), []))
+                u, parent, up, rest = z, u, t, iter(nbrs[z])
+                in0, in1 = phi[z]
                 if trace is not None:
                     prefix = " ".join(map(str, path))
-                    trace.extend(f"path {prefix} {w}" for w in adjacency[z] if w != u)
+                    trace.extend(f"path {prefix} {w}" for w, _ in nbrs[z] if w != parent)
                 break
-            msgs.append(msg)
+            # cycle closed: answer as a unit-weight forced copy of z
+            key = (z, u, u < path[k + 1])
+            msg = leaves.get(key)
+            if msg is None:
+                msg = _send(t, -math.inf, 0.0) if key[2] else _send(t, 0.0, -math.inf)
+                leaves[key] = msg
+            in0 += msg[0]
+            in1 += msg[1]
             if trace is not None:
                 trace.append(f"comp {' '.join(map(str, path))} {z} {msg[0]:.17g} {msg[1]:.17g}")
         else:
-            stack.pop()
+            pos[u] = -1
             if not stack:
-                return _belief(phi[u], msgs), edges
-            msg = _send(psi[u, parent], phi[u], msgs)
+                return _belief(in0, in1), edges
+            m0, m1 = _send(up, in0, in1)
             if trace is not None:
-                trace.append(f"comp {' '.join(map(str, path))} {msg[0]:.17g} {msg[1]:.17g}")
-            del pos[u]
+                trace.append(f"comp {' '.join(map(str, path))} {m0:.17g} {m1:.17g}")
             path.pop()
-            stack[-1][3].append(msg)
+            u, parent, up, rest, in0, in1 = stack.pop()
+            in0 += m0
+            in1 += m1
 
 
 @dataclass
@@ -351,12 +356,13 @@ def msg_pass_mode(
     sequences and of computation sequences each equal the walk-tree edge
     count.
     """
-    phi, psi = _binary_tables(mrf, cap)
+    phi, nbrs = _binary_tables(mrf, cap)
+    pos, leaves = [-1] * mrf.n, {}
     trace: list[str] | None = [] if keep_trace else None
     ratios: dict[int, RatioPair] = {}
     counts: dict[int, int] = {}
     for v in range(mrf.n):
-        ratios[v], counts[v] = _walk(phi, psi, mrf.graph.adjacency, v, trace)
+        ratios[v], counts[v] = _walk(phi, nbrs, v, pos, leaves, trace)
     return MsgPassResult(ratios=ratios, sequences_per_origin=counts, trace=trace)
 
 
@@ -385,17 +391,17 @@ def saw_component_map(
     turn an exact tie into a ratio just above 1; either state of a tied
     node extends to an optimum.
     """
-    phi, psi = _binary_tables(mrf, cap)
-    free = [list(a) for a in mrf.graph.adjacency]
+    phi, nbrs = _binary_tables(mrf, cap)
+    pos, leaves = [-1] * mrf.n, {}
     states: list[int] = []
     for v in range(mrf.n):
-        r = _walk(phi, psi, free, v)[0].log_ratio()
+        r = _walk(phi, nbrs, v, pos, leaves)[0].log_ratio()
         state = 1 if r > 0.0 else 0
         states.append(state)
-        for w in free[v]:
-            row0, row1 = psi[v, w][state]
+        for w, _ in nbrs[v]:
+            # v is the smallest free id, so (v, psi[v, w]) heads w's list
+            row0, row1 = nbrs[w][0][1][state]
             phi0, phi1 = phi[w]
             phi[w] = (phi0 + row0, phi1 + row1)
-            # v is the smallest free id, so it heads w's ascending list
-            del free[w][0]
+            del nbrs[w][0]
     return tuple(states)

@@ -5,6 +5,7 @@ paths (union-find, combination-search set cover, reversed enumeration) so
 that agreement with the package is meaningful.
 """
 
+import copy
 import itertools
 import math
 
@@ -55,6 +56,20 @@ def random_mrf(rng, graph: Graph, q: int = 2, lo: float = 0.0, hi: float = 2.0) 
     phi = rng.uniform(lo, hi, size=(graph.n, q))
     psi = rng.uniform(lo, hi, size=(len(graph.edge_list), q, q))
     return PairwiseMrf(graph, q, phi, psi)
+
+
+def with_forced_node(mrf: PairwiseMrf, v: int, state: int) -> PairwiseMrf:
+    """Copy of ``mrf`` with node ``v`` conditioned to ``state`` (its other
+    states get -inf); it shares the model's graph, edge tables and edge
+    index."""
+    phi = np.array(mrf.phi)
+    keep = phi[v, state]
+    phi[v, :] = -np.inf
+    phi[v, state] = keep
+    phi.setflags(write=False)
+    forced = copy.copy(mrf)
+    forced.phi = phi
+    return forced
 
 
 def union_find_components(graph: Graph) -> set[frozenset[int]]:

@@ -47,7 +47,7 @@ from localmrf.bench import (
 from localmrf.mwis import nodes_for_assignment
 from localmrf.saw import RatioPair, log_ratio_difference
 
-from helpers import random_connected_graph, random_mrf, three_sigma_binomial
+from helpers import random_connected_graph, random_mrf, three_sigma_binomial, with_forced_node
 from test_mwis import random_factor_model
 
 
@@ -101,7 +101,7 @@ def saw_suite():
         g = random_connected_graph(rng, n, int(rng.integers(0, 5)))
         m = random_mrf(rng, g, lo=-1.5, hi=1.5)
         if i % 10 == 0:
-            m = m.with_forced_node(int(rng.integers(n)), int(rng.integers(2)))
+            m = with_forced_node(m, int(rng.integers(n)), int(rng.integers(2)))
         suite.append(m)
     return suite
 

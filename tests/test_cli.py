@@ -243,6 +243,15 @@ def test_saw_commands(tmp_path, capsys):
         main(["saw", "--graph", str(path), "--trace", str(trace)])
 
 
+def test_saw_empty_trace_path_is_an_error(tmp_path):
+    path = tmp_path / "tri.mrf"
+    dump_mrf(random_mrf(np.random.default_rng(0), Graph(3, [(0, 1), (0, 2), (1, 2)])), path)
+    with pytest.raises(SystemExit, match=r"^error: \[Errno 2\] "):
+        main(["saw", "--graph", str(path), "--msgpass", "--trace", ""])
+    with pytest.raises(SystemExit, match="^--trace records the schedule"):
+        main(["saw", "--graph", str(path), "--trace", ""])
+
+
 def test_saw_rejects_out_of_range_root(tmp_path):
     path = tmp_path / "tri.mrf"
     dump_mrf(random_mrf(np.random.default_rng(0), Graph(3, [(0, 1), (0, 2), (1, 2)])), path)

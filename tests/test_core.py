@@ -29,6 +29,7 @@ from helpers import (
     random_mrf,
     union_find_components,
     cover_number_oracle,
+    with_forced_node,
 )
 
 
@@ -383,7 +384,7 @@ class TestModelEdits:
     def test_forced_node_keeps_state_value(self):
         rng = np.random.default_rng(13)
         m = random_mrf(rng, Graph(2, [(0, 1)]))
-        forced = m.with_forced_node(0, 1)
+        forced = with_forced_node(m, 0, 1)
         assert forced.phi[0, 0] == -math.inf
         assert forced.phi[0, 1] == m.phi[0, 1]
         assert m.phi[0, 0] != -math.inf

@@ -1,5 +1,6 @@
 """Walk trees, max-marginal ratios, the distributed schedule, conditioning."""
 
+import hashlib
 import inspect
 import math
 import sys
@@ -25,10 +26,11 @@ from localmrf import (
     size_lower_bound_family,
 )
 from localmrf import saw
+from localmrf.bench import VARYING_INTERACTION, sample_potentials
 from localmrf.core import CapExceeded
 from localmrf.saw import GREEN, RED, RatioPair, log_ratio_difference
 
-from helpers import random_connected_graph, random_mrf, saw_map_by_trees
+from helpers import random_connected_graph, random_mrf, saw_map_by_trees, with_forced_node
 
 
 def triangle_mrf(rng=None):
@@ -198,7 +200,7 @@ def components_mrf(seed, sizes, extra, forced, integer=False):
     if integer:
         m = PairwiseMrf(m.graph, 2, np.round(m.phi) + 1, np.round(m.psi) + 1)
     for v, state in forced:
-        m = m.with_forced_node(v % n, state)
+        m = with_forced_node(m, v % n, state)
     return m
 
 
@@ -344,7 +346,7 @@ class TestMaxRatio:
         base = random_mrf(rng, g)
         for v in range(5):
             for state in (0, 1):
-                m = base.with_forced_node(v, state)
+                m = with_forced_node(base, v, state)
                 pair = saw_max_ratio(build_saw_tree(m, v))
                 assert pair.log_ratio() == (math.inf if state else -math.inf)
                 assert ratios_match(m, v)
@@ -368,6 +370,26 @@ class TestMsgPass:
         result = msg_pass_mode(pendant_mrf(), keep_trace=True)
         assert result.trace == PENDANT_TRACE.splitlines()
         assert sorted(result.trace) == sorted(PENDANT_TRACE_FIFO.splitlines())
+
+    def test_overlapping_cycles_trace_digest(self):
+        # the chords' cycles overlap, so the same directed edge closes a
+        # cycle many times, with either mark: 224 leaf answers, 32 distinct;
+        # the digest was taken before the walk kept its leaf answers
+        m = sample_potentials(size_lower_bound_family(12, 3), VARYING_INTERACTION, 1.0, seed=3)
+        result = msg_pass_mode(m, keep_trace=True)
+        h, leaves = hashlib.sha256(), Counter()
+        for line in result.trace:
+            h.update(f"{line}\n".encode())
+            kind, *ids = line.split()
+            if kind == "comp" and ids[-3] in ids[:-3]:  # a cycle-closing leaf
+                path, z, u = ids[:-3], ids[-3], ids[-4]
+                leaves[z, u, int(u) < int(path[path.index(z) + 1])] += 1
+        for v in range(m.n):
+            r = result.ratios[v]
+            h.update(f"{v} {r.log_num!r} {r.log_den!r} {result.sequences_per_origin[v]}\n".encode())
+        assert h.hexdigest() == "7df8d2e3cb1c3abe0879a73346c5ca2c66bb726568df60950866e6625d4763c1"
+        assert sum(leaves.values()) == 224 and len(leaves) == 32
+        assert len({(z, u) for z, u, _ in leaves}) == 28  # 4 edges close with both marks
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -520,6 +542,24 @@ class TestComponentMap:
             phi[v % n, list(states)] = -np.inf
         m = PairwiseMrf(g, 2, phi, m.psi)
         assert energy(m, saw_component_map(m)) == brute_map(m)[1]
+
+    @pytest.mark.parametrize("hub", [0, 8])
+    def test_star_conditions_on_the_hub_list(self, hub):
+        # fixing the leaves one by one deletes each from the hub's list: from
+        # its head when the hub has the highest id, after the hub is fixed
+        # and absorbed into every leaf when it has id 0
+        g = Graph(9, [(hub, v) for v in range(9) if v != hub])
+        rng = np.random.default_rng(19 + hub)
+        for case in range(12):
+            m = random_mrf(rng, g, lo=-1.5, hi=1.5)
+            if case % 3:
+                phi = np.array(m.phi)
+                for v in rng.choice(9, size=case % 3 + 1, replace=False):
+                    phi[v, int(rng.integers(2))] = -np.inf
+                m = PairwiseMrf(g, 2, phi, m.psi)
+            x = saw_component_map(m)
+            assert energy(m, x) == brute_map(m)[1]
+            assert x == saw_map_by_trees(m)  # bit-exact
 
     def test_walks_only_the_free_graph(self, monkeypatch):
         # each root walks the tree of the model with the fixed nodes deleted:

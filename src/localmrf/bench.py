@@ -25,12 +25,14 @@ from .core import (
     Graph,
     PairwiseMrf,
     _numbers,
+    _rows,
     affine_shift,
     criscross_graph,
     grid_graph,
 )
 from .decompose import (
     Decomposition,
+    _rng,
     criscross_decomposition,
     db_dim_edge,
     empty_edge_decomposition,
@@ -41,23 +43,12 @@ from .exact import grid_transfer_log_z, solve_model
 from .exact import grid_transfer_map  # noqa: F401  the perfbench tracer wraps this name
 from .inference import certify, log_partition_bounds
 from .inference import mode_estimate  # noqa: F401  the perfbench tracer wraps this name
+from .saw import size_lower_bound_family
 
 VARYING_INTERACTION = "varying-interaction"
 VARYING_FIELD = "varying-field"
 FIELD_HALF_WIDTH = 0.05     # theta_i range in the varying-interaction mode
 INTERACTION_HALF_WIDTH = 0.5  # theta_ij range in the varying-field mode
-
-
-def gen_grid(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return grid_graph(n)
-
-
-def gen_criscross(n: int) -> Graph:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return criscross_graph(n)
 
 
 def sample_potentials(
@@ -70,7 +61,7 @@ def sample_potentials(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng(seed)
     if mode == VARYING_INTERACTION:
         field_w, inter_w = FIELD_HALF_WIDTH, alpha
     elif mode == VARYING_FIELD:
@@ -132,6 +123,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.topology not in ("grid", "criscross", "linechords", "random"):
             raise ValueError(f"unknown topology {self.topology}")
+        if self.topology in ("grid", "criscross") and self.n < 2:
+            raise ValueError("need n >= 2")
         if self.decomp not in ("minore", "grid", "dbdim", "none"):
             raise ValueError(f"unknown decomposition {self.decomp}")
         if self.decomp == "grid" and self.topology in ("linechords", "random"):
@@ -147,14 +140,12 @@ class ExperimentSpec:
 
     def build_graph(self) -> Graph:
         if self.topology == "grid":
-            return gen_grid(self.n)
+            return grid_graph(self.n)
         if self.topology == "criscross":
-            return gen_criscross(self.n)
+            return criscross_graph(self.n)
         if self.topology == "linechords":
-            from .saw import size_lower_bound_family
-
             return size_lower_bound_family(self.n, self.chords_k)
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, 97)))
+        rng = _rng(self.seed, 97)
         edges = [
             (u, v)
             for u in range(self.n)
@@ -171,10 +162,8 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     number, empty value) raises ``FormatError`` naming it.
     """
     values: dict[str, object] = {}
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, tokens in _rows(text):
+        line = " ".join(tokens)
         if "=" not in line:
             raise FormatError(f"line {no}: expected key=value, got: {line}")
         key, val = (s.strip() for s in line.split("=", 1))
@@ -289,7 +278,7 @@ def _decompose_for_trial(
     if spec.decomp == "minore":
         dec = minor_edge(base_graph, spec.r, param, seed)
     elif spec.decomp == "grid":
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
+        rng = _rng(seed, 17)
         l1, l2 = int(rng.integers(param)), int(rng.integers(param))
         dec = grid_decomp(spec.n, param, l1, l2)
     elif spec.decomp == "dbdim":

@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import bench
 from .core import CapExceeded, criscross_graph, dump_mrf, grid_graph, load_mrf
 from .decompose import (
+    _rng,
     criscross_decomposition,
     db_dim_edge,
     db_dim_vertex,
@@ -51,10 +53,24 @@ def _write_decomposition(dec, out) -> None:
     _write(out, "\n".join(lines) + "\n")
 
 
-def _grid_decomposition(graph, k: int):
-    """Slab cut of a square grid as a function of its offsets, lifted when
-    the input is cris-cross; the lattice and k are checked once, up front."""
-    side = math.isqrt(graph.n)
+def _scheme(graph, name: str, args):
+    """The named decomposition of ``graph`` as a function of its seed.
+
+    ``decompose`` gives the slab scheme its offsets (``--l1 --l2``); ``logz``
+    and ``map`` draw them from each trial's seed.  The slab scheme lifts to
+    the cris-cross lattice, and its lattice and k are checked once, up front.
+    """
+    if name == "dbdim":
+        return lambda seed: db_dim_edge(graph, args.eps, args.K, seed)
+    if name == "dbdim-v":
+        return lambda seed: db_dim_vertex(graph, args.eps, args.K, seed)
+    if name == "minorv":
+        return lambda seed: minor_vertex(graph, args.r, args.lam, seed)
+    if name == "minore":
+        return lambda seed: minor_edge(graph, args.r, args.lam, seed)
+    if name == "none":
+        return lambda seed: empty_edge_decomposition(graph)
+    side, k = math.isqrt(graph.n), args.k
     lift = graph != grid_graph(side)
     if lift and graph != criscross_graph(side):
         raise ValueError(
@@ -63,24 +79,21 @@ def _grid_decomposition(graph, k: int):
         )
     if not 1 <= k <= side:
         raise ValueError("need 1 <= k <= n")
-    if lift:
-        return lambda l1, l2: criscross_decomposition(graph, grid_decomp(side, k, l1, l2))
-    return lambda l1, l2: grid_decomp(side, k, l1, l2)
+
+    def slab(seed):
+        if "l1" in args:
+            dec = grid_decomp(side, k, args.l1, args.l2)
+        else:
+            rng = _rng(seed, 17)
+            dec = grid_decomp(side, k, int(rng.integers(k)), int(rng.integers(k)))
+        return criscross_decomposition(graph, dec) if lift else dec
+
+    return slab
 
 
 def _cmd_decompose(args) -> int:
     graph = load_mrf(args.graph).graph
-    if args.alg == "dbdim":
-        dec = db_dim_edge(graph, args.eps, args.K, args.seed)
-    elif args.alg == "dbdim-v":
-        dec = db_dim_vertex(graph, args.eps, args.K, args.seed)
-    elif args.alg == "minorv":
-        dec = minor_vertex(graph, args.r, args.lam, args.seed)
-    elif args.alg == "minore":
-        dec = minor_edge(graph, args.r, args.lam, args.seed)
-    else:
-        dec = _grid_decomposition(graph, args.k)(args.l1, args.l2)
-    _write_decomposition(dec, args.out)
+    _write_decomposition(_scheme(graph, args.alg, args)(args.seed), args.out)
     return 0
 
 
@@ -95,17 +108,6 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _decomp_for_args(graph, args, seed, slab):
-    if args.decomp == "dbdim":
-        return db_dim_edge(graph, args.eps, args.K, seed)
-    if args.decomp == "minore":
-        return minor_edge(graph, args.r, args.lam, seed)
-    if args.decomp == "grid":
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
-        return slab(int(rng.integers(args.k)), int(rng.integers(args.k)))
-    return empty_edge_decomposition(graph)
-
-
 def _cmd_bounds(args, want_map: bool) -> int:
     mrf = load_mrf(args.graph)
     rows = ["seed,lb,ub,gap,exact,h_hat,h_star"]
@@ -117,10 +119,9 @@ def _cmd_bounds(args, want_map: bool) -> int:
             exact_logz, h_star = f"{res.log_z:.17g}", f"{res.map_energy:.17g}"
         except CapExceeded as exc:
             print(f"exact values skipped: {exc}", file=sys.stderr)
-    slab = _grid_decomposition(mrf.graph, args.k) if args.decomp == "grid" else None
-    for t in range(args.trials):
-        seed = args.seed + t
-        dec = _decomp_for_args(mrf.graph, args, seed, slab)
+    scheme = _scheme(mrf.graph, args.decomp, args)
+    for seed in range(args.seed, args.seed + args.trials):
+        dec = scheme(seed)
         b, est = certify(mrf, dec) if want_map else (log_partition_bounds(mrf, dec), None)
         h_hat = f"{est.energy:.17g}" if want_map else ""
         rows.append(
@@ -136,20 +137,20 @@ def _cmd_saw(args) -> int:
     if args.trace is not None and not args.msgpass:
         raise SystemExit("--trace records the schedule; combine it with --msgpass")
     if args.msgpass:
-        result = msg_pass_mode(mrf, keep_trace=args.trace is not None)
-        for v in range(mrf.n):
-            r = result.ratios[v]
-            print(f"node {v} log_q1 {r.log_num:.17g} log_q0 {r.log_den:.17g} "
-                  f"log_ratio {r.log_ratio():.17g}")
-        if args.trace is not None:
-            with open(args.trace, "w", encoding="utf-8") as fh:
+        keep = args.trace is not None
+        # the trace file opens first, so a bad path fails before the schedule runs
+        with open(args.trace, "w", encoding="utf-8") if keep else nullcontext() as fh:
+            result = msg_pass_mode(mrf, keep_trace=keep)
+            if keep:
                 fh.write("\n".join(result.trace) + "\n")
+        ratios = result.ratios
     else:
         tree = build_saw_tree(mrf, args.root)
-        r = saw_max_ratio(tree)
         print(f"tree_nodes {tree.node_count} green {tree.mark_count['green']} "
               f"red {tree.mark_count['red']}")
-        print(f"node {args.root} log_q1 {r.log_num:.17g} log_q0 {r.log_den:.17g} "
+        ratios = {args.root: saw_max_ratio(tree)}
+    for v, r in sorted(ratios.items()):
+        print(f"node {v} log_q1 {r.log_num:.17g} log_q0 {r.log_den:.17g} "
               f"log_ratio {r.log_ratio():.17g}")
     return 0
 
@@ -191,20 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="certified local inference on pairwise MRFs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the model file, scheme parameters and seed of decompose, logz and map
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument("--graph", required=True)
+    scheme.add_argument("--eps", type=float, default=0.25)
+    scheme.add_argument("--K", type=int, default=40)
+    scheme.add_argument("--r", type=int, default=3)
+    scheme.add_argument("--lambda", dest="lam", type=int, default=4)
+    scheme.add_argument("--k", type=int, default=2)
+    scheme.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("decompose", help="run a graph decomposition")
+    p = sub.add_parser("decompose", parents=[scheme], help="run a graph decomposition")
     p.add_argument("--alg", required=True,
                    choices=["dbdim", "dbdim-v", "minorv", "minore", "grid"])
-    p.add_argument("--graph", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--K", type=int, default=40)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--lambda", dest="lam", type=int, default=4)
-    p.add_argument("--k", type=int, default=2)
     p.add_argument("--l1", type=int, default=0)
     p.add_argument("--l2", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("exact", help="exact log Z / MAP of a model")
@@ -213,16 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exact)
 
     for name, want_map in (("logz", False), ("map", True)):
-        p = sub.add_parser(name, help=f"decomposition-based {name} runs")
-        p.add_argument("--graph", required=True)
+        p = sub.add_parser(name, parents=[scheme], help=f"decomposition-based {name} runs")
         p.add_argument("--decomp", choices=["dbdim", "minore", "grid", "none"],
                        default="minore")
-        p.add_argument("--eps", type=float, default=0.25)
-        p.add_argument("--K", type=int, default=40)
-        p.add_argument("--r", type=int, default=3)
-        p.add_argument("--lambda", dest="lam", type=int, default=4)
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--csv", default="-")
         p.add_argument("--exact", action="store_true",

@@ -416,13 +416,17 @@ class PairwiseMrf:
         Returns the sub-model and the tuple mapping its node ids back to
         the original ids.  Walks only the adjacency of ``nodes``, so it costs
         O(k + sum of their degrees) for k nodes, and the induced sub-models
-        of a partition of V cost O(n + m) together.
+        of a partition of V cost O(n + m) together.  A node listed twice or
+        outside ``0..n-1`` raises ``ValueError``.
         """
         order = tuple(sorted(nodes))
         if order and not (0 <= order[0] and order[-1] < self.n):
             bad = order[0] if order[0] < 0 else order[-1]
             raise ValueError(f"node {bad} out of range for n={self.n}")
         pos = {g: i for i, g in enumerate(order)}
+        if len(pos) < len(order):
+            dup = next(a for a, b in zip(order, order[1:]) if a == b)
+            raise ValueError(f"node {dup} listed twice")
         sub_edges = []
         rows = []
         for u in order:
@@ -498,33 +502,31 @@ def affine_shift(mrf: PairwiseMrf) -> tuple[PairwiseMrf, float]:
 # ---------------------------------------------------------------------------
 
 
-def grid_graph(rows: int, cols: int | None = None) -> Graph:
-    """Axis-aligned lattice; node (r, c) has id ``r * cols + c``."""
+def _lattice(rows: int, cols: int | None, diagonals: bool) -> Graph:
     cols = rows if cols is None else cols
     if rows < 0 or cols < 0:
         raise ValueError(f"grid sides must be non-negative, got {rows} x {cols}")
     edges = []
     for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
+        end = (r + 1) * cols
+        for v in range(r * cols, end):
+            if v + 1 < end:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
+                if diagonals and v + 1 < end:
+                    edges += ((v, v + cols + 1), (v + 1, v + cols))
     return Graph(rows * cols, edges)
+
+
+def grid_graph(rows: int, cols: int | None = None) -> Graph:
+    """Axis-aligned lattice; node (r, c) has id ``r * cols + c``."""
+    return _lattice(rows, cols, False)
 
 
 def criscross_graph(rows: int, cols: int | None = None) -> Graph:
     """Grid plus both diagonals of every unit cell."""
-    cols = rows if cols is None else cols
-    base = grid_graph(rows, cols)
-    edges = set(base.edges)
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            v = r * cols + c
-            edges.add((v, v + cols + 1))
-            edges.add((v + 1, v + cols))
-    return Graph(rows * cols, edges)
+    return _lattice(rows, cols, True)
 
 
 # ---------------------------------------------------------------------------

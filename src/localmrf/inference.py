@@ -140,7 +140,6 @@ def relative_error_bound(
     decomp: Decomposition,
     bounds: InferenceBounds | None = None,
     cap: int = DEFAULT_CAP,
-    tiny: float = 1e-300,
 ) -> ErrorCertificate:
     """Certified relative error of a run and the a-priori expectation bound.
 
@@ -153,7 +152,7 @@ def relative_error_bound(
     apriori = decomp.eps_target * (mrf.graph.max_degree + 1)
     if bounds.log_z_lb > 0.0:
         return ErrorCertificate(
-            relative_gap=bounds.gap / max(bounds.log_z_lb, tiny),
+            relative_gap=bounds.gap / max(bounds.log_z_lb, 1e-300),
             absolute_gap=bounds.gap,
             apriori_bound=apriori,
             absolute_only=False,

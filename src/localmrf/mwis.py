@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, FormatError, Graph, PairwiseMrf, _numbers
+from .core import CapExceeded, FormatError, Graph, PairwiseMrf, _numbers, _rows
 
 
 @dataclass(frozen=True)
@@ -83,22 +84,23 @@ def factor_to_mwis(model: FactorModel, cap: int = 50_000) -> MwisInstance:
     """Conflict-graph encoding of the factor model's MAP problem."""
     labels: list[tuple[int, tuple[int, ...]]] = []
     weights_raw: list[float] = []
-    var_value: list[dict[int, int]] = []
+    # per variable, the labels that give it each value
+    holders: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for fi, (vars_, table) in enumerate(model.factors):
         domains = [range(model.domain_sizes[v]) for v in vars_]
         for joint in itertools.product(*domains):
+            for v, val in zip(vars_, joint):
+                holders[v][val].append(len(labels))
             labels.append((fi, joint))
             weights_raw.append(float(table[joint]))
-            var_value.append(dict(zip(vars_, joint)))
             if len(labels) > cap:
                 raise CapExceeded(f"conflict graph exceeds {cap} nodes")
     c = 1.0 + max(0.0, -min(weights_raw, default=0.0))
+    # two labels conflict when they give a shared variable different values
     edges = []
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            shared = var_value[a].keys() & var_value[b].keys()
-            if any(var_value[a][m] != var_value[b][m] for m in shared):
-                edges.append((a, b))
+    for by_value in holders.values():
+        for xs, ys in itertools.combinations(by_value.values(), 2):
+            edges += itertools.product(xs, ys)
     weights = tuple(c + w for w in weights_raw)
     return MwisInstance(
         graph=Graph(len(labels), edges),
@@ -230,21 +232,17 @@ def parse_factor_model(text: str) -> FactorModel:
     below 1, out-of-range or repeated factor variables and tables of the
     wrong size are all rejected, as is a variable that no factor covers.
     """
-    rows = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((no, line.split()))
-    if not rows or rows[0][1][0] != "factors" or len(rows[0][1]) < 2:
+    rows = _rows(text)
+    no, header = next(rows, (0, [None]))
+    if header[0] != "factors" or len(header) < 2:
         raise FormatError("expected header: factors <nvars> <domains...>")
-    no, header = rows[0]
     nvars, *domains = _numbers(no, header[1:], int)
     if len(domains) != nvars:
         raise FormatError(f"line {no}: header needs {nvars} domain sizes, got {len(domains)}")
     if any(d < 1 for d in domains):
         raise FormatError(f"line {no}: domain sizes must be >= 1")
     factors = []
-    for no, row in rows[1:]:
+    for no, row in rows:
         if row[0] != "factor":
             raise FormatError(f"line {no}: unknown line kind: {row[0]}")
         if len(row) < 2:

@@ -11,6 +11,7 @@ from localmrf import (
     FormatError,
     brute_log_z,
     connected_components,
+    criscross_graph,
     grid_decomp,
     grid_graph,
     minor_vertex,
@@ -24,8 +25,6 @@ from localmrf.bench import (
     expected_range,
     free_energy_envelope,
     free_energy_sequence,
-    gen_criscross,
-    gen_grid,
     homogeneous_grid_mrf,
     parse_experiment_spec,
     records_from_csv,
@@ -39,15 +38,15 @@ from localmrf.bench import (
 
 class TestGenerators:
     def test_grid_counts(self):
-        assert gen_grid(2).n == 4 and len(gen_grid(2).edges) == 4
-        assert len(gen_grid(4).edges) == 24  # 2n(n-1)
+        assert grid_graph(2).n == 4 and len(grid_graph(2).edges) == 4
+        assert len(grid_graph(4).edges) == 24  # 2n(n-1)
 
     def test_criscross_counts(self):
-        assert len(gen_criscross(2).edges) == 6
-        assert len(gen_criscross(4).edges) == 24 + 18  # + 2(n-1)^2
+        assert len(criscross_graph(2).edges) == 6
+        assert len(criscross_graph(4).edges) == 24 + 18  # + 2(n-1)^2
 
     def test_criscross_interior_degree(self):
-        g = gen_criscross(4)
+        g = criscross_graph(4)
         # interior nodes gain exactly four diagonal neighbors
         assert g.degree(5) == 8
         assert g.degree(0) == 3
@@ -55,7 +54,7 @@ class TestGenerators:
 
 class TestSamplePotentials:
     def test_varying_interaction_ranges(self):
-        g = gen_grid(4)
+        g = grid_graph(4)
         m = sample_potentials(g, VARYING_INTERACTION, alpha=0.2, seed=1)
         # after the shift the table range still equals |theta|
         assert float((m.edge_max - m.edge_min).max()) <= 0.2
@@ -64,14 +63,14 @@ class TestSamplePotentials:
         assert float(m.phi.min()) >= 0.0 and float(m.psi.min()) >= 0.0
 
     def test_varying_field_ranges(self):
-        g = gen_grid(4)
+        g = grid_graph(4)
         m = sample_potentials(g, VARYING_FIELD, alpha=2.0, seed=2)
         assert float((m.edge_max - m.edge_min).max()) <= 0.5
         phi_range = (m.phi.max(axis=1) - m.phi.min(axis=1)).max()
         assert float(phi_range) <= 2.0
 
     def test_deterministic(self):
-        g = gen_grid(3)
+        g = grid_graph(3)
         a = sample_potentials(g, VARYING_INTERACTION, 1.0, seed=7)
         b = sample_potentials(g, VARYING_INTERACTION, 1.0, seed=7)
         assert np.array_equal(a.phi, b.phi) and np.array_equal(a.psi, b.psi)
@@ -79,7 +78,7 @@ class TestSamplePotentials:
 
 class TestCriscrossLift:
     def test_components_match_grid_blocks(self):
-        cc = gen_criscross(4)
+        cc = criscross_graph(4)
         base = grid_decomp(4, 2, 1, 0)
         lifted = criscross_decomposition(cc, base)
         assert lifted.components == base.components
@@ -88,14 +87,14 @@ class TestCriscrossLift:
         )
 
     def test_only_crossing_diagonals_removed(self):
-        cc = gen_criscross(4)
+        cc = criscross_graph(4)
         base = grid_decomp(4, 2, 1, 1)
         lifted = criscross_decomposition(cc, base)
         comp_of = {}
         for i, comp in enumerate(base.components):
             for v in comp:
                 comp_of[v] = i
-        grid_edges = gen_grid(4).edges
+        grid_edges = grid_graph(4).edges
         for (u, v) in cc.edge_list:
             if (u, v) in grid_edges:
                 continue
@@ -106,16 +105,16 @@ class TestCriscrossLift:
         dec = minor_vertex(grid_graph(4), 1, 2, 0)
         assert dec.removed_nodes
         with pytest.raises(ValueError, match="node-removing"):
-            criscross_decomposition(gen_criscross(4), dec)
+            criscross_decomposition(criscross_graph(4), dec)
 
     def test_rejects_decomposition_of_another_graph(self):
         base = grid_decomp(4, 2, 1, 0)
         with pytest.raises(ValueError, match="16 nodes, the graph 25"):
-            criscross_decomposition(gen_criscross(5), base)
+            criscross_decomposition(criscross_graph(5), base)
         # a 9-node record whose removed edges are not all edges of the graph
         other = dataclasses.replace(grid_decomp(3, 2, 1, 0), removed_edges=base.removed_edges)
         with pytest.raises(ValueError, match="removed edges not in the graph"):
-            criscross_decomposition(gen_criscross(3), other)
+            criscross_decomposition(criscross_graph(3), other)
 
 
 class TestRunExperiment:
@@ -287,6 +286,12 @@ class TestSpecFile:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             parse_experiment_spec("alphas=\n")
+
+    def test_lattice_side_checked_at_parse_time(self):
+        for text in ("n=1\n", "topology=criscross\nn=0\n"):
+            with pytest.raises(ValueError, match="^need n >= 2$"):
+                parse_experiment_spec(text)
+        assert parse_experiment_spec("n=2\n").build_graph() == grid_graph(2)
 
     def test_unknown_oracle_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle brute"):

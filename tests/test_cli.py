@@ -12,11 +12,13 @@ from localmrf import (
     brute_map,
     criscross_graph,
     dump_mrf,
+    grid_decomp,
     grid_graph,
     load_mrf,
 )
 from localmrf.bench import sample_potentials, VARYING_INTERACTION
-from localmrf.cli import main
+from localmrf import cli
+from localmrf.cli import build_parser, main
 from localmrf.mwis import write_factor_model, FactorModel
 
 from helpers import random_graph, random_mrf
@@ -71,6 +73,43 @@ def test_decompose_grid_and_dbdim(grid_model_file, tmp_path):
         "--r", "2", "--lambda", "3", "--seed", "3", "--out", str(out),
     ]) == 0
     assert "removed_node" in out.read_text()
+
+
+SCHEME_DEFAULTS = {"eps": 0.25, "K": 40, "r": 3, "lam": 4, "k": 2, "seed": 0}
+
+
+def test_scheme_flags_shared():
+    parser = build_parser()
+    heads = (["decompose", "--alg", "minore"], ["logz"], ["map"])
+    for head in heads:
+        args = vars(parser.parse_args([*head, "--graph", "m.mrf"]))
+        assert {key: args[key] for key in SCHEME_DEFAULTS} == SCHEME_DEFAULTS
+        flags = ["--eps", "0.5", "--K", "7", "--r", "2", "--lambda", "9",
+                 "--k", "3", "--seed", "11"]
+        args = vars(parser.parse_args([*head, "--graph", "m.mrf", *flags]))
+        assert {key: args[key] for key in SCHEME_DEFAULTS} == {
+            "eps": 0.5, "K": 7, "r": 2, "lam": 9, "k": 3, "seed": 11}
+    # each subcommand keeps its own scheme names and extra flags
+    args = parser.parse_args(["decompose", "--alg", "grid", "--graph", "m.mrf"])
+    assert (args.l1, args.l2, args.out) == (0, 0, "-")
+    args = parser.parse_args(["map", "--graph", "m.mrf"])
+    assert (args.decomp, args.trials, args.csv, args.exact) == ("minore", 1, "-", False)
+    assert "l1" not in args
+    for head in (["decompose", "--alg", "none"], ["logz", "--decomp", "minorv"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args([*head, "--graph", "m.mrf"])
+
+
+def test_decompose_grid_takes_given_offsets(grid_model_file, tmp_path):
+    out = tmp_path / "dec.txt"
+    for l1, l2 in ((0, 1), (1, 0), (1, 1)):
+        assert main([
+            "decompose", "--alg", "grid", "--graph", grid_model_file, "--k", "2",
+            "--l1", str(l1), "--l2", str(l2), "--seed", "5", "--out", str(out),
+        ]) == 0
+        removed = [tuple(map(int, line.split()[1:])) for line in out.read_text().splitlines()
+                   if line.startswith("removed_edge")]
+        assert removed == sorted(grid_decomp(4, 2, l1, l2).removed_edges)
 
 
 def test_exact_modes(grid_model_file, tmp_path, capsys):
@@ -250,6 +289,17 @@ def test_saw_empty_trace_path_is_an_error(tmp_path):
         main(["saw", "--graph", str(path), "--msgpass", "--trace", ""])
     with pytest.raises(SystemExit, match="^--trace records the schedule"):
         main(["saw", "--graph", str(path), "--trace", ""])
+
+
+def test_saw_trace_path_checked_before_the_schedule(tmp_path, monkeypatch):
+    path = tmp_path / "tri.mrf"
+    dump_mrf(random_mrf(np.random.default_rng(0), Graph(3, [(0, 1), (0, 2), (1, 2)])), path)
+    calls = []
+    monkeypatch.setattr(cli, "msg_pass_mode", lambda *a, **kw: calls.append(a))
+    with pytest.raises(SystemExit, match=r"^error: \[Errno 2\] "):
+        main(["saw", "--graph", str(path), "--msgpass",
+              "--trace", str(tmp_path / "no-dir" / "trace.txt")])
+    assert calls == []
 
 
 def test_saw_rejects_out_of_range_root(tmp_path):

@@ -11,6 +11,7 @@ from localmrf import (
     Graph,
     PairwiseMrf,
     affine_shift,
+    component_solve,
     connected_components,
     doubling_dimension_exact,
     energy,
@@ -19,7 +20,9 @@ from localmrf import (
     shortest_path_ball,
     write_mrf_text,
 )
+from localmrf.bench import parse_experiment_spec
 from localmrf.core import CapExceeded, FormatError, bfs_depths, sweep
+from localmrf.mwis import parse_factor_model
 
 from helpers import (
     distances_by_floyd,
@@ -413,6 +416,15 @@ class TestInduced:
         assert np.array_equal(sub.psi, ref.psi)
         assert np.array_equal(sub.phi, ref.phi)
 
+    def test_repeated_node_rejected(self):
+        # a node listed twice would become two sub-model nodes both standing for it
+        m = random_mrf(np.random.default_rng(4), grid_graph(2))
+        for nodes in ([1, 1], [3, 0, 2, 0]):
+            with pytest.raises(ValueError, match=f"^node {min(nodes)} listed twice$"):
+                m.induced(nodes)
+            with pytest.raises(ValueError, match=f"^node {min(nodes)} listed twice$"):
+                component_solve(m, nodes)
+
 
 class TestTextFormat:
     def test_round_trip_bit_exact(self):
@@ -510,3 +522,47 @@ class TestTextFormat:
         m = random_mrf(rng, path_graph(4), lo=-3.0, hi=3.0)
         back = parse_mrf_text(write_mrf_text(m))
         assert oracle_log_z(back) == oracle_log_z(m)
+
+
+def _relaid(text, layout):
+    """The same lines under another layout; returns the text and the line shift."""
+    lines = text.splitlines()
+    if layout == "crlf":
+        return "\r\n".join(lines) + "\r\n", 0
+    if layout == "indented":
+        return "".join(f" \t {line}\t \n" for line in lines), 0
+    if layout == "commented":
+        return "".join(f"{line} # note\n" for line in lines), 0
+    if layout == "preamble":
+        return "# about this file\n\n   \n" + text, 3
+    return "\n".join(lines), 0  # no final newline
+
+
+class TestLineReader:
+    """The three text readers share one line reader, so a malformed line is
+    named the same way whatever its whitespace, comments or line endings."""
+
+    CASES = [
+        (parse_mrf_text, "mrf 2 2\nnode 0 1 2\nnode 1 1\n", 3),
+        (parse_mrf_text, "mrf 2 2\nnode 0 1 2\nnode 1 1 2\nedge 0 1 1 2 3 x\n", 4),
+        (parse_factor_model, "factors x 2\n", 1),
+        (parse_factor_model, "factors 1 2\n# comment\nfactor 2 0\n", 3),
+        (parse_factor_model, "factors 1 2\nfactor 1 0 1 nan\n", 2),
+        (parse_factor_model, "factors 1 2\nfactr 1 0 1 2\n", 2),
+        (parse_experiment_spec, "n=7\ntopology grid\n", 2),
+        (parse_experiment_spec, "# sweep\nn=seven\n", 2),
+        (parse_experiment_spec, "alphas=0.2,,0.4\n", 1),
+        (parse_experiment_spec, "n=7\n\nn=8\n", 3),
+        (parse_experiment_spec, "n=\n", 1),
+    ]
+
+    @pytest.mark.parametrize("layout", ["crlf", "indented", "commented", "preamble", "open"])
+    @pytest.mark.parametrize("parse, text, line", CASES)
+    def test_same_line_named(self, parse, text, line, layout):
+        with pytest.raises(FormatError, match=f"^line {line}: ") as plain:
+            parse(text)
+        relaid, shift = _relaid(text, layout)
+        with pytest.raises(FormatError) as got:
+            parse(relaid)
+        message = str(plain.value).replace(f"line {line}:", f"line {line + shift}:", 1)
+        assert str(got.value) == message

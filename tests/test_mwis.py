@@ -11,6 +11,7 @@ from localmrf import (
     brute_map,
     energy,
     factor_to_mwis,
+    grid_graph,
     max_weight_independent_set,
     mwis_as_binary_mrf,
     mwis_to_assignment,
@@ -99,6 +100,30 @@ class TestFactorToMwis:
         factors = (((0,), unary), ((1,), unary), ((bad,), unary))
         with pytest.raises(ValueError, match="out of range"):
             FactorModel((2, 2), factors)
+
+    def test_conflicts_match_pairwise_rule(self):
+        # every pair of labels that disagrees on a shared variable, and no other
+        def pairwise_edges(inst):
+            values = [dict(zip(inst.factor_vars[fi], joint)) for fi, joint in inst.labels]
+            return {
+                (a, b)
+                for a, b in itertools.combinations(range(len(values)), 2)
+                if any(values[a][v] != values[b].get(v, values[a][v]) for v in values[a])
+            }
+
+        rng = np.random.default_rng(5)
+        models = [random_factor_model(rng) for _ in range(300)]
+        # a 6x6 binary lattice with unary factors, and a factor over no variable
+        edges = grid_graph(6).edge_list
+        models.append(FactorModel(
+            (2,) * 36,
+            tuple(((v,), rng.uniform(-1, 1, 2)) for v in range(36))
+            + tuple(((u, v), rng.uniform(-1, 1, (2, 2))) for u, v in edges)
+            + (((), np.array(0.5)),),
+        ))
+        for model in models:
+            inst = factor_to_mwis(model)
+            assert inst.graph.edges == pairwise_edges(inst)
 
     def test_weights_at_least_one(self):
         rng = np.random.default_rng(0)

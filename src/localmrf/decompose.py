@@ -1,7 +1,8 @@
 """Randomized graph decompositions with removal-probability certificates.
 
-Three schemes, all producing a removed set B plus the connected components
-of what survives:
+Three schemes, each flagging a removed set B in a node or edge mask
+(``_carve`` then sweeps once for the components of what survives and lists
+B in ascending id order):
 
 * random ball carving driven by a truncated geometric radius, suited to
   graphs whose metric balls grow polynomially (low doubling dimension);
@@ -21,17 +22,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .core import (
-    Edge,
-    Graph,
-    bfs_depths,
-    connected_components,
-    grid_graph,
-    sweep,
-)
+from .core import Edge, Graph, bfs_depths, grid_graph, sweep
+from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -44,6 +40,8 @@ class Decomposition:
 
     A scheme fills the removed set it cuts and leaves the other empty; the
     components are the connected components of the graph without both.
+    The removed sets are built in ascending id order, which fixes their
+    iteration order and so the repr.
     """
 
     alg: str
@@ -60,16 +58,32 @@ class Decomposition:
 
 
 def _carve(
-    graph: Graph, alg: str, eps_target: float, seed: int | None, nodes=(), edges=()
+    graph: Graph, alg: str, eps_target: float, seed: int | None, dead=None, cut=None
 ) -> Decomposition:
-    """The record of removing ``nodes`` and ``edges`` from ``graph``.
+    """The record of removing from ``graph`` the nodes flagged in ``dead``
+    and the edges flagged in ``cut`` (masks as in ``core.sweep``).
 
-    Every scheme builds its record here, so the components are always the
-    connected components of what is left.
+    Every scheme builds its record here, with one sweep, so the components
+    are always the connected components of what is left.
     """
-    nodes, edges = frozenset(nodes), frozenset(edges)
-    comps = connected_components(graph, removed_nodes=nodes, removed_edges=edges)
+    nodes = frozenset(compress(range(graph.n), dead or ()))
+    edges = frozenset(compress(graph.edge_list, cut or ()))
+    comps = sweep(graph, dead, cut)[0]
     return Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
+
+
+def component_labels(dec: Decomposition) -> list[int]:
+    """Each node's index in ``dec.components``; raises ``ValueError``
+    unless the components partition ``0..dec.n-1``."""
+    comp_of = [-1] * dec.n
+    for i, comp in enumerate(dec.components):
+        for v in comp:
+            if not 0 <= v < dec.n or comp_of[v] != -1:
+                raise ValueError(f"components do not partition the nodes (node {v})")
+            comp_of[v] = i
+    if -1 in comp_of:
+        raise ValueError(f"components do not cover node {comp_of.index(-1)}")
+    return comp_of
 
 
 def empty_edge_decomposition(graph: Graph) -> Decomposition:
@@ -140,16 +154,15 @@ def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     so a run costs the sum of its ball sizes, not an all-pairs distance
     matrix.
     """
-    blue = _ball_cut(graph, eps, K, seed)
-    return _carve(graph, "dbdim-v", 2.0 * eps, seed, nodes=blue)
+    return _carve(graph, "dbdim-v", 2.0 * eps, seed, dead=_ball_cut(graph, eps, K, seed))
 
 
-def _ball_cut(graph: Graph, eps: float, K: int, seed: int) -> set[int]:
-    """The blue nodes of one ball-carving run (see ``db_dim_vertex``)."""
+def _ball_cut(graph: Graph, eps: float, K: int, seed: int) -> bytearray:
+    """The blue-node mask of one ball-carving run (see ``db_dim_vertex``)."""
     law = RadiusLaw(eps, K)
     rng = _rng(seed)
     white = list(range(graph.n))  # ascending
-    blue: set[int] = set()
+    blue = bytearray(graph.n)
     while white:
         u = white[int(rng.integers(len(white)))]
         radius = law.sample(rng)
@@ -159,7 +172,7 @@ def _ball_cut(graph: Graph, eps: float, K: int, seed: int) -> set[int]:
             if i < len(white) and white[i] == w:
                 del white[i]
                 if d == radius:
-                    blue.add(w)
+                    blue[w] = 1
     return blue
 
 
@@ -177,10 +190,9 @@ def line_graph(graph: Graph) -> Graph:
 
 
 def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
-    """Ball carving on the line graph, mapped back to an edge removal."""
-    edges = graph.edge_list
-    removed = (edges[i] for i in _ball_cut(line_graph(graph), eps, K, seed))
-    return _carve(graph, "dbdim", 2.0 * eps, seed, edges=removed)
+    """Ball carving on the line graph, mapped back to an edge removal: line
+    graph node i is edge i, so its blue mask is the edge mask."""
+    return _carve(graph, "dbdim", 2.0 * eps, seed, cut=_ball_cut(line_graph(graph), eps, K, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +247,13 @@ def minor_vertex(
     which is how traces are replayed in tests.
     """
     dead = bytearray(graph.n)
-    removed: set[int] = set()
     for depth, comp_of, order, levels in _layer_levels(
         graph, r, lam, seed, choose_level, dead=dead
     ):
-        # visit order, component by component, is the removed set's
-        # insertion order, which fixes its iteration order
-        new = [v for v in order if depth[v] % lam == levels[comp_of[v]]]
-        removed.update(new)
-        for v in new:
-            dead[v] = 1
-    return _carve(graph, "minorv", r / lam, seed, nodes=removed)
+        for v in order:
+            if depth[v] % lam == levels[comp_of[v]]:
+                dead[v] = 1
+    return _carve(graph, "minorv", r / lam, seed, dead=dead)
 
 
 def minor_edge(
@@ -261,26 +269,19 @@ def minor_edge(
     depth congruent to L mod lam; that rule also severs non-tree edges
     between equal-depth nodes' layers correctly.
     """
-    edges, adj, ids = graph.edge_list, graph.adjacency, graph.edge_ids
-    cut = bytearray(len(edges))
-    removed: set[Edge] = set()
+    adj, ids = graph.adjacency, graph.edge_ids
+    cut = bytearray(len(graph.edge_list))
     for depth, comp_of, order, levels in _layer_levels(
         graph, r, lam, seed, choose_level, cut=cut
     ):
         # an edge is cut from its lower-depth endpoint u, in a cut layer
-        new = []
         for u in order:
-            d, c = depth[u], comp_of[u]
-            if d % lam == levels[c]:
+            d = depth[u]
+            if d % lam == levels[comp_of[u]]:
                 for w, e in zip(adj[u], ids[u]):
-                    if depth[w] >= d and not cut[e]:
+                    if depth[w] >= d:
                         cut[e] = 1
-                        new.append((c, e))
-        # component by component, then in edge order, is the removed set's
-        # insertion order, which fixes its iteration order
-        new.sort()
-        removed.update(edges[e] for _, e in new)
-    return _carve(graph, "minore", r / lam, seed, edges=removed)
+    return _carve(graph, "minore", r / lam, seed, cut=cut)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +302,12 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> Decomposition:
     if not (0 <= l1 < k and 0 <= l2 < k):
         raise ValueError("offsets must lie in 0..k-1")
     graph = grid_graph(n)
-    removed = set()
-    for (u, v) in graph.edge_list:
-        if v == u + 1:  # horizontal: left endpoint column u % n
-            if (u % n) % k == l1:
-                removed.add((u, v))
-        else:  # vertical: endpoint rows u // n and u // n + 1
-            if (u // n) % k == l2:
-                removed.add((u, v))
-    return _carve(graph, "grid", 1.0 / k, None, edges=removed)
+    # horizontal (u, u + 1) by u's column, vertical (u, u + n) by u's row
+    cut = bytes(
+        (u % n) % k == l1 if v == u + 1 else (u // n) % k == l2
+        for u, v in graph.edge_list
+    )
+    return _carve(graph, "grid", 1.0 / k, None, cut=cut)
 
 
 def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decomposition:
@@ -321,9 +319,10 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     among the removals, so only diagonals are added.  Each diagonal's
     removal probability is at most twice the grid edges', hence the
     doubled target.
-    A record that removes nodes, or that decomposes another graph (another
-    node count, or a removed edge the graph does not have), has no such
-    lift and raises ``ValueError``.
+    A record that removes nodes, that decomposes another graph (another
+    node count, or a removed edge the graph does not have), or whose
+    components do not partition the nodes has no such lift and raises
+    ``ValueError``.
     """
     if grid_dec.removed_nodes:
         raise ValueError("cannot lift a node-removing decomposition to cris-cross")
@@ -332,18 +331,12 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     if not grid_dec.removed_edges <= cc_graph.edges:
         stray = sorted(grid_dec.removed_edges - cc_graph.edges)
         raise ValueError(f"removed edges not in the graph: {stray}")
-    comp_of = {}
-    for i, comp in enumerate(grid_dec.components):
-        for v in comp:
-            comp_of[v] = i
-    removed = set(grid_dec.removed_edges)
-    for (u, v) in cc_graph.edge_list:
-        if comp_of[u] != comp_of[v]:
-            removed.add((u, v))
-    eps_target = min(1.0, 2.0 * grid_dec.eps_target)
-    return _carve(
-        cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, edges=removed
+    comp_of, removed = component_labels(grid_dec), grid_dec.removed_edges
+    cut = bytes(
+        comp_of[u] != comp_of[v] or (u, v) in removed for u, v in cc_graph.edge_list
     )
+    eps_target = min(1.0, 2.0 * grid_dec.eps_target)
+    return _carve(cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, cut=cut)
 
 
 def db_dim_target_eps(eps: float, rho: float, offset: int = 3) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairwiseMrf, energy, left_sum
-from .decompose import Decomposition
+from .decompose import Decomposition, component_labels
 from .exact import DEFAULT_CAP, solve_components
 from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
 
@@ -27,8 +27,7 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> bytearray:
     edge that is neither would be dropped from both the component solves
     and the bracket.  Returns the removed edges as a mask over ``edge_list``.
     """
-    n = mrf.n
-    if decomp.n != n:
+    if decomp.n != mrf.n:
         raise ValueError("decomposition is for a different node count")
     if decomp.removed_nodes:
         raise ValueError(f"decomposition {decomp.alg} removes nodes, not edges")
@@ -37,14 +36,7 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> bytearray:
     index, cut = mrf.graph.edge_index, bytearray(len(mrf.edge_list))
     for e in decomp.removed_edges:
         cut[index[e]] = 1
-    comp_of = [-1] * n
-    for i, comp in enumerate(decomp.components):
-        for v in comp:
-            if not 0 <= v < n or comp_of[v] != -1:
-                raise ValueError(f"components do not partition the nodes (node {v})")
-            comp_of[v] = i
-    if -1 in comp_of:
-        raise ValueError(f"components do not cover node {comp_of.index(-1)}")
+    comp_of = component_labels(decomp)
     for (u, v), removed in zip(mrf.edge_list, cut):
         if comp_of[u] != comp_of[v] and not removed:
             raise ValueError(f"kept edge ({u},{v}) crosses two components")

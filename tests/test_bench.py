@@ -116,6 +116,18 @@ class TestCriscrossLift:
         with pytest.raises(ValueError, match="removed edges not in the graph"):
             criscross_decomposition(criscross_graph(3), other)
 
+    def test_rejects_components_that_do_not_partition(self):
+        cc, base = criscross_graph(4), grid_decomp(4, 2, 1, 0)
+        missing = dataclasses.replace(base, components=base.components[1:])
+        with pytest.raises(ValueError, match="components do not cover node 0"):
+            criscross_decomposition(cc, missing)
+        twice = dataclasses.replace(base, components=base.components + ((0,),))
+        with pytest.raises(ValueError, match=r"do not partition the nodes \(node 0\)"):
+            criscross_decomposition(cc, twice)
+        outside = dataclasses.replace(base, components=base.components + ((16,),))
+        with pytest.raises(ValueError, match=r"do not partition the nodes \(node 16\)"):
+            criscross_decomposition(cc, outside)
+
 
 class TestRunExperiment:
     def test_no_removal_zero_error(self):

@@ -13,10 +13,12 @@ from localmrf import (
     Graph,
     RadiusLaw,
     connected_components,
+    criscross_decomposition,
     criscross_graph,
     db_dim_edge,
     db_dim_vertex,
     doubling_dimension_exact,
+    empty_edge_decomposition,
     grid_decomp,
     grid_graph,
     k_param,
@@ -434,6 +436,19 @@ def record_digest(records) -> str:
     return hashlib.sha256("".join(repr(rec) + "\n" for rec in records).encode()).hexdigest()
 
 
+def content_digest(records) -> str:
+    """sha256 of the records' fields with the removed sets sorted, one per
+    line: what a record says, whatever order its sets iterate in."""
+    lines = (
+        repr((
+            rec.alg, rec.n, rec.components, rec.eps_target, rec.seed,
+            sorted(rec.removed_nodes), sorted(rec.removed_edges),
+        )) + "\n"
+        for rec in records
+    )
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 def seeded_records(scheme, graph):
     return [
         scheme(graph, r, lam, seed=seed)
@@ -443,23 +458,40 @@ def seeded_records(scheme, graph):
     ]
 
 
-# sha256 of the reprs of seeded_records (and of the replay below) as the
-# layer-cutting code gave them before it moved to one sweep per round; the
-# reprs include the removed sets' iteration order
+# content_digest of seeded_records (and of the replay below), pinned from
+# the layer-cutting code before its schemes flagged masks for _carve
+GOLDEN_CONTENT_DIGESTS = {
+    "grid7/minor_vertex": "f51f1aab86b8673435759fd41be5681584cc752ad77238c1946dc0d988a30bc4",
+    "grid7/minor_edge": "c78da53e3d2113fa0edcaff002d1452f4c0404001f99add51f1e1e3908117163",
+    "grid12/minor_vertex": "306daa3b48b705fe927a20cd7cd4dd32570afaa7e09b10739f9f6c5dbe646f8d",
+    "grid12/minor_edge": "15fe591295636ba1090ac069b81660be29e943474e40dc6c3e65f7b5f6c66c45",
+    "criscross6/minor_vertex": "4809db2b05a8c03071034b4ee3b027a35c01c4b073e4a08f53430071b81520a9",
+    "criscross6/minor_edge": "82637ae023f350ebd02caf643e94b9d17337619b1a6e17029600c6b73e36a74b",
+    "random0/minor_vertex": "5adafdcb10318d64aa1bf045b1d5e85e763a3227686ff4f0bea07731c41eff7d",
+    "random0/minor_edge": "c64d10732be3050bd90b5bb2ddc13965f164b8df0a6975264f90bbc326e6417d",
+    "random1/minor_vertex": "b5adf636ea7bcd9e520fd8de93ba632765158063cc4658a5c9ba965decba633f",
+    "random1/minor_edge": "a1892aeb4a13558c4e06f2aa787813ab9eb82c00fa450621ca2331e5de5ccfab",
+    "random2/minor_vertex": "ac7cf16051c05a226e41a748fd1a16343ddd85a026b9112dbf194b103d6fcfe0",
+    "random2/minor_edge": "976784030bf99eed6b05b5edb0f03e00ecbd5fff3d72b8715c8a6ce3f4bad21b",
+    "grid12/replay": "982a92cc726939a31dab81e86dc3868f935c444bb81e98bf1d34a813194afed0",
+}
+
+# record_digest of the same records; a repr also shows the removed sets'
+# iteration order, which follows ascending ids (see TestRemovedSetOrder)
 GOLDEN_DIGESTS = {
-    "grid7/minor_vertex": "3a26bea44697f5dac5548be763af483fba579598322a0688f34f1721516cadbf",
-    "grid7/minor_edge": "266b3f815231b8dc0134df40e8c3acf19d025bd0485cff6c7f8717375fb84974",
-    "grid12/minor_vertex": "7eff461a4db86103c54480b7f505792fdad6456ef3a0d33aa216008104b4e5fc",
-    "grid12/minor_edge": "72fdc8f96c97df30e7fad07d0a7d3592b8aeef55c415e7d0bf9a53b452f97c42",
-    "criscross6/minor_vertex": "a86d035b708f723326529c6b9f743bfac5fe795be9e7ef8205d090ff90912f1c",
-    "criscross6/minor_edge": "b6292d806d2f6f162ae90e39839cbb13dd0a36d99cfb82a768f8aab2dafc7979",
-    "random0/minor_vertex": "35400ae13f55cf633857b0dee211d8d38076cc2bf0e2111751e1171aa0d917db",
-    "random0/minor_edge": "75ca6162ce3df57b77a1bb6ec2a169f110d4368bd92aeeb52841c56753844ad0",
-    "random1/minor_vertex": "820aaba756749c5ddc32adb936486fdf2e340a811157cadf189b38a1bdfb5638",
-    "random1/minor_edge": "f915e061a4d58fec147fe25b19138fc546a0748154661b5df4c0576db34c28e0",
-    "random2/minor_vertex": "636c4d5e1efeb119aee94fc5e291b04d43934d47ce90f91867daff4857420893",
-    "random2/minor_edge": "abde2f381253fb20db28f9aa9a0aa316a0322329cf9625c4765ab51294bbd8d9",
-    "grid12/replay": "2705b57e6132c03da40d1b5699ae1f346f1865a70ae794a2bcf2d4698102693b",
+    "grid7/minor_vertex": "99f312859037a1fefd9cb2121c1763848a7a207c9aad9fb45ce21552e3e65688",
+    "grid7/minor_edge": "83aed848b571eddde4b76964e190346db00e2fb2b26f6f463de4b9f863eb2893",
+    "grid12/minor_vertex": "2e8d96f5619892de27135c5952bf1589a19ead4aa0db7a94111c87c1d0c5450b",
+    "grid12/minor_edge": "048b40bd857628e35795eef3872514b4add9c6196e495eff826a19bceb3e976c",
+    "criscross6/minor_vertex": "1b66fcfa05e13b73f15ffb7470ccaf0da5ef75001e0c465091f64a5dd1f60255",
+    "criscross6/minor_edge": "4fe7892b5a843b953774199fe67be22de3aa36d89e948f0169dbf78ba6f2ca77",
+    "random0/minor_vertex": "8d22d720b67b7cbca385460dd766143e46e2f795922f8e9237bcdced890333c0",
+    "random0/minor_edge": "4415848e1117a419e82255d535e7c65a03b5767655084b37192576b06a3a9eaf",
+    "random1/minor_vertex": "2081a985354a82decd8f3e8e4bd5f7dd3b20a3ee8856cacb18f3c05dc09236de",
+    "random1/minor_edge": "f333bbb2ed579018dda744b7c8b78b0bc97238fb8a1a1fb8552460e550837231",
+    "random2/minor_vertex": "d5be39817313edacbcf30a45274a2435ab5b610e00860eb17f88858c86ed5c25",
+    "random2/minor_edge": "1883427722b0f43c9f760972fc7fed219f54a4899b32438c91b1928ee6a85d9b",
+    "grid12/replay": "81806d7897b7e6b6738006c49a9abc86e96f0cf9590a0ab325d5cfc0630a8535",
 }
 
 
@@ -478,6 +510,12 @@ class TestGoldenLayerCutting:
             key = f"{name}/{scheme.__name__}"
             assert record_digest(seeded_records(scheme, g)) == GOLDEN_DIGESTS[key], key
 
+    @pytest.mark.parametrize("scheme", [minor_vertex, minor_edge], ids=["minorv", "minore"])
+    def test_seeded_records_match_content_digests(self, scheme):
+        for name, g in golden_graphs().items():
+            key = f"{name}/{scheme.__name__}"
+            assert content_digest(seeded_records(scheme, g)) == GOLDEN_CONTENT_DIGESTS[key], key
+
     def test_choose_level_replay_matches_digest(self):
         g = grid_graph(12)
 
@@ -485,4 +523,50 @@ class TestGoldenLayerCutting:
             return (3 * i + j) % 5
 
         records = [minor_vertex(g, 3, 5, choose_level=level), minor_edge(g, 3, 5, choose_level=level)]
+        assert content_digest(records) == GOLDEN_CONTENT_DIGESTS["grid12/replay"]
         assert record_digest(records) == GOLDEN_DIGESTS["grid12/replay"]
+
+
+def sorted_sets_record(dec):
+    """``dec`` with its removed sets rebuilt from sorted ids."""
+    return dataclasses.replace(
+        dec,
+        removed_nodes=frozenset(sorted(dec.removed_nodes)),
+        removed_edges=frozenset(sorted(dec.removed_edges)),
+    )
+
+
+def order_contract_records():
+    """Seeded records of every builder on 1x1, 2x2, empty, edgeless,
+    disconnected and larger graphs, and lifts of slab and layer-cutting
+    records."""
+    rng = np.random.default_rng(7)
+    graphs = [grid_graph(1), grid_graph(2), Graph(0, []), Graph(5, []), grid_graph(6)]
+    graphs += [criscross_graph(5), random_graph(rng, 30, 0.08), random_graph(rng, 40, 0.05)]
+    for g in graphs:
+        yield empty_edge_decomposition(g)
+        for seed in range(3):
+            for r, lam in ((1, 1), (2, 3), (3, 5)):
+                yield minor_vertex(g, r, lam, seed=seed)
+                yield minor_edge(g, r, lam, seed=seed)
+            for eps, K in ((0.5, 3), (0.2, 6)):
+                yield db_dim_vertex(g, eps, K, seed)
+                yield db_dim_edge(g, eps, K, seed)
+    for n in (1, 2, 4, 6):
+        cc = criscross_graph(n)
+        for k in range(1, n + 1):
+            for l1 in range(k):
+                slab = grid_decomp(n, k, l1, (l1 + 1) % k)
+                yield slab
+                yield criscross_decomposition(cc, slab)
+        for seed in range(3):
+            yield criscross_decomposition(cc, minor_edge(grid_graph(n), 2, 3, seed=seed))
+
+
+class TestRemovedSetOrder:
+    def test_removed_sets_iterate_in_ascending_id_order(self):
+        records = list(order_contract_records())
+        assert any(dec.removed_nodes for dec in records)
+        assert any(dec.removed_edges for dec in records)
+        for dec in records:
+            assert repr(dec) == repr(sorted_sets_record(dec)), dec.alg

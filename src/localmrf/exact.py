@@ -3,8 +3,11 @@
 * ``solve_components`` is the one exact engine.  It groups components by
   shape and runs one batched variable-elimination sweep per group, which
   eliminates the nodes in descending id order and yields log Z and the MAP
-  together.  It returns arrays: each component's log Z, and one assignment
-  over all nodes that stitches the components' maximizers.
+  together.  Each shape's elimination is compiled once into a plan of
+  index tuples (``_plan``), kept across calls for the last ``_PLAN_SHAPES``
+  shapes used, so a sweep does only table arithmetic.  It returns arrays:
+  each component's log Z, and one assignment over all nodes that stitches
+  the components' maximizers.
   ``component_solve`` (one component) and ``solve_model`` (a whole model,
   one connected component at a time; also through ``grid_transfer_map``)
   read those arrays and call ``energy`` for the MAP's energy, and
@@ -37,6 +40,9 @@ from .core import CapExceeded, PairwiseMrf, connected_components, energy, left_s
 
 DEFAULT_CAP = 2**24
 _CHUNK = 2**18
+# distinct component shapes whose compiled elimination stays cached
+_PLAN_SHAPES = 256
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -134,79 +140,88 @@ def brute_max_marginal(
     return best[0], best[1]
 
 
-def _axes_shape(width: int, q: int, *axes: int) -> tuple[int, ...]:
-    shape = [1] * width
-    for a in axes:
-        shape[a] = q
-    return tuple(shape)
+@functools.lru_cache(maxsize=_PLAN_SHAPES)
+def _plan(lower: tuple[tuple[int, ...], ...]) -> tuple:
+    """The elimination of one component shape, compiled into its steps.
 
-
-def _schedule(lower: tuple[tuple[int, ...], ...]) -> list:
-    """Open nodes before and while each node ``k-1, ..., 0`` is eliminated.
-
-    ``lower[v]`` lists ``v``'s lower neighbours.  A node opens when it or a
-    higher neighbour is reached; the open nodes are the table's axes in
-    ascending order, so the node being eliminated is always the last axis.
+    ``lower[v]`` lists ``v``'s lower neighbours, ascending.  Nodes are
+    eliminated in the order ``k-1, ..., 0``; a node opens when it or a
+    higher neighbour is reached, and the open nodes, ascending after the
+    batch axis, are a table's axes, so the node eliminated is the last.
+    Step ``(v, at, terms, grow, axes, width)``: ``at`` places ``phi[:, v]``
+    on the step's ``width`` open nodes and each of ``terms`` one lower
+    edge's ``psi[:, j]`` (edges numbered as in ``_eliminate``), ``grow``
+    opens the carried tables' new axes (None when none opens), and
+    ``axes`` are the nodes still open after ``v``.
     """
-    schedule = []
+    j = sum(map(len, lower))
+    steps = []
     opened: list[int] = []
     for v in range(len(lower) - 1, -1, -1):
         nodes = sorted(set(opened).union([v], lower[v]))
-        schedule.append((v, opened, nodes))
+        width = len(nodes)
+        pad = (None,) * (width - 1)
+        terms = []
+        j -= len(lower[v])
+        for i, u in enumerate(lower[v], j):
+            a = nodes.index(u)
+            terms.append((_ALL, i) + pad[:a] + (_ALL,) + pad[a + 1 :] + (_ALL,))
+        grow = None
+        if len(opened) < width:
+            grow = (_ALL,) + tuple(_ALL if w in opened else None for w in nodes)
         opened = nodes[:-1]
-    return schedule
+        at = (_ALL, v) + pad + (_ALL,)
+        steps.append((v, at, tuple(terms), grow, tuple(opened), width))
+    return tuple(steps)
 
 
-def _eliminate(phi, psi, edges, schedule, q: int, with_map: bool):
+def _eliminate(phi, psi, plan, q: int, with_map: bool):
     """One fused elimination over a batch of components of one shape.
 
-    ``phi`` is ``(B, k, q)`` and ``psi`` ``(B, m, q, q)``, with ``psi[:, j]``
-    the table of local edge ``edges[j] = (u, v)``, ``u < v``.
-    Each node's ``phi_v`` and lower edges' ``psi`` form one local table,
-    added to a log-sum-exp table and a max table over the open nodes, both
-    with a leading batch axis; the max table keeps each node's first argmax.
-    Decoding then runs in ascending id order, so each node takes the
-    smallest state with a maximizing completion of the states already
-    chosen: the lexicographically smallest maximizer.  A component whose
-    maximum is ``-inf`` decodes to all zeros, brute's first maximizer.
+    ``phi`` is ``(B, k, q)`` and ``psi`` ``(B, m, q, q)``.  Local edges are
+    numbered by upper node, then by lower neighbour, both ascending:
+    ``psi[:, j]`` is the table of the ``j``-th pair ``(u, v)``, ``u < v``,
+    in that order, with ``x_u`` on its first axis.  ``plan`` is the shape's
+    ``_plan``.  Each node's ``phi_v`` and lower edges' ``psi`` form one
+    local table, added to a log-sum-exp table and a max table over the
+    open nodes, both with a leading batch axis; the max table keeps each
+    node's first argmax.  Decoding then runs in ascending id order, so each
+    node takes the smallest state with a maximizing completion of the
+    states already chosen: the lexicographically smallest maximizer.  A
+    component whose maximum is ``-inf`` decodes to all zeros, brute's first
+    maximizer.
 
     Returns log Z per component and the ``(B, k)`` MAP assignments; without
     ``with_map`` only the log-sum-exp table is kept and the MAP is None.
     """
     batch, k = phi.shape[:2]
-    cols = [[] for _ in range(k)]
-    for j, (u, v) in enumerate(edges):
-        cols[v].append((u, j))
     choice_dtype = np.min_scalar_type(q - 1)
     lse = np.zeros(batch)
     mx = np.zeros(batch)
     choices = []
-    for v, before, nodes in schedule:
-        width = len(nodes)
-        local = phi[:, v].reshape((batch,) + _axes_shape(width, q, width - 1))
-        for u, j in cols[v]:
-            shape = (batch,) + _axes_shape(width, q, nodes.index(u), width - 1)
-            local = local + psi[:, j].reshape(shape)
-        new = tuple(1 + a for a, w in enumerate(nodes) if w not in before)
-        if new:
-            lse = np.expand_dims(lse, new) + local
-        else:
+    for v, at, terms, grow, axes, _ in plan:
+        local = phi[at]
+        for idx in terms:
+            local = local + psi[idx]
+        if grow is None:
             lse += local
+        else:
+            lse = lse[grow] + local
         # reduce the last axis one state at a time: numpy reduces a short
         # last axis far more slowly than it adds two slices
         lse = functools.reduce(np.logaddexp, (lse[..., s] for s in range(q)))
         if not with_map:
             continue
-        if new:
-            mx = np.expand_dims(mx, new) + local
-        else:
+        if grow is None:
             mx += local
+        else:
+            mx = mx[grow] + local
         best = mx[..., 0]
         choice = np.zeros(best.shape, dtype=choice_dtype)
         for s in range(1, q):
             np.copyto(choice, s, where=mx[..., s] > best)
             best = np.maximum(best, mx[..., s])
-        choices.append((v, nodes[:-1], choice))
+        choices.append((v, axes, choice))
         mx = best
     if not with_map:
         return lse, None
@@ -235,10 +250,11 @@ def solve_components(
 
     Components are grouped by shape (their nodes relabelled ``0..k-1`` in
     ascending order, with each node's lower neighbours), and each group
-    runs one batched elimination of its nodes in descending order; see
-    ``_eliminate``.  A component whose widest table holds more than ``cap``
-    entries raises ``CapExceeded`` before any table is built; a group's
-    batch is split so that no batched table holds more than ``cap`` entries.
+    runs one batched elimination of its nodes in descending order along
+    the shape's cached ``_plan``; see ``_eliminate``.  A component whose
+    widest table holds more than ``cap`` entries raises ``CapExceeded``
+    before any table is built; a group's batch is split so that no batched
+    table holds more than ``cap`` entries.
     """
     adjacency, edge_ids = mrf.graph.adjacency, mrf.graph.edge_ids
     if cut is None:
@@ -270,25 +286,23 @@ def solve_components(
     q = mrf.q
     plans = []
     for lower, members in groups.items():
-        schedule = _schedule(lower)
-        width = max((len(nodes) for _, _, nodes in schedule), default=0)
+        plan = _plan(lower)
+        width = max((step[-1] for step in plan), default=0)
         if q**width > cap:
             raise CapExceeded(
                 f"component of {len(lower)} nodes needs an elimination table "
                 f"of {q}^{width} entries (cap={cap})"
             )
-        plans.append((lower, schedule, cap // q**width, members))
+        plans.append((plan, cap // q**width, members))
     log_z = np.zeros(len(components))
     x = np.zeros(mrf.n, dtype=np.intp) if with_map else None
-    for lower, schedule, step, members in plans:
-        k = len(lower)
-        edges = [(u, v) for v, low in enumerate(lower) for u in low]
+    for plan, step, members in plans:
         for s in range(0, len(members), step):
             part = members[s : s + step]
             idx = np.array([c for c, _, _ in part], dtype=np.intp)
-            orders = np.array([o for _, o, _ in part], dtype=np.intp).reshape(len(part), k)
-            rows = np.array([r for _, _, r in part], dtype=np.intp).reshape(len(part), len(edges))
-            z, xs = _eliminate(mrf.phi[orders], mrf.psi[rows], edges, schedule, q, with_map)
+            orders = np.array([o for _, o, _ in part], dtype=np.intp)
+            rows = np.array([r for _, _, r in part], dtype=np.intp)
+            z, xs = _eliminate(mrf.phi[orders], mrf.psi[rows], plan, q, with_map)
             log_z[idx] = z
             if with_map:
                 x[orders] = xs

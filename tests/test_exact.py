@@ -1,5 +1,6 @@
 """Brute-force solvers and the elimination engine, per component and whole."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -23,8 +24,10 @@ from localmrf import (
     solve_components,
     solve_model,
 )
+from localmrf import exact
 from localmrf.core import CapExceeded
 from localmrf.exact import DEFAULT_CAP
+from localmrf.inference import certify, log_partition_bounds
 
 from helpers import (
     oracle_log_z,
@@ -300,6 +303,111 @@ class TestSolveComponents:
         log_z, x = solve_components(m, [(3,)])
         assert x.tolist() == [0, 0, 0, int(np.argmax(m.phi[3]))]
         assert log_z.tolist() == [component_solve(m, (3,)).log_z]
+
+
+def _plan_cases():
+    """Seeded (model, components, cap, cut) cases for the plan cache.
+
+    Each model holds three copies of one random shape on interleaved ids
+    (one shape repeated inside a call) and a few other components; the
+    shape is drawn from a seed shared by two models, so it also repeats
+    across calls.  Node tables get ``-inf`` entries, integer tables make
+    ties (at q >= 3 the choice's ``s >= 2`` branch), and every other case
+    solves under the smallest cap, which splits each widest batch into
+    single components.
+    """
+    cases = []
+    for seed in range(24):
+        q = (2, 3, 4)[seed % 3]
+        rng = np.random.default_rng(seed)
+        shape = random_graph(np.random.default_rng(seed // 2), 5, 0.6)
+        copies, extra = 3, int(rng.integers(0, 5))
+        n = copies * shape.n + extra
+        edges = [(u * copies + c, v * copies + c)
+                 for c in range(copies) for u, v in shape.edge_list]
+        edges += [(u, v) for u in range(copies * shape.n, n)
+                  for v in range(u + 1, n) if rng.random() < 0.5]
+        g = Graph(n, edges)
+        if seed % 4 == 3:
+            phi = rng.integers(0, 2, size=(n, q)).astype(float)
+            psi = rng.integers(0, 2, size=(len(g.edge_list), q, q)).astype(float)
+        else:
+            phi = rng.uniform(-1.0, 1.0, size=(n, q))
+            psi = rng.uniform(-1.0, 1.0, size=(len(g.edge_list), q, q))
+        phi[rng.integers(n), rng.integers(q)] = -math.inf
+        if seed % 6 == 5:
+            phi[rng.integers(n)] = -math.inf
+        m = PairwiseMrf(g, q, phi, psi)
+        comps = [tuple(u * copies + c for u in range(shape.n)) for c in range(copies)]
+        comps += [tuple(range(copies * shape.n, n))] if extra else []
+        cut = None
+        if seed % 5 == 4:
+            cut = bytes((rng.random(len(g.edge_list)) < 0.3).astype(np.uint8))
+        cap = DEFAULT_CAP
+        if seed % 2:
+            cap = 1
+            while True:
+                try:
+                    solve_components(m, comps, cap, cut)
+                    break
+                except CapExceeded:
+                    cap *= q
+        cases.append((m, comps, cap, cut))
+    return cases
+
+
+def _exactly(result):
+    """A solve's log Z and MAP as text that tells every double apart."""
+    log_z, x = result
+    return repr((log_z.tolist(), x.tolist()))
+
+
+class TestPlanCache:
+    """A shape's compiled elimination is built once and reused across calls."""
+
+    def test_reuse_is_bit_identical(self):
+        cases = _plan_cases()
+        exact._plan.cache_clear()
+        cold = [_exactly(solve_components(m, c, cap, cut)) for m, c, cap, cut in cases]
+        assert exact._plan.cache_info().hits > 0
+        warm = [_exactly(solve_components(m, c, cap, cut)) for m, c, cap, cut in cases[::-1]]
+        assert warm[::-1] == cold
+        for m, comps, cap, cut in cases:
+            log_z, x = solve_components(m, comps, cap, cut)
+            pruned = m if cut is None else m.without_edges(
+                [e for e, flag in zip(m.edge_list, cut) if flag])
+            for z, comp in zip(log_z.tolist(), comps):
+                sub, order = pruned.induced(comp)
+                assert z == pytest.approx(brute_log_z(sub), rel=1e-12)
+                assert tuple(x[list(order)].tolist()) == brute_map(sub)[0]
+
+    def test_cache_stays_bounded(self):
+        # 300 distinct six-node shapes, one per edge subset of K6, in one call
+        k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        edges = [(6 * c + u, 6 * c + v) for c in range(300)
+                 for i, (u, v) in enumerate(k6) if c >> i & 1]
+        m = random_mrf(np.random.default_rng(30), Graph(1800, edges))
+        comps = [tuple(range(6 * c, 6 * c + 6)) for c in range(300)]
+        exact._plan.cache_clear()
+        first = _exactly(solve_components(m, comps))
+        info = exact._plan.cache_info()
+        assert info.maxsize == exact._PLAN_SHAPES < 300
+        assert info.misses == 300 and info.currsize <= info.maxsize
+        assert _exactly(solve_components(m, comps)) == first
+        assert exact._plan.cache_info().currsize <= info.maxsize
+
+    def test_public_signatures_unchanged(self):
+        def params(f):
+            return [(p.name, p.default) for p in inspect.signature(f).parameters.values()]
+
+        empty = inspect.Parameter.empty
+        assert params(solve_components) == [
+            ("mrf", empty), ("components", empty), ("cap", DEFAULT_CAP),
+            ("cut", None), ("with_map", True),
+        ]
+        assert params(solve_model) == [("mrf", empty), ("cap", DEFAULT_CAP)]
+        for f in (certify, log_partition_bounds):
+            assert params(f) == [("mrf", empty), ("decomp", empty), ("cap", DEFAULT_CAP)]
 
 
 class TestDegreeLowerBounds:

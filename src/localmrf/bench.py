@@ -30,15 +30,8 @@ from .core import (
     criscross_graph,
     grid_graph,
 )
-from .decompose import (
-    Decomposition,
-    _rng,
-    criscross_decomposition,
-    db_dim_edge,
-    empty_edge_decomposition,
-    grid_decomp,
-    minor_edge,
-)
+from .decompose import _rng, criscross_decomposition, grid_decomp, scheme
+from .decompose import minor_edge  # noqa: F401  the perfbench tracer wraps this name
 from .exact import grid_transfer_log_z, solve_model
 from .exact import grid_transfer_map  # noqa: F401  the perfbench tracer wraps this name
 from .inference import certify, log_partition_bounds
@@ -268,26 +261,12 @@ def records_from_csv(text: str) -> list[TrialRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _decompose_for_trial(
-    spec: ExperimentSpec, graph: Graph, param: int, seed: int
-) -> Decomposition:
-    base_graph = graph
-    lift = spec.topology == "criscross"
-    if lift:
-        base_graph = grid_graph(spec.n)
-    if spec.decomp == "minore":
-        dec = minor_edge(base_graph, spec.r, param, seed)
-    elif spec.decomp == "grid":
-        rng = _rng(seed, 17)
-        l1, l2 = int(rng.integers(param)), int(rng.integers(param))
-        dec = grid_decomp(spec.n, param, l1, l2)
-    elif spec.decomp == "dbdim":
-        dec = db_dim_edge(base_graph, spec.eps, spec.K, seed)
-    else:
-        dec = empty_edge_decomposition(base_graph)
-    if lift:
-        dec = criscross_decomposition(graph, dec)
-    return dec
+def _trial_scheme(spec: ExperimentSpec, graph: Graph, param: int):
+    """``decompose.scheme`` at one swept parameter; a cris-cross lattice is
+    decomposed through its grid, then lifted."""
+    base = grid_graph(spec.n) if spec.topology == "criscross" else graph
+    draw = scheme(base, spec.decomp, spec.eps, spec.K, spec.r, param, param)
+    return draw if base is graph else lambda seed: criscross_decomposition(graph, draw(seed))
 
 
 def _derived_seed(*key: int) -> int:
@@ -302,7 +281,7 @@ def run_trial(
     decomp_seed = _derived_seed(spec.seed, alpha_key, trial, param, 1)
     mrf = sample_potentials(graph, spec.mode, alpha, model_seed)
     start = time.perf_counter()
-    dec = _decompose_for_trial(spec, graph, param, decomp_seed)
+    dec = _trial_scheme(spec, graph, param)(decomp_seed)
     bounds, estimate = certify(mrf, dec)
     wall = time.perf_counter() - start
 
@@ -351,6 +330,8 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialRecord]:
     """
     spec.validate()
     graph = spec.build_graph()
+    for param in spec.params_grid():
+        _trial_scheme(spec, graph, param)  # checks each parameter before any trial
     records = []
     for alpha in spec.alphas:
         for param in spec.params_grid():

@@ -8,24 +8,13 @@ come out as CSV.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 
-from . import bench
-from .core import CapExceeded, criscross_graph, dump_mrf, grid_graph, load_mrf
-from .decompose import (
-    _rng,
-    criscross_decomposition,
-    db_dim_edge,
-    db_dim_vertex,
-    empty_edge_decomposition,
-    grid_decomp,
-    minor_edge,
-    minor_vertex,
-)
+from . import bench, decompose
+from .core import CapExceeded, dump_mrf, load_mrf
 from .exact import solve_model
 from .inference import certify, log_partition_bounds
 from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
@@ -53,47 +42,14 @@ def _write_decomposition(dec, out) -> None:
     _write(out, "\n".join(lines) + "\n")
 
 
-def _scheme(graph, name: str, args):
-    """The named decomposition of ``graph`` as a function of its seed.
-
-    ``decompose`` gives the slab scheme its offsets (``--l1 --l2``); ``logz``
-    and ``map`` draw them from each trial's seed.  The slab scheme lifts to
-    the cris-cross lattice, and its lattice and k are checked once, up front.
-    """
-    if name == "dbdim":
-        return lambda seed: db_dim_edge(graph, args.eps, args.K, seed)
-    if name == "dbdim-v":
-        return lambda seed: db_dim_vertex(graph, args.eps, args.K, seed)
-    if name == "minorv":
-        return lambda seed: minor_vertex(graph, args.r, args.lam, seed)
-    if name == "minore":
-        return lambda seed: minor_edge(graph, args.r, args.lam, seed)
-    if name == "none":
-        return lambda seed: empty_edge_decomposition(graph)
-    side, k = math.isqrt(graph.n), args.k
-    lift = graph != grid_graph(side)
-    if lift and graph != criscross_graph(side):
-        raise ValueError(
-            "grid decomposition needs a square grid or cris-cross lattice, got"
-            f" {graph.n} nodes and {len(graph.edges)} edges"
-        )
-    if not 1 <= k <= side:
-        raise ValueError("need 1 <= k <= n")
-
-    def slab(seed):
-        if "l1" in args:
-            dec = grid_decomp(side, k, args.l1, args.l2)
-        else:
-            rng = _rng(seed, 17)
-            dec = grid_decomp(side, k, int(rng.integers(k)), int(rng.integers(k)))
-        return criscross_decomposition(graph, dec) if lift else dec
-
-    return slab
+def _scheme(graph, name: str, args, offsets=None):
+    """``decompose.scheme`` with the scheme flags in ``args``."""
+    return decompose.scheme(graph, name, args.eps, args.K, args.r, args.lam, args.k, offsets)
 
 
 def _cmd_decompose(args) -> int:
     graph = load_mrf(args.graph).graph
-    _write_decomposition(_scheme(graph, args.alg, args)(args.seed), args.out)
+    _write_decomposition(_scheme(graph, args.alg, args, (args.l1, args.l2))(args.seed), args.out)
     return 0
 
 

@@ -377,11 +377,18 @@ class PairwiseMrf:
     def edge_list(self) -> tuple[Edge, ...]:
         return self.graph.edge_list
 
+    def _row(self, u: int, v: int) -> int:
+        """The ``psi`` row of edge {u, v}; a non-edge raises ``ValueError``."""
+        try:
+            return self._edge_index[_canon_edge(u, v)]
+        except KeyError:
+            raise ValueError(f"({u}, {v}) is not an edge of this model") from None
+
     def edge_table(self, u: int, v: int) -> np.ndarray:
-        """Edge table oriented so it can be indexed ``[x_u, x_v]``."""
-        e = _canon_edge(u, v)
-        t = self.psi[self._edge_index[e]]
-        return t if (u, v) == e else t.T
+        """Edge table oriented so it can be indexed ``[x_u, x_v]``; a non-edge
+        raises ``ValueError``."""
+        t = self.psi[self._row(u, v)]
+        return t if u < v else t.T
 
     @cached_property
     def edge_min(self) -> np.ndarray:
@@ -396,7 +403,7 @@ class PairwiseMrf:
     def edge_range_sum(self, edges: Iterable[Edge]) -> float:
         """Sum of (max - min) over the given edges, in either orientation, in
         ascending edge order; an edge listed twice counts twice."""
-        rows = [self._edge_index[_canon_edge(u, v)] for u, v in edges]
+        rows = [self._row(u, v) for u, v in edges]
         rows = np.sort(np.array(rows, dtype=np.intp))
         return left_sum(self.edge_max[rows] - self.edge_min[rows])
 

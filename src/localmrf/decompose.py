@@ -11,6 +11,9 @@ B in ascending id order):
   graph, ``core.sweep``, with the nodes or edges cut so far as masks);
 * the deterministic axis-aligned slab cut of an n x n lattice.
 
+``scheme`` turns a scheme's name into its decomposition as a function of
+the seed; the command line and the experiment harness both call it.
+
 Every scheme is reproducible: all randomness comes from numpy PCG64
 generators keyed by the caller's 64-bit seed.  Layer cutting draws one
 stream per (seed, round, component-index) triple so components of a round
@@ -26,7 +29,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core import Edge, Graph, bfs_depths, grid_graph, sweep
+from .core import Edge, Graph, bfs_depths, criscross_graph, grid_graph, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 
@@ -200,6 +203,11 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _check_layers(r: int, lam: int) -> None:
+    if r < 1 or lam < 1:
+        raise ValueError("need r >= 1 and lam >= 1")
+
+
 def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
     """Check the layer-cutting arguments, then yield ``(depth, comp_of,
     order, levels)`` per round: one ``core.sweep`` of the graph without the
@@ -211,8 +219,7 @@ def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
     The caller flags each round's cut in the masks before taking the next
     item.
     """
-    if r < 1 or lam < 1:
-        raise ValueError("need r >= 1 and lam >= 1")
+    _check_layers(r, lam)
     if choose_level is None:
         if seed is None:
             raise ValueError("give a seed or an explicit choose_level")
@@ -299,15 +306,19 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> Decomposition:
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
+    return _slab(grid_graph(n), n, k, l1, l2)
+
+
+def _slab(grid: Graph, n: int, k: int, l1: int, l2: int) -> Decomposition:
+    """``grid_decomp`` on ``grid``, the already built ``grid_graph(n)``."""
     if not (0 <= l1 < k and 0 <= l2 < k):
         raise ValueError("offsets must lie in 0..k-1")
-    graph = grid_graph(n)
     # horizontal (u, u + 1) by u's column, vertical (u, u + n) by u's row
     cut = bytes(
         (u % n) % k == l1 if v == u + 1 else (u // n) % k == l2
-        for u, v in graph.edge_list
+        for u, v in grid.edge_list
     )
-    return _carve(graph, "grid", 1.0 / k, None, cut=cut)
+    return _carve(grid, "grid", 1.0 / k, None, cut=cut)
 
 
 def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decomposition:
@@ -337,6 +348,48 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     )
     eps_target = min(1.0, 2.0 * grid_dec.eps_target)
     return _carve(cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, cut=cut)
+
+
+def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int,
+           offsets: tuple[int, int] | None = None):
+    """The decomposition of ``graph`` named ``name``, as a function of its seed.
+
+    ``grid``, the width-``k`` slab cut of a square or cris-cross lattice,
+    cuts at ``offsets`` (l1, l2), or else at two drawn from each seed.  The
+    name and the scheme's parameters are checked here, before any draw.
+    """
+    if name in ("dbdim", "dbdim-v"):
+        RadiusLaw(eps, K)  # raises on a bad eps or K
+        carve = db_dim_edge if name == "dbdim" else db_dim_vertex
+        return lambda seed: carve(graph, eps, K, seed)
+    if name in ("minorv", "minore"):
+        _check_layers(r, lam)
+        layers = minor_edge if name == "minore" else minor_vertex
+        return lambda seed: layers(graph, r, lam, seed)
+    if name == "none":
+        return lambda seed: empty_edge_decomposition(graph)
+    if name != "grid":
+        raise ValueError(f"unknown decomposition {name}")
+    side = math.isqrt(graph.n)
+    grid = grid_graph(side)
+    lift = graph != grid
+    if lift and graph != criscross_graph(side):
+        raise ValueError(
+            "grid decomposition needs a square grid or cris-cross lattice, got"
+            f" {graph.n} nodes and {len(graph.edges)} edges"
+        )
+    if not 1 <= k <= side:
+        raise ValueError("need 1 <= k <= n")
+
+    def slab(seed):
+        if offsets is None:
+            rng = _rng(seed, 17)
+            dec = _slab(grid, side, k, int(rng.integers(k)), int(rng.integers(k)))
+        else:
+            dec = _slab(grid, side, k, *offsets)
+        return criscross_decomposition(graph, dec) if lift else dec
+
+    return slab
 
 
 def db_dim_target_eps(eps: float, rho: float, offset: int = 3) -> float:

@@ -16,6 +16,7 @@ from localmrf import (
     grid_graph,
     minor_vertex,
 )
+from localmrf import bench
 from localmrf.bench import (
     ExperimentSpec,
     TrialRecord,
@@ -224,6 +225,41 @@ class TestRunExperiment:
         records = [dataclasses.replace(rec, wall_time=None) for rec in run_experiment(spec)]
         digest = hashlib.sha256(records_to_csv(records).encode()).hexdigest()
         assert digest == "920c5f17731d62616f197cfbb77979b0c597fa7a075631b40f282115269333ee"
+
+    def test_every_scheme_path_digest(self):
+        # sha256 of the CSVs of 14 sweeps, one per (topology, decomp) pair the
+        # harness runs, wall times blanked, as the code gave it when each front
+        # end turned the scheme name into a decomposition with its own code
+        parts, count = [], 0
+        for topology, n in (("grid", 5), ("criscross", 4), ("linechords", 12), ("random", 10)):
+            for decomp in ("minore", "grid", "dbdim", "none"):
+                if decomp == "grid" and topology not in ("grid", "criscross"):
+                    continue
+                spec = ExperimentSpec(
+                    topology=topology, n=n, decomp=decomp, alphas=(0.5, 1.5),
+                    lambdas=(3, 4), ks=(2, 3), K=4, trials=3, seed=7,
+                )
+                records = [dataclasses.replace(rec, wall_time=None)
+                           for rec in run_experiment(spec)]
+                count += len(records)
+                parts.append(records_to_csv(records))
+        assert count == 120
+        digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+        assert digest == "e2db6952404e7d990a5db8f59c4fa36169f40c46a084818f9ecde97b6d45bdf8"
+
+    @pytest.mark.parametrize("spec, message", [
+        (ExperimentSpec(n=7, decomp="grid", ks=(2, 9), alphas=(1.0,), trials=20),
+         "need 1 <= k <= n"),
+        (ExperimentSpec(n=7, decomp="minore", lambdas=(3, 0), alphas=(1.0,), trials=20),
+         "need r >= 1 and lam >= 1"),
+    ])
+    def test_bad_parameter_fails_before_first_trial(self, monkeypatch, spec, message):
+        calls, certify = [], bench.certify
+        monkeypatch.setattr(bench, "certify", lambda *a: calls.append(a) or certify(*a))
+        spec.validate()  # the spec itself is well formed
+        with pytest.raises(ValueError, match=message):
+            run_experiment(spec)
+        assert calls == []
 
     def test_shared_models_across_params(self):
         spec = ExperimentSpec(

@@ -17,7 +17,7 @@ from localmrf import (
     load_mrf,
 )
 from localmrf.bench import sample_potentials, VARYING_INTERACTION
-from localmrf import cli
+from localmrf import cli, decompose
 from localmrf.cli import build_parser, main
 from localmrf.mwis import write_factor_model, FactorModel
 
@@ -194,6 +194,22 @@ def test_grid_decomp_lifted_on_criscross(tmp_path):
     assert main(["decompose", "--alg", "grid", "--graph", str(path),
                  "--out", str(dec)]) == 0
     assert "alg=grid+diag" in dec.read_text()
+
+
+def test_slab_lattice_built_once_per_command(grid_model_file, tmp_path, monkeypatch):
+    # the slab scheme cuts the lattice it built for its check, on every draw
+    built = []
+    real = decompose.grid_graph
+    monkeypatch.setattr(decompose, "grid_graph", lambda *a: built.append(a) or real(*a))
+    out = tmp_path / "runs.csv"
+    for cmd in ("logz", "map"):
+        built.clear()
+        assert main([
+            cmd, "--graph", grid_model_file, "--decomp", "grid", "--trials", "3",
+            "--csv", str(out),
+        ]) == 0
+        assert built == [(4,)]
+        assert len(out.read_text().splitlines()) == 4
 
 
 # sha256 of the CSV of ``map --exact`` over four seeds, as the code gave it

@@ -384,6 +384,13 @@ class TestModelEdits:
         with pytest.raises(ValueError):
             m.without_edges([(0, 3)])
 
+    def test_non_edge_named(self):
+        m = random_mrf(np.random.default_rng(14), grid_graph(3))
+        for lookup in (lambda: m.edge_range_sum([(0, 1), (0, 4)]),
+                       lambda: m.edge_table(0, 4), lambda: m.edge_table(4, 0)):
+            with pytest.raises(ValueError, match=r"\((0, 4|4, 0)\) is not an edge"):
+                lookup()
+
     def test_forced_node_keeps_state_value(self):
         rng = np.random.default_rng(13)
         m = random_mrf(rng, Graph(2, [(0, 1)]))

@@ -413,6 +413,49 @@ class TestGridDecomp:
             grid_decomp(4, 2, 2, 0)
 
 
+class TestScheme:
+    ARGS = dict(eps=0.25, K=5, r=2, lam=3, k=2)
+
+    def test_unknown_name_rejected(self):
+        for name in ("slab", "Grid", "", "minor"):
+            with pytest.raises(ValueError, match="unknown decomposition"):
+                decompose.scheme(grid_graph(4), name, **self.ARGS)
+
+    def test_each_name_draws_its_scheme(self):
+        g, cc = grid_graph(4), criscross_graph(4)
+        a = self.ARGS
+        draws = {
+            "dbdim": db_dim_edge(g, a["eps"], a["K"], 3),
+            "dbdim-v": db_dim_vertex(g, a["eps"], a["K"], 3),
+            "minorv": minor_vertex(g, a["r"], a["lam"], 3),
+            "minore": minor_edge(g, a["r"], a["lam"], 3),
+            "none": empty_edge_decomposition(g),
+        }
+        for name, dec in draws.items():
+            assert repr(decompose.scheme(g, name, **a)(3)) == repr(dec)
+        slab = grid_decomp(4, 2, 1, 0)
+        assert decompose.scheme(g, "grid", **a, offsets=(1, 0))(3) == slab
+        lifted = decompose.scheme(cc, "grid", **a, offsets=(1, 0))(3)
+        assert lifted == criscross_decomposition(cc, slab)
+
+    def test_parameters_checked_before_any_draw(self):
+        # scheme() itself raises: no seed is ever drawn for a bad parameter
+        cases = [
+            ("dbdim", grid_graph(4), {"eps": 1.5}, "eps must be in"),
+            ("dbdim-v", grid_graph(4), {"K": 0}, "K must be >= 1"),
+            ("minorv", grid_graph(4), {"lam": 0}, "need r >= 1 and lam >= 1"),
+            ("minore", grid_graph(4), {"r": 0}, "need r >= 1 and lam >= 1"),
+            ("grid", grid_graph(4), {"k": 5}, "need 1 <= k <= n"),
+            ("grid", criscross_graph(3), {"k": 0}, "need 1 <= k <= n"),
+            ("grid", grid_graph(2, 3), {}, "needs a square grid or cris-cross"),
+        ]
+        for name, graph, bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                decompose.scheme(graph, name, **{**self.ARGS, **bad})
+        # a parameter another scheme uses is not checked
+        decompose.scheme(grid_graph(4), "minore", **{**self.ARGS, "eps": 1.5, "k": 9})
+
+
 class TestTargetEps:
     def test_default_offset_is_conservative(self):
         from localmrf.decompose import db_dim_target_eps

@@ -5,7 +5,10 @@ Three schemes, each flagging a removed set B in a node or edge mask
 B in ascending id order):
 
 * random ball carving driven by a truncated geometric radius, suited to
-  graphs whose metric balls grow polynomially (low doubling dimension);
+  graphs whose metric balls grow polynomially (low doubling dimension;
+  each ball is a BFS cut off at its radius, edge balls run on the graph
+  itself rather than on its line graph, and the uncarved ids sit in a
+  Fenwick tree, so a run costs its ball sizes times O(log n));
 * iterated BFS-layer cutting, suited to minor-excluded graphs (r rounds,
   layers taken modulo a stride Lambda; each round is one BFS sweep of the
   graph, ``core.sweep``, with the nodes or edges cut so far as masks);
@@ -23,7 +26,6 @@ could be processed concurrently without changing the output.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -149,40 +151,118 @@ def db_dim_vertex(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
 
     Draw order per iteration, on one PCG64 stream keyed by ``seed``: first
     the index of u in the ascending list of white nodes via
-    ``rng.integers(len(white))``, then the radius via one uniform.
+    ``rng.integers(<number of white nodes>)``, then the radius via one
+    uniform.
     Every surviving component sits inside a ball of radius K around one of
     the chosen centers.
 
     Each ball is a BFS from u over the whole graph that stops at depth Q,
-    so a run costs the sum of its ball sizes, not an all-pairs distance
-    matrix.
+    and the white nodes are kept in a Fenwick tree (``_WhiteIds``), so a
+    run costs the sum of its ball sizes times O(log n), not an all-pairs
+    distance matrix.
     """
-    return _carve(graph, "dbdim-v", 2.0 * eps, seed, dead=_ball_cut(graph, eps, K, seed))
+
+    def ball(u, radius):
+        return bfs_depths(graph, u, max_depth=radius).items()
+
+    dead = _ball_cut(graph.n, ball, eps, K, seed)
+    return _carve(graph, "dbdim-v", 2.0 * eps, seed, dead=dead)
 
 
-def _ball_cut(graph: Graph, eps: float, K: int, seed: int) -> bytearray:
-    """The blue-node mask of one ball-carving run (see ``db_dim_vertex``)."""
+def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
+    """``db_dim_vertex`` on the line graph, mapped back to an edge removal:
+    line-graph node i is edge i, so its blue mask is the edge mask.
+
+    The balls are found on ``graph`` itself; no line graph is built.  For a
+    centre edge e = (a, b), e is at distance 0 and any other edge at 1 +
+    the smaller BFS depth of its endpoints from {a, b}.  So a ball of
+    radius Q is a BFS from {a, b} to depth Q-1 that scans each frontier
+    node's ``edge_ids`` level by level, which meets every edge first at
+    its own distance.
+    """
+    adj, ids = graph.adjacency, graph.edge_ids
+
+    def ball(e, radius):
+        a, b = graph.edge_list[e]
+        dist, seen, frontier = {e: 0}, {a, b}, [a, b]
+        for d in range(1, radius + 1):
+            nxt = []
+            for u in frontier:
+                for w, f in zip(adj[u], ids[u]):
+                    # an edge met before was met from w, so w is seen
+                    if f not in dist:
+                        dist[f] = d
+                        if w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+            frontier = nxt
+        return dist.items()
+
+    cut = _ball_cut(len(graph.edge_list), ball, eps, K, seed)
+    return _carve(graph, "dbdim", 2.0 * eps, seed, cut=cut)
+
+
+class _WhiteIds:
+    """Ids ``0..n-1`` still white, indexable as their ascending list.
+
+    A Fenwick tree over 0/1 presence counts: the k-th white id and the
+    removal of an id each cost O(log n).
+    """
+
+    def __init__(self, n: int):
+        self.count = n
+        self.present = bytearray([1]) * n
+        self.tree = [i & -i for i in range(n + 1)]
+        self.top = 1 << n.bit_length()
+
+    def kth(self, k: int) -> int:
+        """The k-th (from 0) white id in ascending order."""
+        tree, size, pos, step = self.tree, len(self.tree), 0, self.top
+        while step:
+            nxt = pos + step
+            if nxt < size and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos
+
+    def discard(self, v: int) -> bool:
+        """Remove ``v``; False if it was not white."""
+        if not self.present[v]:
+            return False
+        self.present[v] = 0
+        self.count -= 1
+        tree, size, i = self.tree, len(self.tree), v + 1
+        while i < size:
+            tree[i] -= 1
+            i += i & -i
+        return True
+
+
+def _ball_cut(n: int, ball, eps: float, K: int, seed: int) -> bytearray:
+    """The blue mask of one ball-carving run over ids ``0..n-1`` (see
+    ``db_dim_vertex``); ``ball(u, radius)`` lists the (id, distance) pairs
+    within ``radius`` of ``u``."""
     law = RadiusLaw(eps, K)
     rng = _rng(seed)
-    white = list(range(graph.n))  # ascending
-    blue = bytearray(graph.n)
-    while white:
-        u = white[int(rng.integers(len(white)))]
+    white = _WhiteIds(n)
+    blue = bytearray(n)
+    while white.count:
+        u = white.kth(int(rng.integers(white.count)))
         radius = law.sample(rng)
-        for w, d in bfs_depths(graph, u, max_depth=radius).items():
-            # only a node that is still white can turn blue
-            i = bisect_left(white, w)
-            if i < len(white) and white[i] == w:
-                del white[i]
-                if d == radius:
-                    blue[w] = 1
+        for w, d in ball(u, radius):
+            # only an id that is still white can turn blue
+            if white.discard(w) and d == radius:
+                blue[w] = 1
     return blue
 
 
 def line_graph(graph: Graph) -> Graph:
     """Graph on the edges; adjacency iff two edges share an endpoint.
 
-    Line-graph node i corresponds to ``graph.edge_list[i]``.
+    Line-graph node i corresponds to ``graph.edge_list[i]``.  No production
+    path builds one (``db_dim_edge`` measures line-graph distances on
+    ``graph``); it is the tests' oracle for that metric.
     """
     meta = set()
     for ids in graph.edge_ids:
@@ -190,12 +270,6 @@ def line_graph(graph: Graph) -> Graph:
             for b in range(a + 1, len(ids)):
                 meta.add((ids[a], ids[b]))
     return Graph(len(graph.edge_list), meta)
-
-
-def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
-    """Ball carving on the line graph, mapped back to an edge removal: line
-    graph node i is edge i, so its blue mask is the edge mask."""
-    return _carve(graph, "dbdim", 2.0 * eps, seed, cut=_ball_cut(line_graph(graph), eps, K, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,57 @@ class TestKParam:
             k_param(0.5, 0.5)
 
 
+def line_metric_graphs():
+    """25 graphs for the seeded edge-carving cases: lattices, cris-cross
+    lattices, the empty graph, edgeless graphs, disconnected graphs and
+    random graphs (often with isolated nodes)."""
+    yield from (Graph(0, []), Graph(1, []), Graph(6, []), Graph(2, [(0, 1)]))
+    yield from (grid_graph(2), grid_graph(1, 7), grid_graph(3, 5), grid_graph(6))
+    yield from (criscross_graph(3), criscross_graph(5))
+    lattice, m = grid_graph(3), grid_graph(3).n
+    # a lattice, a path beside it and an isolated node
+    yield Graph(m + 5, list(lattice.edges) + [(m + i, m + i + 1) for i in range(3)])
+    yield Graph(9, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7)])
+    yield Graph(10, [(0, 9), (9, 1), (2, 8), (8, 3), (3, 2)])
+    rng = np.random.default_rng(11)
+    for n, p in ((5, 0.5), (8, 0.3), (10, 0.2), (12, 0.4), (15, 0.15), (20, 0.1),
+                 (20, 0.25), (25, 0.08), (30, 0.1), (35, 0.05), (40, 0.06), (40, 0.03)):
+        yield random_graph(rng, n, p)
+
+
+SPECIAL_SIZES = [0, 1] + [2**k + d for k in range(1, 10) for d in (-1, 0, 1)]
+
+
+class TestWhiteIds:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kth_and_discard_match_a_sorted_list(self, data):
+        n = data.draw(st.one_of(st.sampled_from(SPECIAL_SIZES), st.integers(0, 300)))
+        white, ref = decompose._WhiteIds(n), list(range(n))
+        ids = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+        for v in ids:
+            assert white.discard(v) == (v in ref)
+            if v in ref:
+                ref.remove(v)
+            assert white.count == len(ref)
+            if ref:
+                k = data.draw(st.integers(0, len(ref) - 1))
+                assert white.kth(k) == ref[k]
+        assert [white.kth(k) for k in range(white.count)] == ref
+
+    @pytest.mark.parametrize("n", SPECIAL_SIZES)
+    def test_drain_in_random_order(self, n):
+        rng = np.random.default_rng(n)
+        white, ref = decompose._WhiteIds(n), list(range(n))
+        for v in rng.permutation(n).tolist():
+            assert white.discard(v) and not white.discard(v)
+            ref.remove(v)
+            assert white.count == len(ref)
+            for k in {0, len(ref) // 3, len(ref) // 2, len(ref) - 1} if ref else ():
+                assert white.kth(k) == ref[k]
+        assert white.count == 0
+
+
 class TestDbDimVertex:
     def test_single_node_empty_removal(self):
         dec = db_dim_vertex(Graph(1, []), 0.5, 3, seed=7)
@@ -214,15 +265,13 @@ class TestDbDimVertex:
         db_dim_vertex(g, 0.3, 8, seed=1)
         shortest_path_ball(g, 14, 3)
         assert "distance_matrix" not in g.__dict__
-        built = []
 
-        def recording_line_graph(graph):
-            built.append(line_graph(graph))
-            return built[-1]
+        def no_line_graph(graph):
+            raise AssertionError("db_dim_edge built a line graph")
 
-        monkeypatch.setattr(decompose, "line_graph", recording_line_graph)
+        # edge balls are measured on g itself
+        monkeypatch.setattr(decompose, "line_graph", no_line_graph)
         db_dim_edge(g, 0.3, 8, seed=1)
-        assert len(built) == 1 and "distance_matrix" not in built[0].__dict__
         assert "distance_matrix" not in g.__dict__
 
 
@@ -293,6 +342,25 @@ class TestDbDimEdge:
     @settings(max_examples=100, deadline=None)
     def test_matches_distance_matrix_carving(self, g, eps, K, seed):
         same_record(db_dim_edge(g, eps, K, seed), db_dim_edge_by_matrix(g, eps, K, seed))
+
+    def test_matches_line_graph_carving_on_seeded_cases(self):
+        # 25 graphs x 3 (eps, K) x 4 seeds = 300 cases
+        cases = 0
+        for g in line_metric_graphs():
+            lg = line_graph(g)
+            for eps, K in ((0.5, 3), (0.25, 6), (0.1, 14)):
+                for seed in range(4):
+                    dec = db_dim_edge(g, eps, K, seed)
+                    vdec = db_dim_vertex(lg, eps, K, seed)
+                    removed = frozenset(g.edge_list[i] for i in sorted(vdec.removed_nodes))
+                    comps = connected_components(g, removed_edges=removed)
+                    mapped = decompose.Decomposition(
+                        "dbdim", g.n, comps, 2.0 * eps, seed, removed_edges=removed
+                    )
+                    assert repr(dec) == repr(mapped)
+                    same_record(dec, db_dim_edge_by_matrix(g, eps, K, seed))
+                    cases += 1
+        assert cases >= 300
 
 
 class TestMinorVertex:
@@ -536,6 +604,40 @@ GOLDEN_DIGESTS = {
     "random2/minor_edge": "1883427722b0f43c9f760972fc7fed219f54a4899b32438c91b1928ee6a85d9b",
     "grid12/replay": "81806d7897b7e6b6738006c49a9abc86e96f0cf9590a0ab325d5cfc0630a8535",
 }
+
+
+def carving_records(carve, graph):
+    return [
+        carve(graph, eps, K, seed)
+        for eps, K in ((0.5, 3), (0.25, 6), (0.1, 14))
+        for seed in range(10)
+    ]
+
+
+# record_digest of carving_records, pinned from the carving that still
+# built the line graph and kept the white ids in a sorted list
+GOLDEN_CARVING_DIGESTS = {
+    "grid7/db_dim_vertex": "865f2aea23ecdd8d2b0d75d408f160fb8db642e2fcc5b0f513e6363fd6e3dbdd",
+    "grid7/db_dim_edge": "bd2d6f7b8dc53c55aeb8a7f9700aa831a27036def08a09083bac36d349340fb4",
+    "grid12/db_dim_vertex": "d039acb35745828cdaa4d5842ab990988f9bf5b3b06ed4031b8a3c0f56b604f3",
+    "grid12/db_dim_edge": "ce453ded655039ecc623b9481ad0a211bf60adbcce979003657af63d6243f4c4",
+    "criscross6/db_dim_vertex": "82197f3aa5bf88154854b40535f32fbe848dda0c07038caed0991d5f7d6dcc55",
+    "criscross6/db_dim_edge": "518b573df1105d85a6d98f896bcbb57ccfbc1057d5a18b2792e25ba2d9cbfab9",
+    "random0/db_dim_vertex": "ed57e80ac60572f7be968e157d5fd71846a085c94c6a759143ab413e7e2faf88",
+    "random0/db_dim_edge": "64e14f87f360d8e996eed56b26f3b5e2820254c88c73f75a82426f656b90cac4",
+    "random1/db_dim_vertex": "de9616afa8d08745fc9212887633d1e12e17f6f66c924a40f51ac120c8276938",
+    "random1/db_dim_edge": "ac373c9459cff35c037dfde001f9c27c6d34e5d83adc08f6b0c080e66861e0a1",
+    "random2/db_dim_vertex": "2711694490318ebc9a2689a145ced2b66c792b06ef03c54843e32cff1b7a11b0",
+    "random2/db_dim_edge": "64daa12e3d88e2ce55c5e9af232befe5bff95794d3ee779cf1adf521b112c8ba",
+}
+
+
+class TestGoldenBallCarving:
+    @pytest.mark.parametrize("carve", [db_dim_vertex, db_dim_edge], ids=["dbdim-v", "dbdim"])
+    def test_seeded_records_match_digests(self, carve):
+        for name, g in golden_graphs().items():
+            key = f"{name}/{carve.__name__}"
+            assert record_digest(carving_records(carve, g)) == GOLDEN_CARVING_DIGESTS[key], key
 
 
 class TestGoldenLayerCutting:

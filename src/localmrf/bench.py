@@ -44,6 +44,17 @@ FIELD_HALF_WIDTH = 0.05     # theta_i range in the varying-interaction mode
 INTERACTION_HALF_WIDTH = 0.5  # theta_ij range in the varying-field mode
 
 
+def _half_widths(mode: str, alpha: float) -> tuple[float, float]:
+    """The (theta_i, theta_ij) half widths of ``sample_potentials``."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if mode == VARYING_INTERACTION:
+        return FIELD_HALF_WIDTH, alpha
+    if mode == VARYING_FIELD:
+        return alpha, INTERACTION_HALF_WIDTH
+    raise ValueError(f"unknown mode: {mode}")
+
+
 def sample_potentials(
     graph: Graph, mode: str, alpha: float, seed: int
 ) -> PairwiseMrf:
@@ -52,15 +63,8 @@ def sample_potentials(
     varying-interaction: theta_i ~ U[-0.05, 0.05], theta_ij ~ U[-alpha, alpha].
     varying-field:       theta_i ~ U[-alpha, alpha], theta_ij ~ U[-0.5, 0.5].
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    field_w, inter_w = _half_widths(mode, alpha)
     rng = _rng(seed)
-    if mode == VARYING_INTERACTION:
-        field_w, inter_w = FIELD_HALF_WIDTH, alpha
-    elif mode == VARYING_FIELD:
-        field_w, inter_w = alpha, INTERACTION_HALF_WIDTH
-    else:
-        raise ValueError(f"unknown mode: {mode}")
     theta_node = rng.uniform(-field_w, field_w, size=graph.n)
     theta_edge = rng.uniform(-inter_w, inter_w, size=len(graph.edge_list))
     phi = np.zeros((graph.n, 2))
@@ -124,12 +128,16 @@ class ExperimentSpec:
             raise ValueError("slab decomposition needs a lattice topology")
         if not self.alphas or not self.params_grid():
             raise ValueError("parameter grids must be non-empty")
-        if self.decomp == "grid" and min(self.ks) < 1:
-            raise ValueError("slab widths ks must be >= 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.oracle not in ("transfer", "none"):
             raise ValueError(f"unknown oracle {self.oracle}")
+        for alpha in self.alphas:
+            _half_widths(self.mode, alpha)
+        # only the slab cut reads the graph; it cuts a cris-cross's grid
+        grid = grid_graph(self.n) if self.decomp == "grid" else None
+        for param in self.params_grid():
+            scheme(grid, self.decomp, self.eps, self.K, self.r, param, param)
 
     def build_graph(self) -> Graph:
         if self.topology == "grid":
@@ -330,8 +338,6 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialRecord]:
     """
     spec.validate()
     graph = spec.build_graph()
-    for param in spec.params_grid():
-        _trial_scheme(spec, graph, param)  # checks each parameter before any trial
     records = []
     for alpha in spec.alphas:
         for param in spec.params_grid():

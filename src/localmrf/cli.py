@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench, decompose
 from .core import CapExceeded, dump_mrf, load_mrf
-from .exact import solve_model
+from .exact import grid_transfer_log_z, solve_model
 from .inference import certify, log_partition_bounds
 from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
 from .saw import build_saw_tree, msg_pass_mode, saw_max_ratio
@@ -55,12 +55,14 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_exact(args) -> int:
     mrf = load_mrf(args.graph)
+    if args.mode == "logz":  # prints no MAP, so builds no MAP table
+        print(f"log_z {grid_transfer_log_z(mrf):.17g}")
+        return 0
     res = solve_model(mrf)
-    if args.mode in ("logz", "both"):
+    if args.mode == "both":
         print(f"log_z {res.log_z:.17g}")
-    if args.mode in ("map", "both"):
-        print("map " + " ".join(map(str, res.map_assignment)))
-        print(f"map_energy {res.map_energy:.17g}")
+    print("map " + " ".join(map(str, res.map_assignment)))
+    print(f"map_energy {res.map_energy:.17g}")
     return 0
 
 

@@ -16,6 +16,8 @@ B in ascending id order):
 
 ``scheme`` turns a scheme's name into its decomposition as a function of
 the seed; the command line and the experiment harness both call it.
+``edge_cut``, the one check of a record against a graph, serves the
+certificate (``inference``) and the cris-cross lift.
 
 Every scheme is reproducible: all randomness comes from numpy PCG64
 generators keyed by the caller's 64-bit seed.  Layer cutting draws one
@@ -77,9 +79,22 @@ def _carve(
     return Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
 
 
-def component_labels(dec: Decomposition) -> list[int]:
-    """Each node's index in ``dec.components``; raises ``ValueError``
-    unless the components partition ``0..dec.n-1``."""
+def edge_cut(graph: Graph, dec: Decomposition) -> tuple[list[int], bytearray]:
+    """Each node's index in ``dec.components`` and the removed edges as a
+    mask over ``graph.edge_list``, in O(n + m); raises ``ValueError`` unless
+    ``dec`` has the graph's node count, removes only edges of the graph and
+    has components that partition ``0..n-1``."""
+    if dec.n != graph.n:
+        raise ValueError(f"decomposition has {dec.n} nodes, the graph {graph.n}")
+    if dec.removed_nodes:
+        raise ValueError(f"node-removing decomposition {dec.alg}: it removes nodes, not edges")
+    index, cut = graph.edge_index, bytearray(len(graph.edge_list))
+    for e in dec.removed_edges:
+        i = index.get(e)
+        if i is None:
+            stray = sorted(dec.removed_edges - graph.edges)
+            raise ValueError(f"removed edges not in the graph: {stray}")
+        cut[i] = 1
     comp_of = [-1] * dec.n
     for i, comp in enumerate(dec.components):
         for v in comp:
@@ -88,7 +103,7 @@ def component_labels(dec: Decomposition) -> list[int]:
             comp_of[v] = i
     if -1 in comp_of:
         raise ValueError(f"components do not cover node {comp_of.index(-1)}")
-    return comp_of
+    return comp_of, cut
 
 
 def empty_edge_decomposition(graph: Graph) -> Decomposition:
@@ -403,23 +418,10 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     components coincide with the grid ones.  Such a grid edge is already
     among the removals, so only diagonals are added.  Each diagonal's
     removal probability is at most twice the grid edges', hence the
-    doubled target.
-    A record that removes nodes, that decomposes another graph (another
-    node count, or a removed edge the graph does not have), or whose
-    components do not partition the nodes has no such lift and raises
-    ``ValueError``.
+    doubled target.  ``edge_cut`` rejects a record that has no such lift.
     """
-    if grid_dec.removed_nodes:
-        raise ValueError("cannot lift a node-removing decomposition to cris-cross")
-    if grid_dec.n != cc_graph.n:
-        raise ValueError(f"decomposition has {grid_dec.n} nodes, the graph {cc_graph.n}")
-    if not grid_dec.removed_edges <= cc_graph.edges:
-        stray = sorted(grid_dec.removed_edges - cc_graph.edges)
-        raise ValueError(f"removed edges not in the graph: {stray}")
-    comp_of, removed = component_labels(grid_dec), grid_dec.removed_edges
-    cut = bytes(
-        comp_of[u] != comp_of[v] or (u, v) in removed for u, v in cc_graph.edge_list
-    )
+    comp_of, cut = edge_cut(cc_graph, grid_dec)
+    cut = bytes(c or comp_of[u] != comp_of[v] for (u, v), c in zip(cc_graph.edge_list, cut))
     eps_target = min(1.0, 2.0 * grid_dec.eps_target)
     return _carve(cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, cut=cut)
 

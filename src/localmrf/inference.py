@@ -1,6 +1,7 @@
 """Certified bounds on log Z and MAP estimates with a computable gap.
 
-``certify`` checks an edge decomposition, solves each surviving component
+``certify`` checks an edge decomposition (``decompose.edge_cut``, and no
+kept edge may cross two components), solves each surviving component
 exactly once, and accounts for every removed edge by its table minimum and
 maximum, so the gap is the removed edges' range sum (no oracle needed) and
 the true quantity lies inside the bracket.  ``mode_estimate`` is its MAP and
@@ -14,29 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairwiseMrf, energy, left_sum
-from .decompose import Decomposition, component_labels
+from .decompose import Decomposition, edge_cut
 from .exact import DEFAULT_CAP, solve_components
 from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
 
 
 def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> bytearray:
-    """Reject a decomposition the certificate does not cover, in O(n + m).
-
-    Only edges may be removed.  The components must partition the nodes,
-    and every edge that is not removed must lie inside one component; an
-    edge that is neither would be dropped from both the component solves
-    and the bracket.  Returns the removed edges as a mask over ``edge_list``.
-    """
-    if decomp.n != mrf.n:
-        raise ValueError("decomposition is for a different node count")
-    if decomp.removed_nodes:
-        raise ValueError(f"decomposition {decomp.alg} removes nodes, not edges")
-    if not decomp.removed_edges <= mrf.graph.edges:
-        raise ValueError("decomposition removes edges the model does not have")
-    index, cut = mrf.graph.edge_index, bytearray(len(mrf.edge_list))
-    for e in decomp.removed_edges:
-        cut[index[e]] = 1
-    comp_of = component_labels(decomp)
+    """Reject a decomposition the certificate does not cover, in O(n + m):
+    ``edge_cut``'s checks, and no kept edge may cross two components (it
+    would be dropped from both the component solves and the bracket).
+    Returns the removed edges as a mask over ``edge_list``."""
+    comp_of, cut = edge_cut(mrf.graph, decomp)
     for (u, v), removed in zip(mrf.edge_list, cut):
         if comp_of[u] != comp_of[v] and not removed:
             raise ValueError(f"kept edge ({u},{v}) crosses two components")

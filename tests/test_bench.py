@@ -212,10 +212,12 @@ class TestRunExperiment:
             ExperimentSpec(topology="random", decomp="grid").validate()
 
     def test_zero_slab_width_rejected(self):
-        with pytest.raises(ValueError, match="ks must be >= 1"):
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
             ExperimentSpec(decomp="grid", ks=(2, 0)).validate()
-        with pytest.raises(ValueError, match="ks must be >= 1"):
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
             parse_experiment_spec("decomp=grid\nks=0\n")
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            parse_experiment_spec("n=7\ndecomp=grid\nks=2,9\n")
 
     def test_harness_sweep_digest(self):
         # sha256 of the benchmark's 120-trial 7x7 sweep as CSV, wall times
@@ -252,11 +254,14 @@ class TestRunExperiment:
          "need 1 <= k <= n"),
         (ExperimentSpec(n=7, decomp="minore", lambdas=(3, 0), alphas=(1.0,), trials=20),
          "need r >= 1 and lam >= 1"),
+        (ExperimentSpec(n=7, alphas=(1.0, -1.0), trials=20), "alpha must be positive"),
+        (ExperimentSpec(n=7, mode="bogus", alphas=(1.0,), trials=20), "unknown mode: bogus"),
     ])
     def test_bad_parameter_fails_before_first_trial(self, monkeypatch, spec, message):
         calls, certify = [], bench.certify
         monkeypatch.setattr(bench, "certify", lambda *a: calls.append(a) or certify(*a))
-        spec.validate()  # the spec itself is well formed
+        with pytest.raises(ValueError, match=message):
+            spec.validate()
         with pytest.raises(ValueError, match=message):
             run_experiment(spec)
         assert calls == []

@@ -112,7 +112,7 @@ def test_decompose_grid_takes_given_offsets(grid_model_file, tmp_path):
         assert removed == sorted(grid_decomp(4, 2, l1, l2).removed_edges)
 
 
-def test_exact_modes(grid_model_file, tmp_path, capsys):
+def test_exact_modes(grid_model_file, tmp_path, capsys, monkeypatch):
     assert main(["exact", "--mode", "both", "--graph", grid_model_file]) == 0
     plain = capsys.readouterr().out
     assert plain.startswith("log_z ")
@@ -129,6 +129,10 @@ def test_exact_modes(grid_model_file, tmp_path, capsys):
     assert (tuple(map(int, x.split()[1:])), float(h.split()[1])) == brute_map(m)
     assert main(["exact", "--mode", "map", "--graph", str(path)]) == 0
     assert capsys.readouterr().out == x + "\n" + h + "\n"
+    # --mode logz prints the same double from a solve that builds no MAP table
+    monkeypatch.setattr(cli, "solve_model", None)
+    assert main(["exact", "--mode", "logz", "--graph", str(path)]) == 0
+    assert capsys.readouterr().out == log_z + "\n"
 
 
 def test_logz_map_csv(grid_model_file, tmp_path):

@@ -1,6 +1,7 @@
 """Log-partition bounds and MAP estimates against exact oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from localmrf import (
     brute_log_z,
     brute_map,
     certify,
+    criscross_decomposition,
     empty_edge_decomposition,
     energy,
     grid_decomp,
@@ -202,6 +204,30 @@ class TestLogPartitionBounds:
             for run in (log_partition_bounds, certify):
                 with pytest.raises(ValueError):
                     run(m, leaky)
+
+
+_SLAB = grid_decomp(4, 2, 1, 0)
+
+
+@pytest.mark.parametrize("record, message", [
+    (grid_decomp(3, 2, 1, 0), "decomposition has 9 nodes, the graph 16"),
+    (minor_vertex(grid_graph(4), 1, 2, 0), "node-removing decomposition minorv"),
+    (replace(_SLAB, removed_edges=_SLAB.removed_edges | {(0, 15)}),
+     r"removed edges not in the graph: \[\(0, 15\)\]"),
+    (replace(_SLAB, components=_SLAB.components[1:]), "components do not cover node 0"),
+    (replace(_SLAB, components=_SLAB.components + ((0,),)),
+     r"do not partition the nodes \(node 0\)"),
+    (replace(_SLAB, components=_SLAB.components + ((16,),)),
+     r"do not partition the nodes \(node 16\)"),
+], ids=["node-count", "node-removing", "stray-edge", "missing", "doubled", "out-of-range"])
+def test_certify_and_lift_reject_a_malformed_record_alike(record, message):
+    cc = criscross_graph(4)
+    m = sample_potentials(cc, VARYING_INTERACTION, 1.0, 0)
+    with pytest.raises(ValueError, match=message) as lift:
+        criscross_decomposition(cc, record)
+    with pytest.raises(ValueError) as cert:
+        certify(m, record)
+    assert str(cert.value) == str(lift.value)
 
 
 def left_fold(terms):

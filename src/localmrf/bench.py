@@ -365,8 +365,11 @@ def expected_range(mode: str, alpha: float) -> float:
 
     The table is zero except the (1,1) entry theta, so the range is |theta|
     and its mean is half the interval width; it depends on the interaction
-    strength only, never on the field strength.
+    strength only, never on the field strength.  An unknown mode or a
+    negative alpha raises ``sample_potentials``' ``ValueError``; alpha = 0
+    is allowed, as the limit of a vanishing strength.
     """
+    _half_widths(mode, alpha or 1.0)
     half_width = alpha if mode == VARYING_INTERACTION else INTERACTION_HALF_WIDTH
     return half_width / 2.0
 

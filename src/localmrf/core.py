@@ -14,7 +14,6 @@ force a state off (used for conditioning); everything else must be finite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 from typing import Iterable, Mapping, NoReturn, Sequence
@@ -39,25 +38,45 @@ def _canon_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on nodes ``0..n-1``.
 
-    Immutable after construction.  Neighbor lists are kept in ascending id
-    order; this ordering is canonical and relied upon by the decomposition
-    and self-avoiding-walk code.
+    Immutable after construction.  ``ends`` is the read-only ``(m, 2)``
+    array of the edges' endpoints, ``u < v``, sorted ascending: the
+    canonical edge indexing, shared by ``edge_list``, the ``edges`` set,
+    ``adjacency`` and ``edge_ids``, which are built from it.  Neighbor
+    lists are kept in ascending id order; this ordering is canonical and
+    relied upon by the decomposition and self-avoiding-walk code.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError("node count must be >= 0")
-        self.n = n
-        canon = set()
+        pairs: list[int] = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            canon.add(_canon_edge(u, v))
-        self.edges: frozenset[Edge] = frozenset(canon)
-        # edges sorted ascending: the canonical edge indexing
-        self.edge_list: tuple[Edge, ...] = tuple(sorted(canon))
+            pairs += _canon_edge(u, v)
+        ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        ends = ends[np.lexsort(ends.T[::-1])]
+        # a pair given twice, in either orientation, is one edge
+        fresh = np.ones(len(ends), dtype=bool)
+        fresh[1:] = (ends[1:] != ends[:-1]).any(axis=1)
+        self._build(n, ends[fresh])
+
+    @classmethod
+    def _from_ends(cls, n: int, ends: np.ndarray) -> "Graph":
+        """The graph of ``ends``, already sorted, distinct, ``u < v < n``
+        rows of ``intp``, unchecked: for callers that checked them as arrays."""
+        graph = cls.__new__(cls)
+        graph._build(n, ends)
+        return graph
+
+    def _build(self, n: int, ends: np.ndarray) -> None:
+        self.n = n
+        ends.setflags(write=False)
+        self.ends = ends
+        self.edge_list: tuple[Edge, ...] = tuple(zip(*ends.T.tolist()))
+        self.edges: frozenset[Edge] = frozenset(self.edge_list)
         # in edge_list order each node meets its lower neighbours ascending,
         # then its higher ones, so the lists come out sorted
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -462,9 +481,11 @@ def left_sum(terms: np.ndarray) -> float:
 def check_assignment(mrf: PairwiseMrf, x: Sequence[int]) -> None:
     if len(x) != mrf.n:
         raise ValueError(f"assignment length {len(x)} != n={mrf.n}")
-    for v, s in enumerate(x):
-        if not 0 <= s < mrf.q:
-            raise ValueError(f"state {s} at node {v} out of range")
+    a = np.asarray(x)
+    bad = np.flatnonzero(np.logical_not((0 <= a) & (a < mrf.q)))
+    if len(bad):
+        v = int(bad[0])
+        raise ValueError(f"state {x[v]} at node {v} out of range")
 
 
 def energy(mrf: PairwiseMrf, x: Sequence[int]) -> float:
@@ -475,11 +496,10 @@ def energy(mrf: PairwiseMrf, x: Sequence[int]) -> float:
     """
     check_assignment(mrf, x)
     x = np.asarray(x, dtype=np.intp)
-    m = len(mrf.edge_list)
-    ends = np.fromiter(itertools.chain.from_iterable(mrf.edge_list), np.intp, 2 * m)
+    u, w = mrf.graph.ends.T
     return left_sum(np.concatenate((
         mrf.phi[np.arange(mrf.n), x],
-        mrf.psi[np.arange(m), x[ends[0::2]], x[ends[1::2]]],
+        mrf.psi[np.arange(len(u)), x[u], x[w]],
     )))
 
 
@@ -667,7 +687,8 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
     phi = np.empty((n, q))
     phi[v] = values[: n * q].reshape(n, q)
     psi = values[n * q :].reshape(-1, q, q)[order]
-    return PairwiseMrf(Graph(n, zip(u.tolist(), w.tolist())), q, phi, psi)
+    graph = Graph._from_ends(n, np.stack((u, w), axis=1, dtype=np.intp))
+    return PairwiseMrf(graph, q, phi, psi)
 
 
 def load_mrf(path) -> PairwiseMrf:

@@ -1,13 +1,15 @@
 """Exact solvers: the elimination engine and the brute-force oracle.
 
 * ``solve_components`` is the one exact engine.  It groups components by
-  shape and runs one batched variable-elimination sweep per group, which
+  shape in a few array passes over the graph's ``ends`` (no walk per node)
+  and runs one batched variable-elimination sweep per group, which
   eliminates the nodes in descending id order and yields log Z and the MAP
   together.  Each shape's elimination is compiled once into a plan of
-  index tuples (``_plan``), kept across calls for the last ``_PLAN_SHAPES``
-  shapes used, so a sweep does only table arithmetic.  It returns arrays:
-  each component's log Z, and one assignment over all nodes that stitches
-  the components' maximizers.
+  index tuples (``_plan``, keyed by the shape's node count and the bytes
+  of its local edge ends), kept across calls for the last
+  ``_PLAN_SHAPES`` shapes used, so a sweep does only table arithmetic.
+  It returns arrays: each component's log Z, and one assignment over all
+  nodes that stitches the components' maximizers.
   ``component_solve`` (one component) and ``solve_model`` (a whole model,
   one connected component at a time; also through ``grid_transfer_map``)
   read those arrays and call ``energy`` for the MAP's energy, and
@@ -32,7 +34,9 @@ The engine and the oracle both break MAP ties that way; the walk-tree
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -141,25 +145,33 @@ def brute_max_marginal(
 
 
 @functools.lru_cache(maxsize=_PLAN_SHAPES)
-def _plan(lower: tuple[tuple[int, ...], ...]) -> tuple:
+def _plan(k: int, pairs: bytes) -> tuple[int, tuple]:
     """The elimination of one component shape, compiled into its steps.
 
-    ``lower[v]`` lists ``v``'s lower neighbours, ascending.  Nodes are
+    A shape is its node count ``k`` and its edges' local ``(lower, upper)``
+    ends as ``intp`` bytes, ordered by upper node, then lower node; from
+    them ``lower[v]`` lists ``v``'s lower neighbours, ascending.  Nodes are
     eliminated in the order ``k-1, ..., 0``; a node opens when it or a
     higher neighbour is reached, and the open nodes, ascending after the
     batch axis, are a table's axes, so the node eliminated is the last.
-    Step ``(v, at, terms, grow, axes, width)``: ``at`` places ``phi[:, v]``
-    on the step's ``width`` open nodes and each of ``terms`` one lower
-    edge's ``psi[:, j]`` (edges numbered as in ``_eliminate``), ``grow``
-    opens the carried tables' new axes (None when none opens), and
-    ``axes`` are the nodes still open after ``v``.
+    Returns the most nodes open at once and the steps.  Step ``(v, at,
+    terms, grow, axes)``: ``at`` places ``phi[:, v]`` on the step's open
+    nodes and each of ``terms`` one lower edge's ``psi[:, j]`` (edges
+    numbered as in ``_eliminate``), ``grow`` opens the carried tables' new
+    axes (None when none opens), and ``axes`` are the nodes still open
+    after ``v``.
     """
+    lower: list[list[int]] = [[] for _ in range(k)]
+    for u, v in np.frombuffer(pairs, np.intp).reshape(-1, 2).tolist():
+        lower[v].append(u)
     j = sum(map(len, lower))
     steps = []
     opened: list[int] = []
-    for v in range(len(lower) - 1, -1, -1):
+    most = 0
+    for v in range(k - 1, -1, -1):
         nodes = sorted(set(opened).union([v], lower[v]))
         width = len(nodes)
+        most = max(most, width)
         pad = (None,) * (width - 1)
         terms = []
         j -= len(lower[v])
@@ -171,8 +183,8 @@ def _plan(lower: tuple[tuple[int, ...], ...]) -> tuple:
             grow = (_ALL,) + tuple(_ALL if w in opened else None for w in nodes)
         opened = nodes[:-1]
         at = (_ALL, v) + pad + (_ALL,)
-        steps.append((v, at, tuple(terms), grow, tuple(opened), width))
-    return tuple(steps)
+        steps.append((v, at, tuple(terms), grow, tuple(opened)))
+    return most, tuple(steps)
 
 
 def _eliminate(phi, psi, plan, q: int, with_map: bool):
@@ -181,15 +193,15 @@ def _eliminate(phi, psi, plan, q: int, with_map: bool):
     ``phi`` is ``(B, k, q)`` and ``psi`` ``(B, m, q, q)``.  Local edges are
     numbered by upper node, then by lower neighbour, both ascending:
     ``psi[:, j]`` is the table of the ``j``-th pair ``(u, v)``, ``u < v``,
-    in that order, with ``x_u`` on its first axis.  ``plan`` is the shape's
-    ``_plan``.  Each node's ``phi_v`` and lower edges' ``psi`` form one
-    local table, added to a log-sum-exp table and a max table over the
-    open nodes, both with a leading batch axis; the max table keeps each
-    node's first argmax.  Decoding then runs in ascending id order, so each
-    node takes the smallest state with a maximizing completion of the
-    states already chosen: the lexicographically smallest maximizer.  A
-    component whose maximum is ``-inf`` decodes to all zeros, brute's first
-    maximizer.
+    in that order, with ``x_u`` on its first axis.  ``plan`` is the steps
+    of the shape's ``_plan``.  Each node's ``phi_v`` and lower edges'
+    ``psi`` form one local table, added to a log-sum-exp table and a max
+    table over the open nodes, both with a leading batch axis; the max
+    table keeps each node's first argmax.  Decoding then runs in ascending
+    id order, so each node takes the smallest state with a maximizing
+    completion of the states already chosen: the lexicographically
+    smallest maximizer.  A component whose maximum is ``-inf`` decodes to
+    all zeros, brute's first maximizer.
 
     Returns log Z per component and the ``(B, k)`` MAP assignments; without
     ``with_map`` only the log-sum-exp table is kept and the MAP is None.
@@ -199,7 +211,7 @@ def _eliminate(phi, psi, plan, q: int, with_map: bool):
     lse = np.zeros(batch)
     mx = np.zeros(batch)
     choices = []
-    for v, at, terms, grow, axes, _ in plan:
+    for v, at, terms, grow, axes in plan:
         local = phi[at]
         for idx in terms:
             local = local + psi[idx]
@@ -233,6 +245,22 @@ def _eliminate(phi, psi, plan, q: int, with_map: bool):
     return lse, x
 
 
+def _raise_first_bad_set(components, n: int) -> NoReturn:
+    """Raise the ``ValueError`` of the first set, in order, that holds a node
+    outside ``0..n-1`` or, taking its nodes ascending, a node already seen."""
+    seen = set()
+    for comp in components:
+        order = sorted(comp)
+        if order and not (0 <= order[0] and order[-1] < n):
+            bad = order[0] if order[0] < 0 else order[-1]
+            raise ValueError(f"node {bad} out of range for n={n}")
+        for g in order:
+            if g in seen:
+                raise ValueError(f"node {g} lies in two components")
+            seen.add(g)
+    raise AssertionError("a bulk check failed on disjoint sets")
+
+
 def solve_components(
     mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP,
     cut=None, with_map: bool = True,
@@ -246,63 +274,81 @@ def solve_components(
     ``x`` is one assignment over all ``n`` nodes that holds each set's
     lexicographically smallest maximizer on that set's nodes and 0 on
     nodes in no set.  Without ``with_map`` no MAP table is built and ``x``
-    is None.  A node listed twice or outside ``0..n-1`` raises ``ValueError``.
+    is None.  A node listed twice or outside ``0..n-1`` raises
+    ``ValueError``, for the first set in order that holds one.
 
     Components are grouped by shape (their nodes relabelled ``0..k-1`` in
-    ascending order, with each node's lower neighbours), and each group
-    runs one batched elimination of its nodes in descending order along
-    the shape's cached ``_plan``; see ``_eliminate``.  A component whose
-    widest table holds more than ``cap`` entries raises ``CapExceeded``
-    before any table is built; a group's batch is split so that no batched
-    table holds more than ``cap`` entries.
+    ascending order, with each node's lower neighbours) in array passes
+    over ``graph.ends``: the kept edges are ordered by set, upper and lower
+    node with one ``lexsort``, and a set's shape is its node count and the
+    bytes of its slice of their local ends.  Groups keep their order of
+    first appearance, and each runs one batched elimination of its nodes
+    in descending order along the shape's cached ``_plan``; see
+    ``_eliminate``.  A component whose widest table holds more than ``cap``
+    entries raises ``CapExceeded`` before any table is built; a group's
+    batch is split so that no batched table holds more than ``cap``
+    entries.
     """
-    adjacency, edge_ids = mrf.graph.adjacency, mrf.graph.edge_ids
-    if cut is None:
-        cut = bytes(len(mrf.edge_list))
-    groups: dict[tuple, list] = {}
-    components = list(components)
-    seen = bytearray(mrf.n)
-    for c, comp in enumerate(components):
-        order = tuple(sorted(comp))
-        if order and not (0 <= order[0] and order[-1] < mrf.n):
-            bad = order[0] if order[0] < 0 else order[-1]
-            raise ValueError(f"node {bad} out of range for n={mrf.n}")
-        pos = {g: i for i, g in enumerate(order)}
-        lower = []
-        rows = []
-        for g in order:
-            if seen[g]:
-                raise ValueError(f"node {g} lies in two components")
-            seen[g] = 1
-            low = []
-            for u, e in zip(adjacency[g], edge_ids[g]):
-                if u >= g:
-                    break
-                if u in pos and not cut[e]:
-                    low.append(pos[u])
-                    rows.append(e)
-            lower.append(tuple(low))
-        groups.setdefault(tuple(lower), []).append((c, order, rows))
-    q = mrf.q
+    n, q = mrf.n, mrf.q
+    components = list(map(tuple, components))
+    sizes = list(map(len, components))
+    total = sum(sizes)
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(components), np.intp, total)
+    except OverflowError:
+        _raise_first_bad_set(components, n)
+    if total and not (0 <= flat.min() and flat.max() < n):
+        _raise_first_bad_set(components, n)
+    # slots: the sets' nodes, set after set, each set ascending; set c
+    # holds slots offsets[c] to offsets[c + 1] - 1
+    offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
+    # each slot's set, and len(sizes) for slot total, which stands for no set
+    label = np.repeat(np.arange(len(sizes) + 1), sizes + [1])
+    nodes = flat[np.lexsort((flat, label[:-1]))]
+    at = np.arange(total)
+    slot = np.full(n, total)
+    slot[nodes] = at
+    if (slot[nodes] != at).any():
+        _raise_first_bad_set(components, n)
+    # each edge's (lower, upper) slots; an edge with both ends in no set is
+    # kept too, but sorts after every set's edges and is never read
+    ends = slot[mrf.graph.ends.T]
+    sets = label[ends]
+    keep = sets[0] == sets[1]
+    if cut is not None:
+        # numpy would read bytes as one string, not as a buffer
+        keep &= np.logical_not(np.frombuffer(cut, np.uint8) if isinstance(cut, bytes) else cut)
+    rows = keep.nonzero()[0]
+    # by upper slot, then lower slot: by set first, since slots run set after set
+    rows = rows[np.lexsort(ends[:, rows])]
+    ends = ends[:, rows]
+    first_row = ends[1].searchsorted(offsets)  # each set's first kept edge
+    # each edge's local (lower, upper) ends, one pair after the other
+    blob = (ends - offsets[label[ends[1]]]).tobytes(order="F")
+    pair = 2 * ends.itemsize
+    bounds = first_row.tolist()
+    groups: dict[tuple, list[int]] = {}
+    for c, k in enumerate(sizes):
+        key = (k, blob[bounds[c] * pair : bounds[c + 1] * pair])
+        groups.setdefault(key, []).append(c)
     plans = []
-    for lower, members in groups.items():
-        plan = _plan(lower)
-        width = max((step[-1] for step in plan), default=0)
+    for (k, pairs), members in groups.items():
+        width, plan = _plan(k, pairs)
         if q**width > cap:
             raise CapExceeded(
-                f"component of {len(lower)} nodes needs an elimination table "
+                f"component of {k} nodes needs an elimination table "
                 f"of {q}^{width} entries (cap={cap})"
             )
-        plans.append((plan, cap // q**width, members))
+        plans.append((plan, cap // q**width, members, k, len(pairs) // pair))
     log_z = np.zeros(len(components))
-    x = np.zeros(mrf.n, dtype=np.intp) if with_map else None
-    for plan, step, members in plans:
+    x = np.zeros(n, dtype=np.intp) if with_map else None
+    row_at = np.arange(len(rows))
+    for plan, step, members, k, m in plans:
         for s in range(0, len(members), step):
-            part = members[s : s + step]
-            idx = np.array([c for c, _, _ in part], dtype=np.intp)
-            orders = np.array([o for _, o, _ in part], dtype=np.intp)
-            rows = np.array([r for _, _, r in part], dtype=np.intp)
-            z, xs = _eliminate(mrf.phi[orders], mrf.psi[rows], plan, q, with_map)
+            idx = np.array(members[s : s + step], dtype=np.intp)
+            orders = nodes[offsets[idx][:, None] + at[:k]]
+            psi = mrf.psi[rows[first_row[idx][:, None] + row_at[:m]]]
+            z, xs = _eliminate(mrf.phi[orders], psi, plan, q, with_map)
             log_z[idx] = z
             if with_map:
                 x[orders] = xs

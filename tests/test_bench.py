@@ -403,6 +403,19 @@ class TestBoundCurves:
     def test_expected_range_independent_of_field(self):
         assert expected_range(VARYING_FIELD, 0.2) == expected_range(VARYING_FIELD, 2.0)
 
+    def test_unknown_mode_and_negative_alpha_rejected(self):
+        # the messages sample_potentials gives for the same mode and alpha
+        with pytest.raises(ValueError, match="^unknown mode: bogus$"):
+            expected_range("bogus", 1.0)
+        with pytest.raises(ValueError, match="^unknown mode: bogus$"):
+            bound_curves("grid", 10, "bogus", (1.0,), "minore", (3,))
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            expected_range(VARYING_INTERACTION, -2.0)
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            bound_curve_value("grid", 10, VARYING_FIELD, -1.0, 0.5)
+        with pytest.raises(ValueError, match="^unknown mode: bogus$"):
+            expected_range("bogus", 0.0)
+
 
 class TestFreeEnergy:
     def test_trivial_tables_give_log2(self):

@@ -222,6 +222,18 @@ class TestEnergy:
         m = PairwiseMrf(Graph(1, []), 2, [[0.0, 0.0]], {})
         with pytest.raises(ValueError):
             energy(m, (2,))
+        # the first bad node is named, with its state as given
+        m = PairwiseMrf(Graph(4, [(0, 1)]), 3, np.zeros((4, 3)), np.zeros((1, 3, 3)))
+        for x, message in (
+            ((0, 3, -1, 0), "state 3 at node 1 out of range"),
+            ((0, 1, -1, 5), "state -1 at node 2 out of range"),
+            ((0, 1, 2, math.nan), "state nan at node 3 out of range"),
+            ((2**70, 0, 0, 0), f"state {2**70} at node 0 out of range"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                energy(m, x)
+        with pytest.raises(ValueError, match="^assignment length 3 != n=4$"):
+            energy(m, (0, 0, 0))
 
 
 class TestAffineShift:
@@ -490,6 +502,26 @@ class TestTextFormat:
         assert back.graph == m.graph and back.q == m.q
         assert back.phi.tobytes() == m.phi.tobytes()
         assert back.psi.tobytes() == m.psi.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_parsed_graph_equals_checked_graph(self, data):
+        # the parse builds its graph from its own checked arrays; every view
+        # must equal the one the checking constructor builds
+        m = data.draw(written_models())
+        header, *body = write_mrf_text(m).splitlines()
+        g = parse_mrf_text("\n".join([header, *data.draw(st.permutations(body))])).graph
+        ref = Graph(m.n, m.edge_list)
+        assert g == ref
+        assert g.ends.dtype == ref.ends.dtype == np.intp
+        assert g.ends.tobytes() == ref.ends.tobytes() and g.ends.shape == (len(ref.edge_list), 2)
+        for view in ("edges", "edge_list", "adjacency", "edge_ids", "edge_index"):
+            assert getattr(g, view) == getattr(ref, view)
+        assert g.ends.tolist() == [list(e) for e in ref.edge_list]
+        for ends in (g.ends, ref.ends):
+            assert not ends.flags.writeable
+            with pytest.raises(ValueError):
+                ends[:1] = 0
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)

@@ -285,11 +285,60 @@ class TestSolveComponents:
         z_only, no_map = solve_components(m, comps, cap, with_map=False)
         assert z_only.tolist() == log_z.tolist() and no_map is None
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.integers(0, 9),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_disjoint_sets_equal_brute_on_pruned_model(self, seed, q, n, parts, with_cut):
+        # unsorted sets, empty sets, singletons and nodes in no set, a random
+        # cut and -inf node entries: each set's log Z and MAP are brute's on
+        # the sub-model the set induces in the pruned model
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
+        m = random_mrf(rng, g, q=q, lo=-1.0, hi=1.0)
+        phi = np.array(m.phi)
+        phi[rng.random((n, q)) < 0.15] = -math.inf
+        m = PairwiseMrf(g, q, phi, m.psi)
+        label = rng.integers(-1, parts, size=n)  # -1: in no set
+        comps = [tuple(int(v) for v in rng.permutation(np.flatnonzero(label == c)))
+                 for c in range(parts)]
+        cut = None
+        if with_cut:
+            cut = bytes((rng.random(len(g.edge_list)) < 0.4).astype(np.uint8))
+        pruned = m if cut is None else m.without_edges(
+            [e for e, flag in zip(g.edge_list, cut) if flag])
+        log_z, x = solve_components(m, comps, DEFAULT_CAP, cut)
+        assert solve_components(m, comps, DEFAULT_CAP, cut, False)[0].tolist() == log_z.tolist()
+        for z, comp in zip(log_z.tolist(), comps):
+            sub, order = pruned.induced(comp)
+            ref = brute_log_z(sub)
+            assert z == ref or z == pytest.approx(ref, rel=1e-12)
+            assert tuple(x[list(order)].tolist()) == brute_map(sub)[0]
+        assert not x[label == -1].any()
+
     def test_overlapping_sets_rejected(self):
         # one assignment cannot hold two states for a node
         m = random_mrf(np.random.default_rng(22), grid_graph(2))
-        for comps in ([(0, 1), (2, 1)], [(3, 0, 3)]):
+        for comps in ([(0, 1), (2, 1)], [(3, 0, 3)], [(2, 1, 0, 1)], [(0,), (3, 3)]):
             with pytest.raises(ValueError, match="^node [13] lies in two components$"):
+                solve_components(m, comps)
+        # the first offending set names the error; within a set an id out of
+        # range comes before a node seen twice
+        for comps, message in (
+            ([(0, 1), (1, 4)], "node 4 out of range for n=4"),
+            ([(1, 4), (0, 1)], "node 4 out of range for n=4"),
+            ([(0, 1), (1, -1)], "node -1 out of range for n=4"),
+            ([(2, 2, 5)], "node 5 out of range for n=4"),
+            ([(0, 1), (1,), (5,)], "node 1 lies in two components"),
+            ([(0, 1), (5,), (1,)], "node 5 out of range for n=4"),
+            ([(3, 2), (2, 1), (1, 3)], "node 2 lies in two components"),
+            ([(1, 2**70)], f"node {2**70} out of range for n=4"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 solve_components(m, comps)
         # a negative id would index from the end, one of n or more past it
         for bad in (-1, 4):

@@ -66,10 +66,10 @@ def sample_potentials(
     field_w, inter_w = _half_widths(mode, alpha)
     rng = _rng(seed)
     theta_node = rng.uniform(-field_w, field_w, size=graph.n)
-    theta_edge = rng.uniform(-inter_w, inter_w, size=len(graph.edge_list))
+    theta_edge = rng.uniform(-inter_w, inter_w, size=len(graph.ends))
     phi = np.zeros((graph.n, 2))
     phi[:, 1] = theta_node
-    psi = np.zeros((len(graph.edge_list), 2, 2))
+    psi = np.zeros((len(graph.ends), 2, 2))
     psi[:, 1, 1] = theta_edge
     raw = PairwiseMrf(graph, 2, phi, psi)
     shifted, _ = affine_shift(raw)
@@ -435,7 +435,7 @@ def homogeneous_grid_mrf(phi_table, psi_table, n: int) -> PairwiseMrf:
         graph,
         q,
         np.tile(phi, (graph.n, 1)),
-        np.tile(psi, (len(graph.edge_list), 1, 1)),
+        np.tile(psi, (len(graph.ends), 1, 1)),
     )
 
 

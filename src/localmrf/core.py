@@ -6,6 +6,12 @@ self-avoiding-walk construction), potential tables in exponent form, the
 shortest-path metric with ball queries, and an exact (exponential-time,
 tiny-instance) doubling-dimension computation.
 
+A graph is arrays: its sorted edge ends and their compressed sparse rows.
+Its tuple views (``adjacency``, ``edge_ids``, ``edge_list``, ``edges``,
+``edge_index``) are built on first use, and the lattice functions, the
+parser and induced sub-models build graphs from checked arrays without a
+second check.
+
 A model over states ``{0..q-1}`` assigns probability proportional to
 ``exp(sum_v phi_v(x_v) + sum_{(u,v)} psi_uv(x_u, x_v))``; all potential
 tables here are those exponents.  Node potentials may contain ``-inf`` to
@@ -15,7 +21,7 @@ force a state off (used for conditioning); everything else must be finite.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -35,15 +41,38 @@ def _canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+@lru_cache(maxsize=2)
+def _int_objects(count: int) -> np.ndarray:
+    """The ints ``0..count-1`` as a read-only object array, kept for the
+    last two counts asked (a graph's node count and its edge count)."""
+    ints = np.arange(count).astype(object)
+    ints.setflags(write=False)
+    return ints
+
+
+def _shared(ids: np.ndarray, count: int) -> list:
+    """``ids.tolist()`` (values below ``count``), with one int object per
+    value rather than one per entry.  A node's id is listed once per
+    neighbour, and the views of a large graph are mostly these ints; graphs
+    of one size share them, and so do the components of the records carved
+    on them, which outlive their graph."""
+    return _int_objects(count)[ids].tolist()
+
+
 class Graph:
     """Simple undirected graph on nodes ``0..n-1``.
 
-    Immutable after construction.  ``ends`` is the read-only ``(m, 2)``
-    array of the edges' endpoints, ``u < v``, sorted ascending: the
-    canonical edge indexing, shared by ``edge_list``, the ``edges`` set,
-    ``adjacency`` and ``edge_ids``, which are built from it.  Neighbor
-    lists are kept in ascending id order; this ordering is canonical and
-    relied upon by the decomposition and self-avoiding-walk code.
+    Immutable after construction, and kept as arrays.  ``ends`` is the
+    read-only ``(m, 2)`` array of the edges' endpoints, ``u < v``, sorted
+    ascending: the canonical edge indexing.  ``indptr``, ``nbr`` and
+    ``nbr_edge`` are its compressed sparse rows: node ``v``'s neighbours,
+    ascending, are ``nbr[indptr[v]:indptr[v + 1]]`` and ``nbr_edge`` holds
+    the index of the edge to each.  This neighbour ordering is canonical
+    and relied upon by the decomposition and self-avoiding-walk code.
+
+    The tuple views ``adjacency``, ``edge_ids``, ``edge_list``, ``edges``
+    and ``edge_index`` are built from those arrays on first use and then
+    cached; equality, hashing, ``repr`` and degrees read the arrays only.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
@@ -73,53 +102,73 @@ class Graph:
 
     def _build(self, n: int, ends: np.ndarray) -> None:
         self.n = n
-        ends.setflags(write=False)
         self.ends = ends
-        self.edge_list: tuple[Edge, ...] = tuple(zip(*ends.T.tolist()))
-        self.edges: frozenset[Edge] = frozenset(self.edge_list)
-        # in edge_list order each node meets its lower neighbours ascending,
-        # then its higher ones, so the lists come out sorted
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edge_list:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        m = len(ends)
+        # every edge once from each end, from the upper end first: a stable
+        # sort by node then lists each node's lower neighbours, ascending
+        # in edge order, before its higher ones
+        at = ends[:, ::-1].T.ravel()
+        order = np.argsort(at, kind="stable")
+        self.indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(at, minlength=n), out=self.indptr[1:])
+        self.nbr = ends.T.ravel()[order]
+        self.nbr_edge = order % max(m, 1)
+        for a in (ends, self.indptr, self.nbr, self.nbr_edge):
+            a.setflags(write=False)
+
+    def _per_node(self, ids: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
+        """Per node, its slice of the CSR array ``ids`` of values below
+        ``count``, as a tuple."""
+        flat, ptr = tuple(_shared(ids, count)), self.indptr.tolist()
+        return tuple(map(flat.__getitem__, map(slice, ptr, ptr[1:])))
 
     @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Each edge's position in ``edge_list``."""
-        return {e: i for i, e in enumerate(self.edge_list)}
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per node, its neighbours in ascending order."""
+        return self._per_node(self.nbr, self.n)
 
     @cached_property
     def edge_ids(self) -> tuple[tuple[int, ...], ...]:
         """Per node, the ``edge_list`` index of the edge to each of its
         ``adjacency`` neighbours, in the same order; zipped with
         ``adjacency[v]`` it gives ``v``'s (neighbour, edge index) pairs."""
-        ids: list[list[int]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edge_list):
-            ids[u].append(i)
-            ids[v].append(i)
-        return tuple(map(tuple, ids))
+        return self._per_node(self.nbr_edge, len(self.ends))
+
+    @cached_property
+    def edge_list(self) -> tuple[Edge, ...]:
+        """The rows of ``ends`` as ``(u, v)`` tuples."""
+        return tuple(zip(*_shared(self.ends.T, self.n)))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.edge_list)
+
+    @cached_property
+    def edge_index(self) -> dict[Edge, int]:
+        """Each edge's position in ``edge_list``."""
+        return {e: i for i, e in enumerate(self.edge_list)}
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        if not 0 <= v < self.n:
+            raise ValueError(f"node {v} out of range")
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     @cached_property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return int(np.diff(self.indptr).max(initial=0))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.ends, other.ends)
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.ends.tobytes()))
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={len(self.ends)})"
 
     def distances(self, v: int) -> np.ndarray:
         """Shortest-path distances from ``v``; ``inf`` across components."""
@@ -194,7 +243,7 @@ def sweep(graph: Graph, dead=None, cut=None):
     n = graph.n
     comp_of = [-1] * n if dead is None else [-2 if d else -1 for d in dead]
     if cut is None:
-        cut = bytes(len(graph.edge_list))
+        cut = bytes(len(graph.ends))
     adj, ids = graph.adjacency, graph.edge_ids
     depth = [-1] * n
     order: list[int] = []
@@ -237,10 +286,9 @@ def connected_components(
     for v in removed_nodes:
         if 0 <= v < n:
             dead[v] = 1
-    cut = bytearray(len(graph.edge_list))
-    index = graph.edge_index
+    cut = bytearray(len(graph.ends))
     for u, v in removed_edges:
-        e = index.get(_canon_edge(u, v))
+        e = graph.edge_index.get(_canon_edge(u, v))
         if e is not None:
             cut[e] = 1
     return sweep(graph, dead, cut)[0]
@@ -364,11 +412,11 @@ class PairwiseMrf:
         self.phi = phi
         self.phi.setflags(write=False)
 
-        edge_list = graph.edge_list
-        psi = np.empty((len(edge_list), alphabet_size, alphabet_size))
+        m = len(graph.ends)
+        psi = np.empty((m, alphabet_size, alphabet_size))
         if isinstance(edge_potentials, Mapping):
             tables = dict(edge_potentials)
-            for i, (u, v) in enumerate(edge_list):
+            for i, (u, v) in enumerate(graph.edge_list):
                 if (u, v) in tables:
                     psi[i] = np.asarray(tables.pop((u, v)), dtype=float)
                 elif (v, u) in tables:
@@ -379,18 +427,21 @@ class PairwiseMrf:
                 raise ValueError(f"potentials for non-edges: {sorted(tables)}")
         else:
             arr = np.asarray(edge_potentials, dtype=float)
-            if arr.shape != (len(edge_list), alphabet_size, alphabet_size):
+            if arr.shape != (m, alphabet_size, alphabet_size):
                 raise ValueError("edge potential array has wrong shape")
             psi[:] = arr
         if not np.isfinite(psi).all():
             raise ValueError("edge potentials must be finite")
         self.psi = psi
         self.psi.setflags(write=False)
-        self._edge_index = graph.edge_index
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def _edge_index(self) -> dict[Edge, int]:
+        return self.graph.edge_index
 
     @property
     def edge_list(self) -> tuple[Edge, ...]:
@@ -453,15 +504,18 @@ class PairwiseMrf:
         if len(pos) < len(order):
             dup = next(a for a, b in zip(order, order[1:]) if a == b)
             raise ValueError(f"node {dup} listed twice")
-        sub_edges = []
+        adj, ids = self.graph.adjacency, self.graph.edge_ids
+        sub_ends: list[int] = []
         rows = []
         for u in order:
-            for v in self.graph.adjacency[u]:
+            for v, e in zip(adj[u], ids[u]):
                 if v > u and v in pos:
-                    sub_edges.append((pos[u], pos[v]))
-                    rows.append(self._edge_index[(u, v)])
+                    sub_ends += (pos[u], pos[v])
+                    rows.append(e)
+        # u and then v ascending, so the pairs come out in edge_list order
+        ends = np.array(sub_ends, dtype=np.intp).reshape(-1, 2)
         sub = PairwiseMrf(
-            Graph(len(order), sub_edges),
+            Graph._from_ends(len(order), ends),
             self.q,
             self.phi[list(order)],
             self.psi[rows],
@@ -469,7 +523,7 @@ class PairwiseMrf:
         return sub, order
 
     def __repr__(self):
-        return f"PairwiseMrf(n={self.n}, m={len(self.edge_list)}, q={self.q})"
+        return f"PairwiseMrf(n={self.n}, m={len(self.psi)}, q={self.q})"
 
 
 def left_sum(terms: np.ndarray) -> float:
@@ -533,17 +587,20 @@ def _lattice(rows: int, cols: int | None, diagonals: bool) -> Graph:
     cols = rows if cols is None else cols
     if rows < 0 or cols < 0:
         raise ValueError(f"grid sides must be non-negative, got {rows} x {cols}")
-    edges = []
-    for r in range(rows):
-        end = (r + 1) * cols
-        for v in range(r * cols, end):
-            if v + 1 < end:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-                if diagonals and v + 1 < end:
-                    edges += ((v, v + cols + 1), (v + 1, v + cols))
-    return Graph(rows * cols, edges)
+    r, c = np.indices((rows, cols), dtype=np.intp).reshape(2, -1)
+    right, down = c + 1 < cols, r + 1 < rows
+    # each node's steps to its higher neighbours and where each is taken,
+    # in ascending order of step; two equal steps (1 with one column, or
+    # the right and anti-diagonal steps with two) are never both taken
+    steps, taken = (1, cols), [right, down]
+    if diagonals:
+        steps, taken = (1, cols - 1, cols, cols + 1), [right, down & (c > 0), down, down & right]
+    keep = np.stack(taken, axis=1)
+    v = np.arange(rows * cols, dtype=np.intp)[:, None]
+    u = np.broadcast_to(v, keep.shape)[keep]
+    w = (v + np.array(steps, dtype=np.intp))[keep]
+    # row-major order over (node, step) is edge_list order
+    return Graph._from_ends(rows * cols, np.stack((u, w), axis=1))
 
 
 def grid_graph(rows: int, cols: int | None = None) -> Graph:

@@ -11,13 +11,16 @@ B in ascending id order):
   Fenwick tree, so a run costs its ball sizes times O(log n));
 * iterated BFS-layer cutting, suited to minor-excluded graphs (r rounds,
   layers taken modulo a stride Lambda; each round is one BFS sweep of the
-  graph, ``core.sweep``, with the nodes or edges cut so far as masks);
+  graph, ``core.sweep``, with the nodes or edges cut so far as masks, and
+  one array expression over the sweep's depths that flags the round's
+  cut);
 * the deterministic axis-aligned slab cut of an n x n lattice.
 
 ``scheme`` turns a scheme's name into its decomposition as a function of
 the seed; the command line and the experiment harness both call it.
 ``edge_cut``, the one check of a record against a graph, serves the
-certificate (``inference``) and the cris-cross lift.
+certificate (``inference``) and the cris-cross lift; a record carved on
+that very graph carries the check's arrays and skips it.
 
 Every scheme is reproducible: all randomness comes from numpy PCG64
 generators keyed by the caller's 64-bit seed.  Layer cutting draws one
@@ -49,6 +52,12 @@ class Decomposition:
     components are the connected components of the graph without both.
     The removed sets are built in ascending id order, which fixes their
     iteration order and so the repr.
+
+    A record a scheme builds also carries, outside its fields, the graph's
+    ``ends`` array, each node's component index and the removed-edge mask;
+    ``edge_cut`` returns those unchecked on that very graph.  The fields
+    alone make equality, the hash, the repr and ``dataclasses.replace``,
+    and a replaced record carries nothing.
     """
 
     alg: str
@@ -71,24 +80,50 @@ def _carve(
     and the edges flagged in ``cut`` (masks as in ``core.sweep``).
 
     Every scheme builds its record here, with one sweep, so the components
-    are always the connected components of what is left.
+    are always the connected components of what is left.  The record
+    carries the sweep's component index per node and the edge mask, which
+    ``edge_cut`` trusts on this graph.
     """
     nodes = frozenset(compress(range(graph.n), dead or ()))
-    edges = frozenset(compress(graph.edge_list, cut or ()))
-    comps = sweep(graph, dead, cut)[0]
-    return Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
+    if cut is None:
+        mask = _frozen(np.zeros(len(graph.ends), dtype=bool))
+    else:
+        cut = bytes(cut)
+        mask = np.frombuffer(cut, dtype=bool)
+    edges = frozenset(zip(*graph.ends[mask].T.tolist()))
+    comps, _, comp_of, _ = sweep(graph, dead, cut)
+    dec = Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
+    # in the instance dict, not a field: equality, hash, repr and
+    # dataclasses.replace see only the fields
+    dec.__dict__["_carved"] = (graph.ends, _frozen(np.array(comp_of, dtype=np.intp)), mask)
+    return dec
 
 
-def edge_cut(graph: Graph, dec: Decomposition) -> tuple[list[int], bytearray]:
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def edge_cut(graph: Graph, dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """Each node's index in ``dec.components`` and the removed edges as a
-    mask over ``graph.edge_list``, in O(n + m); raises ``ValueError`` unless
-    ``dec`` has the graph's node count, removes only edges of the graph and
-    has components that partition ``0..n-1``."""
+    boolean mask over ``graph.ends`` (read-only arrays); raises
+    ``ValueError`` unless ``dec`` has the graph's node count, removes only
+    edges of the graph and has components that partition ``0..n-1``.
+
+    A record carved (``_carve``) on this very ``graph.ends`` object returns
+    the arrays it carries with no second check: its components are a
+    sweep's, so they partition the nodes and no kept edge crosses them.
+    Every other record is checked in O(n + m): hand-built, changed by
+    ``dataclasses.replace``, or carved on another graph, even an equal one.
+    """
     if dec.n != graph.n:
         raise ValueError(f"decomposition has {dec.n} nodes, the graph {graph.n}")
     if dec.removed_nodes:
         raise ValueError(f"node-removing decomposition {dec.alg}: it removes nodes, not edges")
-    index, cut = graph.edge_index, bytearray(len(graph.edge_list))
+    carved = dec.__dict__.get("_carved")
+    if carved is not None and carved[0] is graph.ends:
+        return carved[1], carved[2]
+    index, cut = graph.edge_index, bytearray(len(graph.ends))
     for e in dec.removed_edges:
         i = index.get(e)
         if i is None:
@@ -103,7 +138,7 @@ def edge_cut(graph: Graph, dec: Decomposition) -> tuple[list[int], bytearray]:
             comp_of[v] = i
     if -1 in comp_of:
         raise ValueError(f"components do not cover node {comp_of.index(-1)}")
-    return comp_of, cut
+    return _frozen(np.array(comp_of, dtype=np.intp)), np.frombuffer(bytes(cut), dtype=bool)
 
 
 def empty_edge_decomposition(graph: Graph) -> Decomposition:
@@ -195,10 +230,10 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     node's ``edge_ids`` level by level, which meets every edge first at
     its own distance.
     """
-    adj, ids = graph.adjacency, graph.edge_ids
+    adj, ids, ends = graph.adjacency, graph.edge_ids, graph.ends.tolist()
 
     def ball(e, radius):
-        a, b = graph.edge_list[e]
+        a, b = ends[e]
         dist, seen, frontier = {e: 0}, {a, b}, [a, b]
         for d in range(1, radius + 1):
             nxt = []
@@ -213,7 +248,7 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
             frontier = nxt
         return dist.items()
 
-    cut = _ball_cut(len(graph.edge_list), ball, eps, K, seed)
+    cut = _ball_cut(len(graph.ends), ball, eps, K, seed)
     return _carve(graph, "dbdim", 2.0 * eps, seed, cut=cut)
 
 
@@ -277,14 +312,24 @@ def line_graph(graph: Graph) -> Graph:
 
     Line-graph node i corresponds to ``graph.edge_list[i]``.  No production
     path builds one (``db_dim_edge`` measures line-graph distances on
-    ``graph``); it is the tests' oracle for that metric.
+    ``graph``); it is the tests' oracle for that metric.  Built from the
+    CSR arrays: round k pairs each node's incident edge at slot p with the
+    one at slot p + k, so the work is the number of pairs.
     """
-    meta = set()
-    for ids in graph.edge_ids:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                meta.add((ids[a], ids[b]))
-    return Graph(len(graph.edge_list), meta)
+    ids = graph.nbr_edge
+    last = np.repeat(graph.indptr[1:], np.diff(graph.indptr))  # slot ends
+    slots = np.arange(len(ids))
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    k = 1
+    while True:
+        slots = slots[slots + k < last[slots]]
+        if not len(slots):
+            break
+        # a node's edge ids ascend, and two edges share at most one node
+        pairs.append(np.stack((ids[slots], ids[slots + k]), axis=1))
+        k += 1
+    ends = np.concatenate(pairs)
+    return Graph._from_ends(len(graph.ends), ends[np.lexsort(ends.T[::-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +343,12 @@ def _check_layers(r: int, lam: int) -> None:
 
 
 def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
-    """Check the layer-cutting arguments, then yield ``(depth, comp_of,
-    order, levels)`` per round: one ``core.sweep`` of the graph without the
-    nodes flagged in ``dead`` and the edges flagged in ``cut`` (the BFS
-    depths inside each component from its lowest-id node, each node's
-    component index and the visit order), and the drawn (or chosen) level
-    of each component, in component order.
+    """Check the layer-cutting arguments, then yield ``(depth, layer)``
+    per round, from one ``core.sweep`` of the graph without the nodes
+    flagged in ``dead`` and the edges flagged in ``cut``: each node's BFS
+    depth inside its component from the component's lowest-id node, and
+    whether that depth is congruent to the component's drawn (or chosen)
+    level, as arrays; a removed node lies in no layer.
 
     The caller flags each round's cut in the masks before taking the next
     item.
@@ -317,14 +362,17 @@ def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
             return int(_rng(seed, i, j).integers(lam))
 
     for i in range(r):
-        comps, depth, comp_of, order = sweep(graph, dead, cut)
+        comps, depth, comp_of, _ = sweep(graph, dead, cut)
         levels = []
         for j in range(len(comps)):
             level = choose_level(i, j)
             if not 0 <= level < lam:
                 raise ValueError(f"level {level} outside 0..{lam - 1}")
             levels.append(level)
-        yield depth, comp_of, order, levels
+        # a removed node (component -2, depth -1) reads level -1: no layer
+        level = np.array(levels + [-1, -1], dtype=np.intp)[comp_of]
+        depth = np.array(depth, dtype=np.intp)
+        yield depth, depth % lam == level
 
 
 def minor_vertex(
@@ -343,12 +391,9 @@ def minor_vertex(
     which is how traces are replayed in tests.
     """
     dead = bytearray(graph.n)
-    for depth, comp_of, order, levels in _layer_levels(
-        graph, r, lam, seed, choose_level, dead=dead
-    ):
-        for v in order:
-            if depth[v] % lam == levels[comp_of[v]]:
-                dead[v] = 1
+    flags = np.frombuffer(dead, dtype=bool)  # a view: it writes dead
+    for _, layer in _layer_levels(graph, r, lam, seed, choose_level, dead=dead):
+        flags |= layer
     return _carve(graph, "minorv", r / lam, seed, dead=dead)
 
 
@@ -363,20 +408,16 @@ def minor_edge(
 
     The edges cut in a round are those whose lower-BFS-depth endpoint has
     depth congruent to L mod lam; that rule also severs non-tree edges
-    between equal-depth nodes' layers correctly.
+    between equal-depth nodes' layers correctly.  Each round flags its cut
+    with one array expression over ``graph.ends``.
     """
-    adj, ids = graph.adjacency, graph.edge_ids
-    cut = bytearray(len(graph.edge_list))
-    for depth, comp_of, order, levels in _layer_levels(
-        graph, r, lam, seed, choose_level, cut=cut
-    ):
-        # an edge is cut from its lower-depth endpoint u, in a cut layer
-        for u in order:
-            d = depth[u]
-            if d % lam == levels[comp_of[u]]:
-                for w, e in zip(adj[u], ids[u]):
-                    if depth[w] >= d:
-                        cut[e] = 1
+    u, w = graph.ends.T
+    cut = bytearray(len(graph.ends))
+    flags = np.frombuffer(cut, dtype=bool)  # a view: it writes cut
+    for depth, layer in _layer_levels(graph, r, lam, seed, choose_level, cut=cut):
+        # the two ends of an edge not yet cut share a component, and at
+        # equal depths a layer, so its lower-depth end decides
+        flags |= layer[np.where(depth[u] <= depth[w], u, w)]
     return _carve(graph, "minore", r / lam, seed, cut=cut)
 
 
@@ -403,10 +444,8 @@ def _slab(grid: Graph, n: int, k: int, l1: int, l2: int) -> Decomposition:
     if not (0 <= l1 < k and 0 <= l2 < k):
         raise ValueError("offsets must lie in 0..k-1")
     # horizontal (u, u + 1) by u's column, vertical (u, u + n) by u's row
-    cut = bytes(
-        (u % n) % k == l1 if v == u + 1 else (u // n) % k == l2
-        for u, v in grid.edge_list
-    )
+    u, v = grid.ends.T
+    cut = np.where(v == u + 1, u % n % k == l1, u // n % k == l2)
     return _carve(grid, "grid", 1.0 / k, None, cut=cut)
 
 
@@ -421,7 +460,8 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     doubled target.  ``edge_cut`` rejects a record that has no such lift.
     """
     comp_of, cut = edge_cut(cc_graph, grid_dec)
-    cut = bytes(c or comp_of[u] != comp_of[v] for (u, v), c in zip(cc_graph.edge_list, cut))
+    u, v = cc_graph.ends.T
+    cut = cut | (comp_of[u] != comp_of[v])
     eps_target = min(1.0, 2.0 * grid_dec.eps_target)
     return _carve(cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, cut=cut)
 
@@ -452,7 +492,7 @@ def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int
     if lift and graph != criscross_graph(side):
         raise ValueError(
             "grid decomposition needs a square grid or cris-cross lattice, got"
-            f" {graph.n} nodes and {len(graph.edges)} edges"
+            f" {graph.n} nodes and {len(graph.ends)} edges"
         )
     if not 1 <= k <= side:
         raise ValueError("need 1 <= k <= n")

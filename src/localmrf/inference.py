@@ -20,15 +20,17 @@ from .exact import DEFAULT_CAP, solve_components
 from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
 
 
-def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> bytearray:
+def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> np.ndarray:
     """Reject a decomposition the certificate does not cover, in O(n + m):
     ``edge_cut``'s checks, and no kept edge may cross two components (it
     would be dropped from both the component solves and the bracket).
-    Returns the removed edges as a mask over ``edge_list``."""
+    Returns the removed edges as a boolean mask over ``graph.ends``."""
     comp_of, cut = edge_cut(mrf.graph, decomp)
-    for (u, v), removed in zip(mrf.edge_list, cut):
-        if comp_of[u] != comp_of[v] and not removed:
-            raise ValueError(f"kept edge ({u},{v}) crosses two components")
+    u, v = mrf.graph.ends.T
+    crossing = np.flatnonzero((comp_of[u] != comp_of[v]) & ~cut)
+    if len(crossing):
+        a, b = mrf.graph.ends[crossing[0]].tolist()
+        raise ValueError(f"kept edge ({a},{b}) crosses two components")
     return cut
 
 

@@ -137,8 +137,8 @@ def _tables(mrf: PairwiseMrf):
     list of (neighbour w, psi[w, z]) pairs, the edge potential indexed
     [w_state][z_state]."""
     nbrs = [[] for _ in range(mrf.n)]
-    # in edge_list order each node meets its neighbours ascending
-    for (u, v), ((a, b), (c, d)) in zip(mrf.edge_list, mrf.psi.tolist()):
+    # in edge order each node meets its neighbours ascending
+    for (u, v), ((a, b), (c, d)) in zip(mrf.graph.ends.tolist(), mrf.psi.tolist()):
         nbrs[u].append((v, ((a, c), (b, d))))
         nbrs[v].append((u, ((a, b), (c, d))))
     return list(map(tuple, mrf.phi.tolist())), nbrs

@@ -21,6 +21,7 @@ from localmrf import (
     line_graph,
     saw_max_ratio,
 )
+from localmrf.core import sweep
 
 
 def random_connected_graph(rng, n: int, extra_edges: int) -> Graph:
@@ -230,3 +231,61 @@ def db_dim_edge_by_matrix(graph: Graph, eps: float, K: int, seed: int):
     removed = frozenset(graph.edge_list[i] for i in vdec.removed_nodes)
     comps = connected_components(graph, removed_edges=removed)
     return Decomposition("dbdim", graph.n, comps, 2.0 * eps, seed, removed_edges=removed)
+
+
+def lattice_by_pairs(rows: int, cols: int, diagonals: bool) -> Graph:
+    """The lattice through the checking constructor, one pair per edge (the
+    construction that the array version replaced)."""
+    edges = []
+    for r in range(rows):
+        end = (r + 1) * cols
+        for v in range(r * cols, end):
+            if v + 1 < end:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+                if diagonals and v + 1 < end:
+                    edges += ((v, v + cols + 1), (v + 1, v + cols))
+    return Graph(rows * cols, edges)
+
+
+def line_graph_by_pairs(graph: Graph) -> Graph:
+    """The line graph from every pair of edges at each node (the
+    construction that the array version replaced)."""
+    meta = set()
+    for ids in graph.edge_ids:
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                meta.add((ids[a], ids[b]))
+    return Graph(len(graph.edge_list), meta)
+
+
+def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=None, edges=True):
+    """``minor_edge`` (or, without ``edges``, ``minor_vertex``) with each
+    round's cut flagged node by node over the sweep's visit order (the loop
+    that the array cut replaced): a node in its component's cut layer is
+    removed, or cuts each of its edges to a node at the same or a greater
+    depth.  Same draws, same record."""
+    if choose_level is None:
+        def choose_level(i, j):
+            return int(np.random.default_rng(np.random.SeedSequence((seed, i, j))).integers(lam))
+    adj, ids = graph.adjacency, graph.edge_ids
+    dead, cut = bytearray(graph.n), bytearray(len(graph.edge_list))
+    for i in range(r):
+        comps, depth, comp_of, order = sweep(graph, dead, cut)
+        levels = [choose_level(i, j) for j in range(len(comps))]
+        for u in order:
+            d = depth[u]
+            if d % lam != levels[comp_of[u]]:
+                continue
+            if not edges:
+                dead[u] = 1
+                continue
+            for w, e in zip(adj[u], ids[u]):
+                if depth[w] >= d:
+                    cut[e] = 1
+    nodes = frozenset(v for v in range(graph.n) if dead[v])
+    removed = frozenset(e for e, c in zip(graph.edge_list, cut) if c)
+    comps = connected_components(graph, nodes, removed)
+    alg = "minore" if edges else "minorv"
+    return Decomposition(alg, graph.n, comps, r / lam, seed, nodes, removed)

@@ -13,6 +13,7 @@ from localmrf import (
     affine_shift,
     component_solve,
     connected_components,
+    criscross_graph,
     doubling_dimension_exact,
     energy,
     grid_graph,
@@ -27,6 +28,7 @@ from localmrf.mwis import parse_factor_model
 from helpers import (
     distances_by_floyd,
     induced_by_edge_scan,
+    lattice_by_pairs,
     oracle_log_z,
     random_graph,
     random_mrf,
@@ -118,6 +120,89 @@ class TestGraph:
             for j in range(9):
                 for k in range(9):
                     assert d[i, j] <= d[i, k] + d[k, j]
+
+
+TUPLE_VIEWS = ("adjacency", "edge_ids", "edge_list", "edges", "edge_index")
+
+
+def same_views(g, ref):
+    assert g == ref and hash(g) == hash(ref) and repr(g) == repr(ref)
+    assert g.ends.dtype == ref.ends.dtype == np.intp and g.ends.shape == ref.ends.shape
+    for view in ("n", "max_degree", *TUPLE_VIEWS):
+        assert getattr(g, view) == getattr(ref, view), view
+
+
+class TestGraphArrays:
+    """The graph is its edge array and the CSR rows built from it; the
+    tuple views are built from those on first use."""
+
+    @pytest.mark.parametrize("diagonals", [False, True])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(0, 0), (0, 4), (4, 0), (1, 1), (1, 2), (1, 7), (7, 1), (2, 1), (2, 2), (2, 5),
+         (5, 2), (3, 3), (3, 8), (8, 3), (7, 7)],
+    )
+    def test_lattices_equal_checked_graph(self, rows, cols, diagonals):
+        make = criscross_graph if diagonals else grid_graph
+        g = make(rows, cols)
+        same_views(g, lattice_by_pairs(rows, cols, diagonals))
+        if rows == cols:
+            assert make(rows) == g
+        for a in (g.ends, g.indptr, g.nbr, g.nbr_edge):
+            assert not a.flags.writeable
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_rows_are_the_views(self, data):
+        m = data.draw(written_models())
+        g = m.graph
+        assert g.indptr.tolist() == [0, *np.cumsum([len(a) for a in g.adjacency]).tolist()]
+        assert g.nbr.tolist() == [w for a in g.adjacency for w in a]
+        assert g.nbr_edge.tolist() == [e for ids in g.edge_ids for e in ids]
+        for v in range(g.n):
+            assert g.adjacency[v] == tuple(sorted(g.adjacency[v]))
+            assert g.degree(v) == len(g.adjacency[v])
+            for w, e in zip(g.adjacency[v], g.edge_ids[v]):
+                assert g.edge_list[e] == (min(v, w), max(v, w))
+        assert g.max_degree == max(map(len, g.adjacency), default=0)
+
+    def test_equal_graphs_from_every_constructor(self):
+        # the checking constructor, the unchecked one, the parse and the
+        # lattice function give equal graphs with equal hashes
+        ref = Graph(12, [(v + 4, v) for v in range(8)] + [(v, v + 1) for v in range(11) if v % 4 != 3])
+        mrf = random_mrf(np.random.default_rng(3), ref)
+        graphs = [ref, Graph(12, reversed(ref.edge_list)), Graph._from_ends(12, ref.ends.copy()),
+                  parse_mrf_text(write_mrf_text(mrf)).graph, grid_graph(3, 4)]
+        for g in graphs:
+            same_views(g, ref)
+        assert len(set(graphs)) == 1
+        for other in (Graph(13, ref.edge_list), Graph(12, ref.edge_list[1:]), grid_graph(4, 3)):
+            assert other != ref
+
+    def test_comparisons_build_no_tuple_view(self):
+        a, b = grid_graph(6), Graph._from_ends(36, grid_graph(6).ends.copy())
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != grid_graph(6, 5) and a != criscross_graph(6)
+        assert repr(a) == "Graph(n=36, m=60)"
+        assert [a.degree(v) for v in (0, 1, 7)] == [2, 3, 4] and a.max_degree == 4
+        for g in (a, b):
+            assert set(TUPLE_VIEWS).isdisjoint(vars(g))
+
+    def test_views_hold_one_int_per_id(self):
+        # a node id listed once per neighbour is one object, shared by
+        # graphs of one size, so records kept from many runs stay small
+        g, h = grid_graph(30), grid_graph(30)
+        nodes = [w for a in g.adjacency for w in a]
+        assert len({id(w) for w in nodes}) == len(set(nodes)) == 900
+        assert all(x is y for x, y in zip(nodes, (w for a in h.adjacency for w in a)))
+        edges = [e for ids in g.edge_ids for e in ids]
+        assert len({id(e) for e in edges}) == len(set(edges)) == len(g.ends)
+
+    def test_degree_of_a_non_node(self):
+        g = grid_graph(2)
+        for v in (-1, 4):
+            with pytest.raises(ValueError, match=f"node {v} out of range"):
+                g.degree(v)
 
 
 class TestBall:

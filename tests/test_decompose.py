@@ -32,6 +32,8 @@ from localmrf import decompose
 from helpers import (
     db_dim_edge_by_matrix,
     db_dim_vertex_by_matrix,
+    layer_cut_by_nodes,
+    line_graph_by_pairs,
     random_graph,
     three_sigma_binomial,
 )
@@ -297,6 +299,15 @@ class TestLineGraph:
                 shared = bool(set(edges[i]) & set(edges[j]))
                 assert ((i, j) in lg.edges) == shared
 
+    def test_matches_pairwise_construction(self):
+        stars = (Graph(9, [(0, v) for v in range(1, 9)]), Graph(7, [(v, 6) for v in range(6)]))
+        for g in (*line_metric_graphs(), *stars):
+            lg, ref = line_graph(g), line_graph_by_pairs(g)
+            assert lg == ref and hash(lg) == hash(ref)
+            assert lg.ends.dtype == np.intp and lg.ends.shape == ref.ends.shape
+            for view in ("edge_list", "adjacency", "edge_ids"):
+                assert getattr(lg, view) == getattr(ref, view)
+
 
 class TestDbDimEdge:
     def test_tree_smoke(self):
@@ -438,6 +449,38 @@ class TestMinorEdge:
         )
 
 
+@st.composite
+def layer_cases(draw):
+    """A graph (random, lattice, empty or edgeless), r, lambda, and either
+    a seed or an explicit level rule."""
+    g = draw(st.one_of(carving_graphs(max_n=14), st.sampled_from(
+        [Graph(0, []), Graph(1, []), Graph(7, []), grid_graph(1, 6), criscross_graph(4)]
+    )))
+    r, lam = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return g, r, lam, draw(st.integers(0, 2**32 - 1)), None
+    a, b, c = draw(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)))
+    return g, r, lam, None, lambda i, j: (a * i + b * j + c) % lam
+
+
+class TestLayerCutArrays:
+    """Each round's cut, flagged with one array expression, against the
+    per-node loop it replaced."""
+
+    @given(layer_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_node_loop(self, case):
+        g, r, lam, seed, choose = case
+        for layers, edges in ((minor_edge, True), (minor_vertex, False)):
+            dec = layers(g, r, lam, seed, choose_level=choose)
+            ref = layer_cut_by_nodes(g, r, lam, seed, choose, edges=edges)
+            assert repr(dec) == repr(ref)
+
+    def test_bad_level_still_named(self):
+        with pytest.raises(ValueError, match=r"level 3 outside 0\.\.2"):
+            minor_edge(grid_graph(3), 2, 3, choose_level=lambda i, j: 3)
+
+
 class TestGridDecomp:
     def test_k1_removes_all(self):
         dec = grid_decomp(3, 1, 0, 0)
@@ -522,6 +565,21 @@ class TestScheme:
                 decompose.scheme(graph, name, **{**self.ARGS, **bad})
         # a parameter another scheme uses is not checked
         decompose.scheme(grid_graph(4), "minore", **{**self.ARGS, "eps": 1.5, "k": 9})
+
+    def test_lattice_check_builds_no_tuple_views(self, monkeypatch):
+        # the input is compared with the lattices by their edge arrays
+        built = []
+        for name in ("grid_graph", "criscross_graph"):
+            make = getattr(decompose, name)
+            monkeypatch.setattr(decompose, name, lambda *a, make=make: built.append(make(*a)) or built[-1])
+        grid, cc = grid_graph(5), criscross_graph(5)
+        decompose.scheme(cc, "grid", **self.ARGS)
+        slab = decompose.scheme(grid, "grid", **self.ARGS)
+        # and the slab cuts the lattice by its edge arrays
+        slab(0), slab(1)
+        assert len(built) == 3
+        for graph in (grid, cc, *built):
+            assert {"edges", "edge_list", "edge_index"}.isdisjoint(vars(graph))
 
 
 class TestTargetEps:

@@ -12,6 +12,7 @@ from localmrf import (
     Graph,
     criscross_graph,
     PairwiseMrf,
+    db_dim_edge,
     brute_log_z,
     brute_map,
     certify,
@@ -25,10 +26,12 @@ from localmrf import (
     minor_edge,
     minor_vertex,
     mode_estimate,
+    parse_mrf_text,
     relative_error_bound,
+    write_mrf_text,
 )
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
-from localmrf.decompose import Decomposition
+from localmrf.decompose import Decomposition, edge_cut
 from localmrf.exact import solve_components
 from localmrf.inference import InferenceBounds, MapEstimate
 from localmrf.core import connected_components
@@ -235,6 +238,81 @@ def left_fold(terms):
     for t in terms:
         total += float(t)
     return total
+
+
+class TestCarvedRecord:
+    """A record carved on a graph carries its component labels and edge
+    mask, and ``edge_cut`` trusts them on that very graph only."""
+
+    def test_parsed_model_builds_no_tuple_views(self):
+        m = parse_mrf_text(write_mrf_text(sample_potentials(grid_graph(30), VARYING_INTERACTION, 1.0, 4)))
+        dec = minor_edge(m.graph, 3, 5, 0)
+        bounds, estimate = certify(m, dec)
+        assert log_partition_bounds(m, dec) == bounds and mode_estimate(m, dec) == estimate
+        assert {"edge_list", "edges", "edge_index"}.isdisjoint(vars(m.graph))
+
+    def test_carried_arrays_equal_the_full_check(self):
+        rng = np.random.default_rng(8)
+        graphs = [grid_graph(6), criscross_graph(5), Graph(0, []), Graph(4, []),
+                  *(random_graph(rng, n, 0.3) for n in (5, 9, 14))]
+        for g in graphs:
+            for dec in (minor_edge(g, 2, 3, 1), db_dim_edge(g, 0.5, 3, 1), empty_edge_decomposition(g)):
+                comp_of, cut = edge_cut(g, dec)
+                checked = edge_cut(Graph(g.n, g.edge_list), dec)
+                assert comp_of.tolist() == checked[0].tolist() and cut.tolist() == checked[1].tolist()
+                for labels, mask in ((comp_of, cut), checked):
+                    assert labels.dtype == np.intp and mask.dtype == bool
+                    assert not (labels.flags.writeable or mask.flags.writeable)
+
+    def test_record_is_its_fields(self):
+        g = grid_graph(4)
+        dec = minor_edge(g, 2, 3, 5)
+        twin = Decomposition(*(getattr(dec, f) for f in Decomposition.__dataclass_fields__))
+        assert dec == twin and hash(dec) == hash(twin) and repr(dec) == repr(twin)
+        assert replace(dec) == dec and "_carved" not in vars(replace(dec))
+        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 2)
+        assert certify(m, twin) == certify(m, dec) == certify(m, replace(dec))
+
+    def test_carved_on_an_equal_graph_is_checked(self):
+        g, twin = grid_graph(5), grid_graph(5)
+        m = sample_potentials(twin, VARYING_INTERACTION, 1.0, 6)
+        dec = minor_edge(g, 2, 3, 7)
+        assert certify(m, dec) == certify(sample_potentials(g, VARYING_INTERACTION, 1.0, 6), dec)
+        assert "edge_index" in vars(twin) and "edge_index" not in vars(g)
+        # a record whose fields no longer match its arrays is caught there
+        broken = minor_edge(g, 2, 3, 7)
+        object.__setattr__(broken, "components", broken.components + ((0,),))
+        for run in (log_partition_bounds, mode_estimate, certify):
+            with pytest.raises(ValueError, match=r"^components do not partition the nodes \(node 0\)$"):
+                run(m, broken)
+
+    def test_replaced_record_is_checked(self):
+        g = grid_graph(4)
+        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 3)
+        dec = minor_edge(g, 2, 3, 1)
+        doubled = replace(dec, components=dec.components[:1] * 2 + dec.components[1:])
+        node = dec.components[0][0]
+        for run in (log_partition_bounds, mode_estimate, certify):
+            with pytest.raises(ValueError, match=rf"^components do not partition the nodes \(node {node}\)$"):
+                run(m, doubled)
+
+    def test_hand_built_stray_edge_is_checked(self):
+        g = grid_graph(3)
+        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 3)
+        stray = Decomposition("manual", 9, (tuple(range(9)),), 0.0, None,
+                              removed_edges=frozenset({(0, 1), (0, 4)}))
+        for run in (log_partition_bounds, mode_estimate, certify):
+            with pytest.raises(ValueError, match=r"^removed edges not in the graph: \[\(0, 4\)\]$"):
+                run(m, stray)
+
+    def test_lift_checks_its_input(self):
+        cc = criscross_graph(4)
+        carved = minor_edge(cc, 2, 3, 1)
+        with pytest.raises(ValueError, match=r"^removed edges not in the graph: "):
+            criscross_decomposition(grid_graph(4), carved)
+        lifted = criscross_decomposition(cc, grid_decomp(4, 2, 0, 1))
+        assert "edge_index" in vars(cc)
+        assert edge_cut(cc, lifted)[1].sum() == len(lifted.removed_edges)
 
 
 class TestPrunedReference:

@@ -15,7 +15,9 @@ import csv
 import io
 import math
 import time
+import typing
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,13 +26,14 @@ from .core import (
     FormatError,
     Graph,
     PairwiseMrf,
+    _fmt,
     _numbers,
     _rows,
     affine_shift,
     criscross_graph,
     grid_graph,
 )
-from .decompose import _rng, criscross_decomposition, grid_decomp, scheme
+from .decompose import EDGE_SCHEMES, _rng, criscross_decomposition, grid_decomp, scheme
 from .decompose import minor_edge  # noqa: F401  the perfbench tracer wraps this name
 from .exact import grid_transfer_log_z, solve_model
 from .exact import grid_transfer_map  # noqa: F401  the perfbench tracer wraps this name
@@ -81,24 +84,46 @@ def sample_potentials(
 # ---------------------------------------------------------------------------
 
 
+def _random_graph(spec: ExperimentSpec) -> Graph:
+    if not 0 <= spec.p <= 1:
+        raise ValueError("p must be in [0, 1]")
+    # one uniform per pair (u, v), u < v, in row-major order, a row at a time
+    rng, edges = _rng(spec.seed, 97), []
+    for u in range(spec.n):
+        row = np.flatnonzero(rng.random(spec.n - u - 1) < spec.p) + (u + 1)
+        edges += zip([u] * len(row), row.tolist())
+    return Graph(spec.n, edges)
+
+
+# each topology's graph from the spec; each builder checks its parameters
+TOPOLOGIES = {
+    "grid": lambda spec: grid_graph(spec.n),
+    "criscross": lambda spec: criscross_graph(spec.n),
+    "linechords": lambda spec: size_lower_bound_family(spec.n, spec.chords_k),
+    "random": _random_graph,
+}
+LATTICES = ("grid", "criscross")  # the topologies the slab cut takes
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: topology x potential mode x strength grid x decomposition grid.
 
-    Topologies: ``grid`` and ``criscross`` are n x n lattices;
-    ``linechords`` is the chordal ring with ``chords_k`` extra edges;
-    ``random`` draws one Erdos-Renyi graph with edge probability ``p`` from
-    the sweep seed.  With ``oracle="transfer"`` every topology gets its
-    exact comparison from the exact engine, run on each connected
+    Topologies (``TOPOLOGIES``): ``grid`` and ``criscross`` are n x n
+    lattices; ``linechords`` is the chordal ring with ``chords_k`` extra
+    edges; ``random`` draws one Erdos-Renyi graph with edge probability
+    ``p`` from the sweep seed.  ``decomp`` is one of
+    ``decompose.EDGE_SCHEMES``.  With ``oracle="transfer"`` every topology
+    gets its exact comparison from the exact engine, run on each connected
     component; a record whose model has a component too wide for the
     engine's cap keeps its exact fields empty.
     """
 
-    topology: str = "grid"          # grid | criscross | linechords | random
+    topology: str = "grid"
     n: int = 7
     mode: str = VARYING_INTERACTION
     alphas: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
-    decomp: str = "minore"          # minore | grid | dbdim | none
+    decomp: str = "minore"
     r: int = 3
     lambdas: tuple[int, ...] = (3, 4, 5)
     ks: tuple[int, ...] = (2,)
@@ -111,20 +136,19 @@ class ExperimentSpec:
     oracle: str = "transfer"        # transfer | none
 
     def params_grid(self) -> tuple[int, ...]:
-        if self.decomp == "minore":
-            return self.lambdas
-        if self.decomp == "grid":
-            return self.ks
-        return (0,)
+        """The swept parameter: ``lambdas`` for ``minore``, ``ks`` for the
+        slab cut, one unused 0 for the other schemes."""
+        return {"minore": self.lambdas, "grid": self.ks}.get(self.decomp, (0,))
 
-    def validate(self) -> None:
-        if self.topology not in ("grid", "criscross", "linechords", "random"):
-            raise ValueError(f"unknown topology {self.topology}")
-        if self.topology in ("grid", "criscross") and self.n < 2:
+    def validate(self) -> Graph:
+        """Return the sweep's graph, or raise ``ValueError`` if the sweep
+        cannot run; building the graph runs its builder's checks too."""
+        if self.topology in LATTICES and self.n < 2:
             raise ValueError("need n >= 2")
-        if self.decomp not in ("minore", "grid", "dbdim", "none"):
+        graph = self.build_graph()
+        if self.decomp not in EDGE_SCHEMES:
             raise ValueError(f"unknown decomposition {self.decomp}")
-        if self.decomp == "grid" and self.topology in ("linechords", "random"):
+        if self.decomp == "grid" and self.topology not in LATTICES:
             raise ValueError("slab decomposition needs a lattice topology")
         if not self.alphas or not self.params_grid():
             raise ValueError("parameter grids must be non-empty")
@@ -134,34 +158,24 @@ class ExperimentSpec:
             raise ValueError(f"unknown oracle {self.oracle}")
         for alpha in self.alphas:
             _half_widths(self.mode, alpha)
-        # only the slab cut reads the graph; it cuts a cris-cross's grid
-        grid = grid_graph(self.n) if self.decomp == "grid" else None
         for param in self.params_grid():
-            scheme(grid, self.decomp, self.eps, self.K, self.r, param, param)
+            scheme(graph, self.decomp, self.eps, self.K, self.r, param, param)
+        return graph
 
     def build_graph(self) -> Graph:
-        if self.topology == "grid":
-            return grid_graph(self.n)
-        if self.topology == "criscross":
-            return criscross_graph(self.n)
-        if self.topology == "linechords":
-            return size_lower_bound_family(self.n, self.chords_k)
-        rng = _rng(self.seed, 97)
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if rng.random() < self.p
-        ]
-        return Graph(self.n, edges)
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(f"unknown topology {self.topology}")
+        return TOPOLOGIES[self.topology](self)
 
 
 def parse_experiment_spec(text: str) -> ExperimentSpec:
     """Flat key=value lines; '#' comments; lists comma-separated.
 
-    A malformed line (no '=', unknown or repeated key, bad or non-finite
-    number, empty value) raises ``FormatError`` naming it.
+    Each key is an ``ExperimentSpec`` field and its value is read as the
+    field's type.  A malformed line (no '=', unknown or repeated key, bad or
+    non-finite number, empty value) raises ``FormatError`` naming it.
     """
+    kinds = typing.get_type_hints(ExperimentSpec)
     values: dict[str, object] = {}
     for no, tokens in _rows(text):
         line = " ".join(tokens)
@@ -170,18 +184,15 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
         key, val = (s.strip() for s in line.split("=", 1))
         if key in values:
             raise FormatError(f"line {no}: duplicate key {key}")
-        if key in ("n", "r", "trials", "seed", "K", "chords_k"):
-            (values[key],) = _numbers(no, [val], int)
-        elif key in ("eps", "p"):
-            (values[key],) = _numbers(no, [val])
-        elif key == "alphas":
-            values[key] = tuple(_numbers(no, val.split(",")))
-        elif key in ("lambdas", "ks"):
-            values[key] = tuple(_numbers(no, val.split(","), int))
-        elif key in ("topology", "mode", "decomp", "oracle"):
-            values[key] = val
-        else:
+        kind = kinds.get(key)
+        if kind is None:
             raise FormatError(f"line {no}: unknown spec key: {key}")
+        if kind is str:
+            values[key] = val
+        elif typing.get_origin(kind) is tuple:
+            values[key] = tuple(_numbers(no, val.split(","), typing.get_args(kind)[0]))
+        else:
+            (values[key],) = _numbers(no, [val], kind)
     spec = ExperimentSpec(**values)
     spec.validate()
     return spec
@@ -189,6 +200,8 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
 
 @dataclass
 class TrialRecord:
+    """One cell of a sweep; a CSV column per field, read as the field's type."""
+
     topology: str
     n: int
     mode: str
@@ -211,28 +224,26 @@ class TrialRecord:
     wall_time: float
 
 
-_FLOATISH = {"alpha", "lb", "ub", "gap", "exact_logz", "err_logz",
-             "h_hat", "h_star", "err_map", "wall_time"}
-_OPTIONAL = {"exact_logz", "err_logz", "h_star", "err_map"}
+def csv_text(header, rows) -> str:
+    """CSV of a header and rows, lines ended by "\\n"; a float has 17
+    significant digits, an exact round trip, and None is an empty cell."""
+    lines: list[str] = []
+    # the writer quotes a cell that holds a character of its terminator, so
+    # "\r\n" quotes a lone "\r" too; each row's terminator then becomes "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
-def records_to_csv(records) -> str:
-    out = io.StringIO()
-    names = [f.name for f in fields(TrialRecord)]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
-    for rec in records:
-        row = []
-        for name in names:
-            val = getattr(rec, name)
-            if val is None:
-                row.append("")
-            elif name in _FLOATISH:
-                row.append(format(val, ".17g"))
-            else:
-                row.append(str(val))
-        writer.writerow(row)
-    return out.getvalue()
+# how a CSV cell is read for each field type; an empty optional cell is None
+_CELL = {str: str, int: int, float: float, float | None: lambda s: float(s) if s else None}
+
+
+def records_to_csv(records, cls=TrialRecord) -> str:
+    """CSV of dataclass records, a column per field of ``cls``."""
+    names = [f.name for f in fields(cls)]
+    return csv_text(names, ([getattr(rec, name) for name in names] for rec in records))
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
@@ -240,7 +251,8 @@ def records_from_csv(text: str) -> list[TrialRecord]:
     number of fields or a bad number raises ``FormatError`` naming the line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
-    names = [f.name for f in fields(TrialRecord)]
+    kinds = typing.get_type_hints(TrialRecord)  # in field order
+    names, readers = list(kinds), [_CELL[kind] for kind in kinds.values()]
     if header != names:
         raise FormatError("line 1: unexpected CSV header")
     records = []
@@ -249,17 +261,11 @@ def records_from_csv(text: str) -> list[TrialRecord]:
         if len(row) != len(names):
             raise FormatError(f"line {no}: expected {len(names)} fields, got {len(row)}")
         kwargs = {}
-        for name, val in zip(names, row):
-            if val == "" and name in _OPTIONAL:
-                kwargs[name] = None
-            elif name in ("topology", "mode", "decomp"):
-                kwargs[name] = val
-            else:
-                kind = float if name in _FLOATISH else int
-                try:
-                    kwargs[name] = kind(val)
-                except ValueError:
-                    raise FormatError(f"line {no}: {name} is not a number: {val!r}") from None
+        for name, read, val in zip(names, readers, row):
+            try:
+                kwargs[name] = read(val)
+            except ValueError:
+                raise FormatError(f"line {no}: {name} is not a number: {val!r}") from None
         records.append(TrialRecord(**kwargs))
     return records
 
@@ -336,8 +342,7 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialRecord]:
     decomposition parameters run against the same sampled models; that
     makes cross-parameter error comparisons less noisy.
     """
-    spec.validate()
-    graph = spec.build_graph()
+    graph = spec.validate()
     records = []
     for alpha in spec.alphas:
         for param in spec.params_grid():
@@ -353,11 +358,9 @@ def run_experiment(spec: ExperimentSpec) -> list[TrialRecord]:
 
 def edge_profile(topology: str, n: int) -> tuple[int, int]:
     """(axis-aligned edge count, diagonal edge count) of the lattice."""
-    if topology == "grid":
-        return 2 * n * (n - 1), 0
-    if topology == "criscross":
-        return 2 * n * (n - 1), 2 * (n - 1) * (n - 1)
-    raise ValueError(f"unknown topology {topology}")
+    if topology not in LATTICES:
+        raise ValueError(f"unknown topology {topology}")
+    return 2 * n * (n - 1), 2 * (n - 1) * (n - 1) if topology == "criscross" else 0
 
 
 def expected_range(mode: str, alpha: float) -> float:

@@ -68,25 +68,21 @@ def _cmd_exact(args) -> int:
 
 def _cmd_bounds(args, want_map: bool) -> int:
     mrf = load_mrf(args.graph)
-    rows = ["seed,lb,ub,gap,exact,h_hat,h_star"]
-    exact_logz = h_star = ""
+    rows, exact_logz, h_star = [], None, None
     if args.exact:
         # a model too wide for the exact engine leaves the exact columns empty
         try:
             res = solve_model(mrf)
-            exact_logz, h_star = f"{res.log_z:.17g}", f"{res.map_energy:.17g}"
+            exact_logz, h_star = res.log_z, res.map_energy
         except CapExceeded as exc:
             print(f"exact values skipped: {exc}", file=sys.stderr)
     scheme = _scheme(mrf.graph, args.decomp, args)
     for seed in range(args.seed, args.seed + args.trials):
         dec = scheme(seed)
         b, est = certify(mrf, dec) if want_map else (log_partition_bounds(mrf, dec), None)
-        h_hat = f"{est.energy:.17g}" if want_map else ""
-        rows.append(
-            f"{seed},{b.log_z_lb:.17g},{b.log_z_ub:.17g},{b.gap:.17g},"
-            f"{exact_logz},{h_hat},{h_star}"
-        )
-    _write(args.csv, "\n".join(rows) + "\n")
+        h_hat = est.energy if want_map else None
+        rows.append((seed, b.log_z_lb, b.log_z_ub, b.gap, exact_logz, h_hat, h_star))
+    _write(args.csv, bench.csv_text("seed,lb,ub,gap,exact,h_hat,h_star".split(","), rows))
     return 0
 
 
@@ -135,12 +131,7 @@ def _cmd_limit(args) -> int:
     psi = np.array(args.psi).reshape(q, q)
     n_list = range(args.nmin, args.nmax + 1)
     points = bench.free_energy_sequence(args.phi, psi, n_list, slab_k=args.k)
-    rows = ["n,log_z,a_n,slab_lb,slab_ub"]
-    for p in points:
-        lb = "" if p.slab_lb is None else f"{p.slab_lb:.17g}"
-        ub = "" if p.slab_ub is None else f"{p.slab_ub:.17g}"
-        rows.append(f"{p.n},{p.log_z:.17g},{p.a_n:.17g},{lb},{ub}")
-    _write(args.csv, "\n".join(rows) + "\n")
+    _write(args.csv, bench.records_to_csv(points, bench.FreeEnergyPoint))
     return 0
 
 
@@ -175,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, want_map in (("logz", False), ("map", True)):
         p = sub.add_parser(name, parents=[scheme], help=f"decomposition-based {name} runs")
-        p.add_argument("--decomp", choices=["dbdim", "minore", "grid", "none"],
-                       default="minore")
+        p.add_argument("--decomp", choices=decompose.EDGE_SCHEMES, default="minore")
         p.add_argument("--trials", type=int, default=1)
         p.add_argument("--csv", default="-")
         p.add_argument("--exact", action="store_true",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -714,7 +715,8 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
     try:
         v = np.array(list(map(int, node_ids)), dtype=np.int64)
         u, w = np.array(list(map(int, edge_ids)), dtype=np.int64).reshape(-1, 2).T
-        values = np.array(list(map(float, node_values + edge_values)))
+        count = len(node_values) + len(edge_values)
+        values = np.fromiter(map(float, chain(node_values, edge_values)), float, count)
     except (ValueError, OverflowError):
         _raise_first_bad_line(text, n, q)
     # the token strings would otherwise stay alive while the model is built,

@@ -466,6 +466,9 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     return _carve(cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, cut=cut)
 
 
+EDGE_SCHEMES = ("dbdim", "minore", "grid", "none")  # the schemes the certificate takes
+
+
 def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int,
            offsets: tuple[int, int] | None = None):
     """The decomposition of ``graph`` named ``name``, as a function of its seed.

@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localmrf import (
     FormatError,
@@ -16,7 +19,7 @@ from localmrf import (
     grid_graph,
     minor_vertex,
 )
-from localmrf import bench
+from localmrf import bench, decompose
 from localmrf.bench import (
     ExperimentSpec,
     TrialRecord,
@@ -369,6 +372,87 @@ class TestSpecFile:
     def test_bad_line_named(self, text, line):
         with pytest.raises(FormatError, match=f"^line {line}: "):
             parse_experiment_spec(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("topology=linechords\nn=7\nchords_k=9\n", "need 1 <= k <= n/2"),
+        ("topology=random\nn=-3\n", "node count must be >= 0"),
+        ("topology=random\np=1.7\n", r"p must be in \[0, 1\]"),
+        ("topology=random\np=-0.5\n", r"p must be in \[0, 1\]"),
+    ])
+    def test_graph_checked_at_parse_time(self, text, message):
+        # the topology's builder runs at parse time, before any trial
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_experiment_spec(text)
+
+    def test_validate_takes_exactly_the_edge_schemes(self):
+        for name in (*decompose.EDGE_SCHEMES, "dbdim-v", "minorv", "bogus"):
+            spec = ExperimentSpec(n=4, decomp=name)
+            if name in decompose.EDGE_SCHEMES:
+                spec.validate()
+            else:
+                with pytest.raises(ValueError, match=f"^unknown decomposition {name}$"):
+                    spec.validate()
+
+
+def _spec_text(spec: ExperimentSpec) -> str:
+    """Every field of ``spec`` as a key=value line."""
+    lines = []
+    for f in dataclasses.fields(spec):
+        val = getattr(spec, f.name)
+        lines.append(f"{f.name}={','.join(map(repr, val)) if isinstance(val, tuple) else val}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _valid_specs(draw):
+    topology = draw(st.sampled_from(sorted(bench.TOPOLOGIES)))
+    n = draw(st.integers(2, 6))
+    schemes = decompose.EDGE_SCHEMES
+    if topology not in bench.LATTICES:
+        schemes = tuple(name for name in schemes if name != "grid")
+    return ExperimentSpec(
+        topology=topology,
+        n=n,
+        mode=draw(st.sampled_from([VARYING_INTERACTION, VARYING_FIELD])),
+        alphas=tuple(draw(st.lists(st.floats(0, 1e6, exclude_min=True), min_size=1, max_size=3))),
+        decomp=draw(st.sampled_from(schemes)),
+        r=draw(st.integers(1, 5)),
+        lambdas=tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))),
+        ks=tuple(draw(st.lists(st.integers(1, n), min_size=1, max_size=3))),
+        eps=draw(st.floats(0, 1, exclude_min=True, exclude_max=True)),
+        K=draw(st.integers(1, 100)),
+        chords_k=draw(st.integers(1, n // 2)),
+        p=draw(st.floats(0, 1)),
+        trials=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        oracle=draw(st.sampled_from(["transfer", "none"])),
+    )
+
+
+# any value of each TrialRecord field type: None, +-inf and 17-digit floats
+_FIELD_VALUES = {
+    str: st.text(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False),
+    float | None: st.none() | st.floats(allow_nan=False),
+}
+
+
+class TestSingleSchema:
+    @given(_valid_specs())
+    @settings(max_examples=80, deadline=None)
+    def test_spec_text_round_trip(self, spec):
+        # by repr too, so an int read back as a float does not pass
+        back = parse_experiment_spec(_spec_text(spec))
+        assert back == spec and repr(back) == repr(spec)
+
+    @given(st.lists(st.builds(TrialRecord, **{
+        name: _FIELD_VALUES[kind] for name, kind in typing.get_type_hints(TrialRecord).items()
+    }), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_csv_round_trip(self, records):
+        back = records_from_csv(records_to_csv(records))
+        assert back == records and repr(back) == repr(records)
 
 
 class TestBoundCurves:

@@ -100,6 +100,13 @@ def test_scheme_flags_shared():
             parser.parse_args([*head, "--graph", "m.mrf"])
 
 
+def test_decomp_choices_are_the_edge_schemes():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for name in ("logz", "map"):
+        (decomp,) = (a for a in sub.choices[name]._actions if a.dest == "decomp")
+        assert tuple(decomp.choices) == decompose.EDGE_SCHEMES
+
+
 def test_decompose_grid_takes_given_offsets(grid_model_file, tmp_path):
     out = tmp_path / "dec.txt"
     for l1, l2 in ((0, 1), (1, 0), (1, 1)):

@@ -247,26 +247,29 @@ def records_to_csv(records, cls=TrialRecord) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
-    """Parse ``records_to_csv`` output; a wrong header, a row with the wrong
-    number of fields or a bad number raises ``FormatError`` naming the line."""
+    """Parse ``records_to_csv`` output; text that is not CSV, a wrong header,
+    a row with the wrong number of fields or a bad number raises
+    ``FormatError`` naming the first bad line."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
     kinds = typing.get_type_hints(TrialRecord)  # in field order
     names, readers = list(kinds), [_CELL[kind] for kind in kinds.values()]
-    if header != names:
-        raise FormatError("line 1: unexpected CSV header")
     records = []
-    for row in reader:
-        no = reader.line_num
-        if len(row) != len(names):
-            raise FormatError(f"line {no}: expected {len(names)} fields, got {len(row)}")
-        kwargs = {}
-        for name, read, val in zip(names, readers, row):
-            try:
-                kwargs[name] = read(val)
-            except ValueError:
-                raise FormatError(f"line {no}: {name} is not a number: {val!r}") from None
-        records.append(TrialRecord(**kwargs))
+    try:
+        if next(reader, None) != names:
+            raise FormatError("line 1: unexpected CSV header")
+        for row in reader:
+            no = reader.line_num
+            if len(row) != len(names):
+                raise FormatError(f"line {no}: expected {len(names)} fields, got {len(row)}")
+            kwargs = {}
+            for name, read, val in zip(names, readers, row):
+                try:
+                    kwargs[name] = read(val)
+                except ValueError:
+                    raise FormatError(f"line {no}: {name} is not a number: {val!r}") from None
+            records.append(TrialRecord(**kwargs))
+    except csv.Error as e:
+        raise FormatError(f"line {reader.line_num}: not valid CSV: {e}") from None
     return records
 
 

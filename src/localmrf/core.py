@@ -7,10 +7,10 @@ shortest-path metric with ball queries, and an exact (exponential-time,
 tiny-instance) doubling-dimension computation.
 
 A graph is arrays: its sorted edge ends and their compressed sparse rows.
-Its tuple views (``adjacency``, ``edge_ids``, ``edge_list``, ``edges``,
-``edge_index``) are built on first use, and the lattice functions, the
-parser and induced sub-models build graphs from checked arrays without a
-second check.
+The walks read the rows as lists, ``Graph.edge_rows`` is the one edge
+lookup, the tuple views (``adjacency``, ``edge_list``, ``edges``) are built
+on first use, and the lattice functions, the parser and induced sub-models
+build graphs from checked arrays without a second check.
 
 A model over states ``{0..q-1}`` assigns probability proportional to
 ``exp(sum_v phi_v(x_v) + sum_{(u,v)} psi_uv(x_u, x_v))``; all potential
@@ -71,8 +71,8 @@ class Graph:
     the index of the edge to each.  This neighbour ordering is canonical
     and relied upon by the decomposition and self-avoiding-walk code.
 
-    The tuple views ``adjacency``, ``edge_ids``, ``edge_list``, ``edges``
-    and ``edge_index`` are built from those arrays on first use and then
+    ``edge_rows`` finds edges by their ends, and the tuple views
+    ``adjacency``, ``edge_list`` and ``edges`` are built on first use and
     cached; equality, hashing, ``repr`` and degrees read the arrays only.
     """
 
@@ -117,23 +117,16 @@ class Graph:
         for a in (ends, self.indptr, self.nbr, self.nbr_edge):
             a.setflags(write=False)
 
-    def _per_node(self, ids: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
-        """Per node, its slice of the CSR array ``ids`` of values below
-        ``count``, as a tuple."""
-        flat, ptr = tuple(_shared(ids, count)), self.indptr.tolist()
-        return tuple(map(flat.__getitem__, map(slice, ptr, ptr[1:])))
+    @cached_property
+    def _csr_lists(self) -> tuple[list, list, list]:
+        """``indptr``, ``nbr`` (ints from ``_shared``) and ``nbr_edge`` as lists."""
+        return self.indptr.tolist(), _shared(self.nbr, self.n), self.nbr_edge.tolist()
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per node, its neighbours in ascending order."""
-        return self._per_node(self.nbr, self.n)
-
-    @cached_property
-    def edge_ids(self) -> tuple[tuple[int, ...], ...]:
-        """Per node, the ``edge_list`` index of the edge to each of its
-        ``adjacency`` neighbours, in the same order; zipped with
-        ``adjacency[v]`` it gives ``v``'s (neighbour, edge index) pairs."""
-        return self._per_node(self.nbr_edge, len(self.ends))
+        ptr, nbr, _ = self._csr_lists
+        return tuple(map(tuple(nbr).__getitem__, map(slice, ptr, ptr[1:])))
 
     @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
@@ -144,10 +137,22 @@ class Graph:
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.edge_list)
 
-    @cached_property
-    def edge_index(self) -> dict[Edge, int]:
-        """Each edge's position in ``edge_list``."""
-        return {e: i for i, e in enumerate(self.edge_list)}
+    def edge_rows(self, pairs) -> np.ndarray:
+        """The row of ``ends`` holding each ``(u, v)`` of the ``(k, 2)``
+        array-like ``pairs``, or -1 where none does (``u >= v`` included):
+        a ``searchsorted`` over the ascending keys ``u * n + v`` of ``ends``.
+        Only ids below n are cast to ``intp``, so a huge id is no row rather
+        than an overflow, and a float such as 1.5, cast to 1, is no id."""
+        u, v = np.asarray(pairs).reshape(len(pairs), 2).T
+        at = np.flatnonzero((0 <= u) & (u < v) & (v < self.n))
+        a, b = u[at].astype(np.intp), v[at].astype(np.intp)
+        # a last key above every pair's, so each search lands on a key
+        keys = np.append(self.ends[:, 0] * self.n + self.ends[:, 1], self.n**2)
+        found = keys.searchsorted(a * self.n + b)
+        hit = (keys[found] == a * self.n + b) & (a == u[at]) & (b == v[at])
+        rows = np.full(len(u), -1, dtype=np.intp)
+        rows[at[hit]] = found[hit]
+        return rows
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -212,6 +217,7 @@ def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[in
     ``max_depth`` stops the search there: only nodes at depth <= max_depth
     are visited and returned.
     """
+    ptr, nbr, _ = graph._csr_lists
     depth = {root: 0}
     frontier = [root]
     level = 0
@@ -219,7 +225,7 @@ def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[in
         level += 1
         nxt = []
         for u in frontier:
-            for w in graph.adjacency[u]:
+            for w in nbr[ptr[u] : ptr[u + 1]]:
                 if w not in depth:
                     depth[w] = level
                     nxt.append(w)
@@ -230,12 +236,12 @@ def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[in
 def sweep(graph: Graph, dead=None, cut=None):
     """Components and BFS depths of ``graph`` without the nodes flagged in
     ``dead`` (a mask over ``0..n-1``) and the edges flagged in ``cut`` (a
-    mask over ``edge_list``); a mask left None removes nothing.
+    mask over ``ends``); a mask left None removes nothing.
 
     A BFS, exploring neighbors ascending, starts from each live node not yet
     visited, in ascending order, so it starts from its component's lowest
-    id.  One pass over the edge-indexed adjacency (``adjacency`` zipped with
-    ``edge_ids``), O(n + m).  Returns ``(components, depth, comp_of,
+    id.  One pass over the CSR rows (each node's slices of ``nbr`` and
+    ``nbr_edge``), O(n + m).  Returns ``(components, depth, comp_of,
     order)``: ascending node tuples ordered by smallest member; each node's
     depth from its component's lowest id and its component's index (-1 and
     -2 for a removed node); and the live nodes in visit order, component by
@@ -245,7 +251,7 @@ def sweep(graph: Graph, dead=None, cut=None):
     comp_of = [-1] * n if dead is None else [-2 if d else -1 for d in dead]
     if cut is None:
         cut = bytes(len(graph.ends))
-    adj, ids = graph.adjacency, graph.edge_ids
+    ptr, nbr, ids = graph._csr_lists
     depth = [-1] * n
     order: list[int] = []
     comps: list[tuple[int, ...]] = []
@@ -260,8 +266,9 @@ def sweep(graph: Graph, dead=None, cut=None):
             d += 1
             nxt = []
             for u in frontier:
-                for w, e in zip(adj[u], ids[u]):
-                    if comp_of[w] == -1 and not cut[e]:
+                for i in range(ptr[u], ptr[u + 1]):
+                    w = nbr[i]
+                    if comp_of[w] == -1 and not cut[ids[i]]:
                         comp_of[w], depth[w] = c, d
                         nxt.append(w)
             order += nxt
@@ -287,12 +294,10 @@ def connected_components(
     for v in removed_nodes:
         if 0 <= v < n:
             dead[v] = 1
-    cut = bytearray(len(graph.ends))
-    for u, v in removed_edges:
-        e = graph.edge_index.get(_canon_edge(u, v))
-        if e is not None:
-            cut[e] = 1
-    return sweep(graph, dead, cut)[0]
+    pairs = [_canon_edge(u, v) for u, v in removed_edges]
+    rows = graph.edge_rows(pairs) if pairs else np.empty(0, dtype=np.intp)
+    cut = np.bincount(rows[rows >= 0], minlength=len(graph.ends)) > 0
+    return sweep(graph, dead, cut.tobytes())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,24 +446,23 @@ class PairwiseMrf:
         return self.graph.n
 
     @property
-    def _edge_index(self) -> dict[Edge, int]:
-        return self.graph.edge_index
-
-    @property
     def edge_list(self) -> tuple[Edge, ...]:
         return self.graph.edge_list
 
-    def _row(self, u: int, v: int) -> int:
-        """The ``psi`` row of edge {u, v}; a non-edge raises ``ValueError``."""
-        try:
-            return self._edge_index[_canon_edge(u, v)]
-        except KeyError:
-            raise ValueError(f"({u}, {v}) is not an edge of this model") from None
+    def _rows(self, edges: Iterable[Edge]) -> np.ndarray:
+        """The ``psi`` row of each edge, given in either orientation; a
+        non-edge raises ``ValueError`` naming the first."""
+        pairs = [(u, v) for u, v in edges]
+        rows = self.graph.edge_rows([_canon_edge(u, v) for u, v in pairs])
+        if (rows < 0).any():
+            u, v = pairs[np.argmax(rows < 0)]
+            raise ValueError(f"({u}, {v}) is not an edge of this model")
+        return rows
 
     def edge_table(self, u: int, v: int) -> np.ndarray:
         """Edge table oriented so it can be indexed ``[x_u, x_v]``; a non-edge
         raises ``ValueError``."""
-        t = self.psi[self._row(u, v)]
+        t = self.psi[self._rows([(u, v)])[0]]
         return t if u < v else t.T
 
     @cached_property
@@ -474,25 +478,24 @@ class PairwiseMrf:
     def edge_range_sum(self, edges: Iterable[Edge]) -> float:
         """Sum of (max - min) over the given edges, in either orientation, in
         ascending edge order; an edge listed twice counts twice."""
-        rows = [self._row(u, v) for u, v in edges]
-        rows = np.sort(np.array(rows, dtype=np.intp))
+        rows = np.sort(self._rows(edges))
         return left_sum(self.edge_max[rows] - self.edge_min[rows])
 
     def without_edges(self, edges: Iterable[Edge]) -> "PairwiseMrf":
         """Copy with the given edges (and their tables) deleted."""
-        drop = {_canon_edge(u, v) for u, v in edges}
-        missing = drop - set(self.edge_list)
+        drop = [_canon_edge(u, v) for u, v in edges]
+        rows = self.graph.edge_rows(drop)
+        missing = {e for e, row in zip(drop, rows.tolist()) if row < 0}
         if missing:
             raise ValueError(f"not edges of this model: {sorted(missing)}")
-        keep = [i for i, e in enumerate(self.edge_list) if e not in drop]
-        graph = Graph(self.n, [self.edge_list[i] for i in keep])
-        return PairwiseMrf(graph, self.q, self.phi, self.psi[keep])
+        graph = Graph._from_ends(self.n, np.delete(self.graph.ends, rows, axis=0))
+        return PairwiseMrf(graph, self.q, self.phi, np.delete(self.psi, rows, axis=0))
 
     def induced(self, nodes: Sequence[int]) -> tuple["PairwiseMrf", tuple[int, ...]]:
         """Sub-MRF on ``nodes`` (sorted) with induced edges only.
 
         Returns the sub-model and the tuple mapping its node ids back to
-        the original ids.  Walks only the adjacency of ``nodes``, so it costs
+        the original ids.  Walks only the CSR rows of ``nodes``, so it costs
         O(k + sum of their degrees) for k nodes, and the induced sub-models
         of a partition of V cost O(n + m) together.  A node listed twice or
         outside ``0..n-1`` raises ``ValueError``.
@@ -505,11 +508,11 @@ class PairwiseMrf:
         if len(pos) < len(order):
             dup = next(a for a, b in zip(order, order[1:]) if a == b)
             raise ValueError(f"node {dup} listed twice")
-        adj, ids = self.graph.adjacency, self.graph.edge_ids
+        ptr, nbr, ids = self.graph._csr_lists
         sub_ends: list[int] = []
         rows = []
         for u in order:
-            for v, e in zip(adj[u], ids[u]):
+            for v, e in zip(nbr[ptr[u] : ptr[u + 1]], ids[ptr[u] : ptr[u + 1]]):
                 if v > u and v in pos:
                     sub_ends += (pos[u], pos[v])
                     rows.append(e)
@@ -637,8 +640,8 @@ def write_mrf_text(mrf: PairwiseMrf) -> str:
     for v in range(mrf.n):
         vals = " ".join(_fmt(x) for x in mrf.phi[v])
         lines.append(f"node {v} {vals}")
-    for i, (u, v) in enumerate(mrf.edge_list):
-        vals = " ".join(_fmt(x) for x in mrf.psi[i].ravel())
+    for (u, v), table in zip(mrf.graph.ends.tolist(), mrf.psi):
+        vals = " ".join(_fmt(x) for x in table.ravel())
         lines.append(f"edge {u} {v} {vals}")
     return "\n".join(lines) + "\n"
 
@@ -702,26 +705,26 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
     n, q = _numbers(no, header[1:], int)
     if n < 0 or q < 2:
         raise FormatError(f"line {no}: need n >= 0 and sigma >= 2")
-    node_ids, node_values, edge_ids, edge_values = [], [], [], []
+    node_ids, node_values, edge_ends, edge_values = [], [], [], []
     for _, row in rows:
         if row[0] == "node" and len(row) == 2 + q:
             node_ids.append(row[1])
             node_values += row[2:]
         elif row[0] == "edge" and len(row) == 3 + q * q:
-            edge_ids += row[1:3]
+            edge_ends += row[1:3]
             edge_values += row[3:]
         else:
             _raise_first_bad_line(text, n, q)
     try:
         v = np.array(list(map(int, node_ids)), dtype=np.int64)
-        u, w = np.array(list(map(int, edge_ids)), dtype=np.int64).reshape(-1, 2).T
+        u, w = np.array(list(map(int, edge_ends)), dtype=np.int64).reshape(-1, 2).T
         count = len(node_values) + len(edge_values)
         values = np.fromiter(map(float, chain(node_values, edge_values)), float, count)
     except (ValueError, OverflowError):
         _raise_first_bad_line(text, n, q)
     # the token strings would otherwise stay alive while the model is built,
     # and set the parse's peak memory
-    del node_ids, node_values, edge_ids, edge_values
+    del node_ids, node_values, edge_ends, edge_values
     order = np.lexsort((w, u))  # edge_list order
     u, w = u[order], w[order]
     # nothing is sized by the header alone: a huge n or q fails here, on

@@ -85,11 +85,8 @@ def _carve(
     ``edge_cut`` trusts on this graph.
     """
     nodes = frozenset(compress(range(graph.n), dead or ()))
-    if cut is None:
-        mask = _frozen(np.zeros(len(graph.ends), dtype=bool))
-    else:
-        cut = bytes(cut)
-        mask = np.frombuffer(cut, dtype=bool)
+    cut = bytes(len(graph.ends) if cut is None else cut)
+    mask = np.frombuffer(cut, dtype=bool)  # read-only, as bytes are
     edges = frozenset(zip(*graph.ends[mask].T.tolist()))
     comps, _, comp_of, _ = sweep(graph, dead, cut)
     dec = Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
@@ -123,13 +120,14 @@ def edge_cut(graph: Graph, dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     carved = dec.__dict__.get("_carved")
     if carved is not None and carved[0] is graph.ends:
         return carved[1], carved[2]
-    index, cut = graph.edge_index, bytearray(len(graph.ends))
-    for e in dec.removed_edges:
-        i = index.get(e)
-        if i is None:
-            stray = sorted(dec.removed_edges - graph.edges)
-            raise ValueError(f"removed edges not in the graph: {stray}")
-        cut[i] = 1
+    try:
+        rows = graph.edge_rows(list(dec.removed_edges))
+    except (TypeError, ValueError):  # an item that is not two numbers
+        rows = None
+    if rows is None or (rows < 0).any():
+        stray = sorted(dec.removed_edges - graph.edges)
+        raise ValueError(f"removed edges not in the graph: {stray}")
+    cut = np.bincount(rows, minlength=len(graph.ends)) > 0
     comp_of = [-1] * dec.n
     for i, comp in enumerate(dec.components):
         for v in comp:
@@ -138,7 +136,7 @@ def edge_cut(graph: Graph, dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
             comp_of[v] = i
     if -1 in comp_of:
         raise ValueError(f"components do not cover node {comp_of.index(-1)}")
-    return _frozen(np.array(comp_of, dtype=np.intp)), np.frombuffer(bytes(cut), dtype=bool)
+    return _frozen(np.array(comp_of, dtype=np.intp)), _frozen(cut)
 
 
 def empty_edge_decomposition(graph: Graph) -> Decomposition:
@@ -227,10 +225,10 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
     centre edge e = (a, b), e is at distance 0 and any other edge at 1 +
     the smaller BFS depth of its endpoints from {a, b}.  So a ball of
     radius Q is a BFS from {a, b} to depth Q-1 that scans each frontier
-    node's ``edge_ids`` level by level, which meets every edge first at
-    its own distance.
+    node's CSR row level by level, which meets every edge first at its
+    own distance.
     """
-    adj, ids, ends = graph.adjacency, graph.edge_ids, graph.ends.tolist()
+    (ptr, nbr, ids), ends = graph._csr_lists, graph.ends.tolist()
 
     def ball(e, radius):
         a, b = ends[e]
@@ -238,10 +236,12 @@ def db_dim_edge(graph: Graph, eps: float, K: int, seed: int) -> Decomposition:
         for d in range(1, radius + 1):
             nxt = []
             for u in frontier:
-                for w, f in zip(adj[u], ids[u]):
-                    # an edge met before was met from w, so w is seen
+                for i in range(ptr[u], ptr[u + 1]):
+                    f = ids[i]
+                    # an edge met before was met from its far end, so that is seen
                     if f not in dist:
                         dist[f] = d
+                        w = nbr[i]
                         if w not in seen:
                             seen.add(w)
                             nxt.append(w)

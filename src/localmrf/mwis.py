@@ -166,12 +166,10 @@ def max_weight_independent_set(
     w = [float(x) for x in weights]
     if len(w) != n:
         raise ValueError("need one weight per node")
-    closed = []
-    for v in range(n):
-        mask = 1 << v
-        for u in graph.adjacency[v]:
-            mask |= 1 << u
-        closed.append(mask)
+    closed = [1 << v for v in range(n)]  # each node and its neighbours
+    for u, v in graph.ends.tolist():
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
 
     order = sorted(range(n), key=lambda v: (-w[v], v))
     best_w = -float("inf")

@@ -36,10 +36,11 @@ infinity are exact.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .core import CapExceeded, Graph, PairwiseMrf, bfs_depths, connected_components
+from .core import CapExceeded, Graph, PairwiseMrf, sweep
+from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 DEFAULT_SAW_CAP = 2**20
 
@@ -178,29 +179,33 @@ class SawTree:
         return len(self.orig) - 1
 
 
-def _component_cap_check(mrf: PairwiseMrf, members, cap: int) -> None:
-    adjacency = mrf.graph.adjacency
-    inner = sum(v in members for u in members for v in adjacency[u]) // 2
-    k = inner - len(members) + 1
-    bound = saw_size_upper(len(members), max(0, k))
-    if bound > cap:
-        raise CapExceeded(
-            f"walk tree may have up to {bound} edges "
-            f"(n={len(members)}, extra edges k={k}), cap={cap}"
-        )
+def _binary_tables(mrf: PairwiseMrf, cap: int, root: int | None = None):
+    """``_tables`` of a binary model whose walk trees, in ``root``'s
+    component or else in every component, have at most ``cap`` edges; the
+    first component in order over the cap raises ``CapExceeded``.  One
+    sweep labels the components, and an edge counts in its lower end's."""
+    if mrf.q != 2:
+        raise ValueError("walk trees are defined for binary models only")
+    if root is not None and not 0 <= root < mrf.n:
+        raise ValueError(f"node {root} out of range for n={mrf.n}")
+    comps, _, comp_of, _ = sweep(mrf.graph)
+    inner = Counter(comp_of[u] for u in mrf.graph.ends[:, 0].tolist())
+    for c in range(len(comps)) if root is None else (comp_of[root],):
+        n, k = len(comps[c]), inner[c] - len(comps[c]) + 1
+        bound = saw_size_upper(n, max(0, k))
+        if bound > cap:
+            raise CapExceeded(
+                f"walk tree may have up to {bound} edges "
+                f"(n={n}, extra edges k={k}), cap={cap}"
+            )
+    return _tables(mrf)
 
 
 def build_saw_tree(
     mrf: PairwiseMrf, root: int, cap: int = DEFAULT_SAW_CAP
 ) -> SawTree:
     """Walk tree of the root's component, with marked-leaf potentials set."""
-    if mrf.q != 2:
-        raise ValueError("walk trees are defined for binary models only")
-    if not 0 <= root < mrf.n:
-        raise ValueError(f"node {root} out of range for n={mrf.n}")
-    members = frozenset(bfs_depths(mrf.graph, root))
-    _component_cap_check(mrf, members, cap)
-    phi, nbrs = _tables(mrf)
+    phi, nbrs = _binary_tables(mrf, cap, root)
 
     orig, parent, depth, mark, children = [root], [-1], [0], [None], [[]]
     tree_phi, psi_to_parent = [phi[root]], [None]
@@ -259,16 +264,6 @@ def saw_max_ratio(tree: SawTree) -> RatioPair:
 # ---------------------------------------------------------------------------
 # Distributed schedule
 # ---------------------------------------------------------------------------
-
-
-def _binary_tables(mrf: PairwiseMrf, cap: int):
-    """``_tables`` of a binary model whose every component passes the
-    walk-tree cap."""
-    if mrf.q != 2:
-        raise ValueError("walk trees are defined for binary models only")
-    for comp in connected_components(mrf.graph):
-        _component_cap_check(mrf, frozenset(comp), cap)
-    return _tables(mrf)
 
 
 def _walk(phi, nbrs, root: int, pos, leaves, trace=None) -> tuple[RatioPair, int]:

@@ -61,8 +61,7 @@ def random_mrf(rng, graph: Graph, q: int = 2, lo: float = 0.0, hi: float = 2.0) 
 
 def with_forced_node(mrf: PairwiseMrf, v: int, state: int) -> PairwiseMrf:
     """Copy of ``mrf`` with node ``v`` conditioned to ``state`` (its other
-    states get -inf); it shares the model's graph, edge tables and edge
-    index."""
+    states get -inf); it shares the model's graph and edge tables."""
     phi = np.array(mrf.phi)
     keep = phi[v, state]
     phi[v, :] = -np.inf
@@ -249,11 +248,26 @@ def lattice_by_pairs(rows: int, cols: int, diagonals: bool) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def edge_index(graph: Graph) -> dict:
+    """Each edge's position in ``edge_list``, as a dict (the lookup that
+    ``Graph.edge_rows`` replaced)."""
+    return {e: i for i, e in enumerate(graph.edge_list)}
+
+
+def edge_ids(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per node, the ``edge_list`` index of the edge to each of its
+    ``adjacency`` neighbours, in the same order, found by ``edge_index``."""
+    index = edge_index(graph)
+    return tuple(
+        tuple(index[min(v, w), max(v, w)] for w in adj) for v, adj in enumerate(graph.adjacency)
+    )
+
+
 def line_graph_by_pairs(graph: Graph) -> Graph:
     """The line graph from every pair of edges at each node (the
     construction that the array version replaced)."""
     meta = set()
-    for ids in graph.edge_ids:
+    for ids in edge_ids(graph):
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 meta.add((ids[a], ids[b]))
@@ -269,7 +283,7 @@ def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=N
     if choose_level is None:
         def choose_level(i, j):
             return int(np.random.default_rng(np.random.SeedSequence((seed, i, j))).integers(lam))
-    adj, ids = graph.adjacency, graph.edge_ids
+    adj, ids = graph.adjacency, edge_ids(graph)
     dead, cut = bytearray(graph.n), bytearray(len(graph.edge_list))
     for i in range(r):
         comps, depth, comp_of, order = sweep(graph, dead, cut)

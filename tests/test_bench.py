@@ -311,6 +311,11 @@ class TestCsvRoundTrip:
             (f"{header}\n{row.replace('0.5', 'half', 1)}\n", "line 2: alpha is not a number"),
             (f"{header.replace('alpha', 'beta')}\n{row}\n", "line 1: unexpected CSV header"),
             ("", "line 1: unexpected CSV header"),
+            # text that is not CSV, named by its line, and only after the
+            # bad lines before it
+            (f"{header}\n{row}\na\rb,1\n", "line 3: not valid CSV: new-line character seen"),
+            (f"{header}\n{row},7\na\rb,1\n", "line 2: expected 20 fields, got 21"),
+            ("a\rb\n", "line 1: not valid CSV: "),
         ]:
             with pytest.raises(FormatError, match=f"^{message}"):
                 records_from_csv(text)

@@ -1,6 +1,7 @@
 """Graph/MRF data model, metric queries, doubling dimension, text format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from localmrf.mwis import parse_factor_model
 
 from helpers import (
     distances_by_floyd,
+    edge_ids,
+    edge_index,
     induced_by_edge_scan,
     lattice_by_pairs,
     oracle_log_z,
@@ -122,7 +125,7 @@ class TestGraph:
                     assert d[i, j] <= d[i, k] + d[k, j]
 
 
-TUPLE_VIEWS = ("adjacency", "edge_ids", "edge_list", "edges", "edge_index")
+TUPLE_VIEWS = ("adjacency", "edge_list", "edges")
 
 
 def same_views(g, ref):
@@ -158,11 +161,11 @@ class TestGraphArrays:
         g = m.graph
         assert g.indptr.tolist() == [0, *np.cumsum([len(a) for a in g.adjacency]).tolist()]
         assert g.nbr.tolist() == [w for a in g.adjacency for w in a]
-        assert g.nbr_edge.tolist() == [e for ids in g.edge_ids for e in ids]
+        assert g.nbr_edge.tolist() == [e for ids in edge_ids(g) for e in ids]
         for v in range(g.n):
             assert g.adjacency[v] == tuple(sorted(g.adjacency[v]))
             assert g.degree(v) == len(g.adjacency[v])
-            for w, e in zip(g.adjacency[v], g.edge_ids[v]):
+            for w, e in zip(g.adjacency[v], edge_ids(g)[v]):
                 assert g.edge_list[e] == (min(v, w), max(v, w))
         assert g.max_degree == max(map(len, g.adjacency), default=0)
 
@@ -195,8 +198,32 @@ class TestGraphArrays:
         nodes = [w for a in g.adjacency for w in a]
         assert len({id(w) for w in nodes}) == len(set(nodes)) == 900
         assert all(x is y for x, y in zip(nodes, (w for a in h.adjacency for w in a)))
-        edges = [e for ids in g.edge_ids for e in ids]
-        assert len({id(e) for e in edges}) == len(set(edges)) == len(g.ends)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_rows_equal_the_dict_lookup(self, data):
+        # empty and edgeless graphs included; the pairs come in any
+        # orientation, out of range, and far beyond what intp holds
+        n = data.draw(st.integers(0, 9))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        ids = st.integers(-2, n + 2) | st.sampled_from([2**70, -(2**70), 2**63])
+        queries = data.draw(st.lists(st.tuples(ids, ids), max_size=12))
+        queries += data.draw(st.lists(st.sampled_from(g.edge_list), max_size=4)) if g.edge_list else []
+        index = edge_index(g)
+        rows = g.edge_rows(queries)
+        assert rows.dtype == np.intp
+        assert rows.tolist() == [index.get(q, -1) for q in queries]
+        small = [q for q in queries if all(abs(x) < 2**62 for x in q)]
+        assert g.edge_rows(np.array(small, dtype=np.intp).reshape(-1, 2)).tolist() == [
+            index.get(q, -1) for q in small
+        ]
+
+    def test_edge_rows_of_floats_are_whole_ids_only(self):
+        g = grid_graph(3)
+        # as the dict of tuples read them: 1.0 is the id 1, and 1.5 no id
+        assert g.edge_rows([(0.0, 1.0), (0.5, 1.0), (1e-20, 1.0), (1.0, 2.0)]).tolist() == [0, -1, -1, 2]
+        assert g.edge_rows([(np.inf, 1), (0, np.nan)]).tolist() == [-1, -1]
 
     def test_degree_of_a_non_node(self):
         g = grid_graph(2)
@@ -469,6 +496,62 @@ class TestComponents:
             assert depth[v] == -1 and comp_of[v] < 0
 
 
+# pairs that are no edge as written: reversed, a negative id, an id beyond
+# intp, a self pair
+REVERSED, NEGATIVE, HUGE, SELF = (1, 0), (-1, 0), (2**70, 0), (0, 0)
+
+
+class TestHostileEdges:
+    """Every caller of ``Graph.edge_rows`` on pairs that are no edge gives the
+    result, or the exception type and message, of the dict lookup it replaced:
+    a ``ValueError`` or a pair ignored, never an ``OverflowError`` or a pair
+    misread."""
+
+    @pytest.fixture
+    def m(self):
+        return random_mrf(np.random.default_rng(14), grid_graph(3))
+
+    def test_edge_table(self, m):
+        assert np.array_equal(m.edge_table(*REVERSED), m.edge_table(0, 1).T)
+        for u, v in (NEGATIVE, HUGE, SELF, (0, 2**70), (0, -1)):
+            with pytest.raises(ValueError, match=rf"^\({u}, {v}\) is not an edge of this model$"):
+                m.edge_table(u, v)
+
+    def test_edge_range_sum(self, m):
+        one = m.edge_range_sum([(0, 1)])
+        assert m.edge_range_sum([REVERSED]) == one
+        # a duplicate counts twice, in either orientation
+        assert m.edge_range_sum([(0, 1), REVERSED]) == m.edge_range_sum([(0, 1)] * 2) == one + one
+        assert m.edge_range_sum([]) == 0.0
+        for u, v in (NEGATIVE, HUGE, SELF):
+            with pytest.raises(ValueError, match=rf"^\({u}, {v}\) is not an edge of this model$"):
+                m.edge_range_sum([(0, 1), (u, v), (1, 2)])
+        with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 2\)$"):
+            m.edge_range_sum([(0, 1), (0, 1, 2)])
+
+    def test_without_edges(self, m):
+        pruned = m.without_edges([REVERSED])
+        assert pruned.graph == Graph(9, set(m.edge_list) - {(0, 1)})
+        assert np.array_equal(pruned.psi, m.psi[1:])
+        assert m.without_edges([(0, 1), REVERSED, (0, 1)]).graph == pruned.graph
+        assert m.without_edges([]).graph == m.graph
+        # the message names each pair once, ascending, as (min, max)
+        for pairs, named in (([NEGATIVE], "(-1, 0)"), ([(0, -1)], "(-1, 0)"), ([HUGE], f"(0, {2**70})"),
+                             ([SELF], "(0, 0)"), ([(2**70, 1), (0, 4), (0, 4)], f"(0, 4), (1, {2**70})")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'not edges of this model: [{named}]')}$"):
+                m.without_edges([(0, 1), *pairs])
+        with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 2\)$"):
+            m.without_edges([(0, 1), (0, 1, 2)])
+
+    def test_connected_components(self):
+        g = path_graph(4)
+        assert connected_components(g, removed_edges=[(2, 1)]) == ((0, 1), (2, 3))
+        for pair in (NEGATIVE, HUGE, SELF, (0, 2**70), (3, 4)):
+            assert connected_components(g, removed_edges=[pair]) == ((0, 1, 2, 3),)
+        with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 2\)$"):
+            connected_components(g, removed_edges=[(0, 1, 2)])
+
+
 class TestModelEdits:
     def test_without_edges_drops_tables(self):
         rng = np.random.default_rng(12)
@@ -495,9 +578,8 @@ class TestModelEdits:
         assert forced.phi[0, 0] == -math.inf
         assert forced.phi[0, 1] == m.phi[0, 1]
         assert m.phi[0, 0] != -math.inf
-        # the copy shares the graph, edge tables and edge index
+        # the copy shares the graph and edge tables
         assert forced.graph is m.graph and forced.psi is m.psi
-        assert forced._edge_index is m._edge_index
 
 
 class TestInduced:
@@ -600,8 +682,10 @@ class TestTextFormat:
         assert g == ref
         assert g.ends.dtype == ref.ends.dtype == np.intp
         assert g.ends.tobytes() == ref.ends.tobytes() and g.ends.shape == (len(ref.edge_list), 2)
-        for view in ("edges", "edge_list", "adjacency", "edge_ids", "edge_index"):
+        for view in TUPLE_VIEWS:
             assert getattr(g, view) == getattr(ref, view)
+        for rows in ("indptr", "nbr", "nbr_edge"):
+            assert getattr(g, rows).tolist() == getattr(ref, rows).tolist()
         assert g.ends.tolist() == [list(e) for e in ref.edge_list]
         for ends in (g.ends, ref.ends):
             assert not ends.flags.writeable

@@ -305,8 +305,9 @@ class TestLineGraph:
             lg, ref = line_graph(g), line_graph_by_pairs(g)
             assert lg == ref and hash(lg) == hash(ref)
             assert lg.ends.dtype == np.intp and lg.ends.shape == ref.ends.shape
-            for view in ("edge_list", "adjacency", "edge_ids"):
+            for view in ("edge_list", "adjacency"):
                 assert getattr(lg, view) == getattr(ref, view)
+            assert lg.nbr_edge.tolist() == ref.nbr_edge.tolist()
 
 
 class TestDbDimEdge:
@@ -579,7 +580,7 @@ class TestScheme:
         slab(0), slab(1)
         assert len(built) == 3
         for graph in (grid, cc, *built):
-            assert {"edges", "edge_list", "edge_index"}.isdisjoint(vars(graph))
+            assert {"adjacency", "edges", "edge_list"}.isdisjoint(vars(graph))
 
 
 class TestTargetEps:

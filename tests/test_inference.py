@@ -1,6 +1,7 @@
 """Log-partition bounds and MAP estimates against exact oracles."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from localmrf import (
     write_mrf_text,
 )
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
-from localmrf.decompose import Decomposition, edge_cut
+from localmrf.decompose import Decomposition, edge_cut, scheme
 from localmrf.exact import solve_components
 from localmrf.inference import InferenceBounds, MapEstimate
 from localmrf.core import connected_components
@@ -240,16 +241,25 @@ def left_fold(terms):
     return total
 
 
+def spy_edge_rows(monkeypatch) -> list:
+    """The graphs that ``Graph.edge_rows`` is called on from now on, in order."""
+    calls, lookup = [], Graph.edge_rows
+    monkeypatch.setattr(Graph, "edge_rows", lambda graph, pairs: calls.append(graph) or lookup(graph, pairs))
+    return calls
+
+
 class TestCarvedRecord:
     """A record carved on a graph carries its component labels and edge
     mask, and ``edge_cut`` trusts them on that very graph only."""
 
-    def test_parsed_model_builds_no_tuple_views(self):
-        m = parse_mrf_text(write_mrf_text(sample_potentials(grid_graph(30), VARYING_INTERACTION, 1.0, 4)))
-        dec = minor_edge(m.graph, 3, 5, 0)
+    @pytest.mark.parametrize("name", ["minore", "dbdim", "grid"])
+    def test_parsed_model_builds_no_tuple_views(self, name):
+        text = write_mrf_text(sample_potentials(grid_graph(30), VARYING_INTERACTION, 1.0, 4))
+        m = parse_mrf_text(text)
+        dec = scheme(m.graph, name, eps=0.5, K=3, r=3, lam=5, k=5)(0)
         bounds, estimate = certify(m, dec)
         assert log_partition_bounds(m, dec) == bounds and mode_estimate(m, dec) == estimate
-        assert {"edge_list", "edges", "edge_index"}.isdisjoint(vars(m.graph))
+        assert {"adjacency", "edge_list", "edges"}.isdisjoint(vars(m.graph))
 
     def test_carried_arrays_equal_the_full_check(self):
         rng = np.random.default_rng(8)
@@ -273,12 +283,14 @@ class TestCarvedRecord:
         m = sample_potentials(g, VARYING_INTERACTION, 1.0, 2)
         assert certify(m, twin) == certify(m, dec) == certify(m, replace(dec))
 
-    def test_carved_on_an_equal_graph_is_checked(self):
+    def test_carved_on_an_equal_graph_is_checked(self, monkeypatch):
         g, twin = grid_graph(5), grid_graph(5)
         m = sample_potentials(twin, VARYING_INTERACTION, 1.0, 6)
         dec = minor_edge(g, 2, 3, 7)
+        looked_up = spy_edge_rows(monkeypatch)
         assert certify(m, dec) == certify(sample_potentials(g, VARYING_INTERACTION, 1.0, 6), dec)
-        assert "edge_index" in vars(twin) and "edge_index" not in vars(g)
+        # the twin is equal to g, so identity tells which was checked
+        assert [id(graph) for graph in looked_up] == [id(twin)]
         # a record whose fields no longer match its arrays is caught there
         broken = minor_edge(g, 2, 3, 7)
         object.__setattr__(broken, "components", broken.components + ((0,),))
@@ -305,13 +317,30 @@ class TestCarvedRecord:
             with pytest.raises(ValueError, match=r"^removed edges not in the graph: \[\(0, 4\)\]$"):
                 run(m, stray)
 
-    def test_lift_checks_its_input(self):
+    @pytest.mark.parametrize("pair", [(1, 0), (-1, 0), (2**70, 0), (0, 0), (0, 1, 2)])
+    def test_hostile_removed_pair_is_named(self, pair):
+        # a reversed pair, a negative id, an id beyond intp, a self pair and
+        # a 3-tuple are each named as the full check named them before
+        g, cc = grid_graph(3), criscross_graph(3)
+        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 3)
+        hand = Decomposition("manual", 9, (tuple(range(9)),), 0.0, None,
+                             removed_edges=frozenset({(0, 1), pair}))
+        carved = grid_decomp(3, 2, 0, 0)
+        grown = replace(carved, removed_edges=carved.removed_edges | {pair})
+        runs = (lambda: certify(m, hand), lambda: criscross_decomposition(cc, hand),
+                lambda: criscross_decomposition(cc, grown))
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'removed edges not in the graph: [{pair}]')}$"):
+                run()
+
+    def test_lift_checks_its_input(self, monkeypatch):
         cc = criscross_graph(4)
         carved = minor_edge(cc, 2, 3, 1)
         with pytest.raises(ValueError, match=r"^removed edges not in the graph: "):
             criscross_decomposition(grid_graph(4), carved)
+        looked_up = spy_edge_rows(monkeypatch)
         lifted = criscross_decomposition(cc, grid_decomp(4, 2, 0, 1))
-        assert "edge_index" in vars(cc)
+        assert [id(graph) for graph in looked_up] == [id(cc)]
         assert edge_cut(cc, lifted)[1].sum() == len(lifted.removed_edges)
 
 

@@ -1,27 +1,43 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark still finds every name it wraps and every output it checks.
 
 ``perfbench/tracing.py`` looks each binding up with ``owner.__dict__[attr]``
 and replaces ``Graph.distance_matrix`` with a fresh ``cached_property``, so
 renaming or deleting one of those names fails every traced op.  Some names
 (``decompose.connected_components`` among them) are bound only for it.
+``perfbench/workloads.py`` checks each op's output through the public API
+(``graph.edges``, ``edge_range_sum``, record fields), so a change there
+fails every op of the benchmark; its toy-sized workloads run here.
 """
 
 import ast
 import importlib.util
+import sys
 from functools import cached_property
 from pathlib import Path
+
+import pytest
 
 from localmrf.core import Graph
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve a class's module through sys.modules
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(TRACING, "perfbench_tracing")
 
 
 def test_every_patched_name_is_bound():
@@ -51,3 +67,14 @@ def test_every_keep_alive_import_is_wrapped():
 
 def test_distance_matrix_is_a_cached_property():
     assert isinstance(Graph.__dict__["distance_matrix"], cached_property)
+
+
+TINY = load(WORKLOADS, "perfbench_workloads").TINY
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_tiny_workload_passes_its_checks(name):
+    workload = TINY[name]
+    inputs = workload.make_inputs(1)
+    for item in workload.items(inputs):
+        workload.check(inputs, item, workload.op(workload.prepare(inputs, item)))

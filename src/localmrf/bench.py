@@ -17,6 +17,7 @@ import math
 import time
 import typing
 from dataclasses import dataclass, fields
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,7 +143,13 @@ class ExperimentSpec:
 
     def validate(self) -> Graph:
         """Return the sweep's graph, or raise ``ValueError`` if the sweep
-        cannot run; building the graph runs its builder's checks too."""
+        cannot run; building the graph runs the topology's checks too.  A
+        spec builds and checks its graph once: parsing a spec validates it,
+        and running the parsed spec reuses that graph."""
+        return self._checked_graph
+
+    @cached_property
+    def _checked_graph(self) -> Graph:
         if self.topology in LATTICES and self.n < 2:
             raise ValueError("need n >= 2")
         graph = self.build_graph()

@@ -29,6 +29,22 @@ step is a few list and dict reads: each path node keeps running sums of
 its incoming messages, and a cycle-closing leaf's answer, which depends
 only on its directed edge and mark, is computed once per call.
 
+Walk trees repeat themselves: on the 40-node ring with 8 chords the 40
+root walks take 169,188 steps but hold a few thousand distinct subtrees.
+The subtree under a path tip z entered from u depends only on z, u, z's
+region (its component in the graph without the other path nodes, a
+bitmask) and the path successor of each path node bordering that region,
+the one node the Green/Red rule reads.  A root walk keys its subtrees by
+these and sums each distinct one once (`_shared`), in a dict that lives
+for that root's walk only; the sums are the unshared walk's, in the same
+order, so ratios and counts stay bit-identical.  Regions that cannot
+repeat a subtree often enough to pay for its key walk every sequence as
+before (`_subtree`): those with fewer than two independent cycles (rings,
+paths and trees), and components whose keys have not saved the steps
+they cost.  A traced run walks every
+sequence, and `build_saw_tree` and `saw_max_ratio` stay the unshared
+oracle.
+
 Ratios are kept as log-domain pairs rather than quotients so that 0 and
 infinity are exact.
 """
@@ -36,6 +52,7 @@ infinity are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -43,6 +60,10 @@ from .core import CapExceeded, Graph, PairwiseMrf, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 DEFAULT_SAW_CAP = 2**20
+"""Largest walk tree, in edges, that the walk-tree routines accept.  It
+bounds the tree, by ``saw_size_upper`` of each component, not the work:
+walks that share repeated subtrees could afford larger trees, but a model
+passes or fails the cap as the paper's bound says."""
 
 GREEN = "green"
 RED = "red"
@@ -183,7 +204,9 @@ def _binary_tables(mrf: PairwiseMrf, cap: int, root: int | None = None):
     """``_tables`` of a binary model whose walk trees, in ``root``'s
     component or else in every component, have at most ``cap`` edges; the
     first component in order over the cap raises ``CapExceeded``.  One
-    sweep labels the components, and an edge counts in its lower end's."""
+    sweep labels the components, and an edge counts in its lower end's;
+    the components, each node's component and their edge counts come
+    along."""
     if mrf.q != 2:
         raise ValueError("walk trees are defined for binary models only")
     if root is not None and not 0 <= root < mrf.n:
@@ -198,14 +221,14 @@ def _binary_tables(mrf: PairwiseMrf, cap: int, root: int | None = None):
                 f"walk tree may have up to {bound} edges "
                 f"(n={n}, extra edges k={k}), cap={cap}"
             )
-    return _tables(mrf)
+    return (*_tables(mrf), (comps, comp_of, inner))
 
 
 def build_saw_tree(
     mrf: PairwiseMrf, root: int, cap: int = DEFAULT_SAW_CAP
 ) -> SawTree:
     """Walk tree of the root's component, with marked-leaf potentials set."""
-    phi, nbrs = _binary_tables(mrf, cap, root)
+    phi, nbrs, _ = _binary_tables(mrf, cap, root)
 
     orig, parent, depth, mark, children = [root], [-1], [0], [None], [[]]
     tree_phi, psi_to_parent = [phi[root]], [None]
@@ -266,15 +289,17 @@ def saw_max_ratio(tree: SawTree) -> RatioPair:
 # ---------------------------------------------------------------------------
 
 
-def _walk(phi, nbrs, root: int, pos, leaves, trace=None) -> tuple[RatioPair, int]:
-    """The root's max-belief pair and walk-tree edge count, by a depth-first
-    sweep of the walk tree that builds no tree.
+def _subtree(phi, nbrs, path, pos, leaves, trace=None) -> tuple[float, float, int]:
+    """The summed incoming pair ``in0, in1`` of the path tip ``path[-1]``
+    and the edge count of its subtree, by a depth-first sweep of the walk
+    tree that builds no tree.
 
     ``nbrs`` holds each node's (neighbour, psi[neighbour, node]) pairs in
     ascending id, so each tree edge costs a few list and dict reads.  The
-    caller owns ``pos``, each node's depth on the current path or -1, which
-    the walk resets as it unwinds, and ``leaves``, the cycle-closing
-    answers by (leaf, parent, Green mark), computed on first use.
+    caller owns ``path`` and ``pos``, each node's depth on the path or -1,
+    set for the path it passes; the sweep resets what it adds as it
+    unwinds.  It also owns ``leaves``, the cycle-closing answers by (leaf,
+    parent, Green mark), computed on first use.
 
     The current node's frame lives in locals, and the frames of the path
     nodes above it on an explicit stack, not in recursion: a path can span
@@ -282,14 +307,15 @@ def _walk(phi, nbrs, root: int, pos, leaves, trace=None) -> tuple[RatioPair, int
     at the node's potential and gain the child answers in ascending child
     order, the additions ``saw_max_ratio`` makes, so both agree bit for
     bit.  A sequence traces its path lines when it floods and its comp line
-    when it answers.
+    when it answers; the tip's own comp line is the caller's.
     """
-    path, stack, edges = [root], [], 0
-    pos[root] = 0
-    u, parent, up, rest = root, -1, None, iter(nbrs[root])
-    in0, in1 = phi[root]
+    u = path[-1]
+    parent = path[-2] if len(path) > 1 else -1
+    stack, edges, up, rest = [], 0, None, iter(nbrs[u])
+    in0, in1 = phi[u]
     if trace is not None:
-        trace.extend(f"path {root} {w}" for w, _ in nbrs[root])
+        prefix = " ".join(map(str, path))
+        trace.extend(f"path {prefix} {w}" for w, _ in nbrs[u] if w != parent)
     while True:
         for z, t in rest:
             if z == parent:
@@ -317,9 +343,9 @@ def _walk(phi, nbrs, root: int, pos, leaves, trace=None) -> tuple[RatioPair, int
             if trace is not None:
                 trace.append(f"comp {' '.join(map(str, path))} {z} {msg[0]:.17g} {msg[1]:.17g}")
         else:
-            pos[u] = -1
             if not stack:
-                return _belief(in0, in1), edges
+                return in0, in1, edges
+            pos[u] = -1
             m0, m1 = _send(up, in0, in1)
             if trace is not None:
                 trace.append(f"comp {' '.join(map(str, path))} {m0:.17g} {m1:.17g}")
@@ -327,6 +353,227 @@ def _walk(phi, nbrs, root: int, pos, leaves, trace=None) -> tuple[RatioPair, int
             u, parent, up, rest, in0, in1 = stack.pop()
             in0 += m0
             in1 += m1
+
+
+# A region can repeat a subtree only if it holds two independent cycles; a
+# component walks every sequence once its keys have saved, on average, fewer
+# walk steps than a key costs (about _KEY_PAYS; BENCH_pr26.json's
+# `sharing_rules` times 16 against 8 and 0).
+_KEY_PAYS = 16
+
+
+def _shares(nodes: int, edges: int) -> bool:
+    """Whether a connected region holds two independent cycles."""
+    return edges - nodes + 1 >= 2
+
+
+@dataclass
+class _Component:
+    """One component's bitmasks, for one call: bit i stands for
+    ``members[i]``, ``adj`` holds each member's neighbour mask; ``saved``
+    counts the walk steps that repeated subtrees saved and ``keys`` the
+    subtrees keyed, over the call's walks so far."""
+
+    members: tuple
+    bit: dict
+    adj: dict
+    saved: int = 0
+    keys: int = 0
+
+    @classmethod
+    def of(cls, nbrs, members):
+        bit = {x: 1 << i for i, x in enumerate(members)}
+        return cls(members, bit, {x: sum(bit[w] for w, _ in nbrs[x]) for x in members})
+
+
+def _flood(seed, within, adj, members):
+    """The component of the bit ``seed`` in the mask ``within``."""
+    comp = front = seed
+    while front:
+        front = _grow(front, adj, members) & within & ~comp
+        comp |= front
+    return comp
+
+
+def _grow(front, adj, members):
+    """The neighbours of the bits in ``front``."""
+    grown = 0
+    while front:
+        b = front & -front
+        grown |= adj[members[b.bit_length() - 1]]
+        front ^= b
+    return grown
+
+
+def _edge_count(region, adj, members) -> int:
+    """The number of edges with both ends in ``region``."""
+    total, rest = 0, region
+    while rest:
+        b = rest & -rest
+        total += (adj[members[b.bit_length() - 1]] & region).bit_count()
+        rest ^= b
+    return total // 2
+
+
+def _regions(z, region, edges, border, comp):
+    """The regions of the tip z's free neighbours, the components of
+    ``region`` minus z, each with its edge count, its border (the path
+    nodes next to it, ascending) and whether the step to it lost a node
+    besides z or a border node; without such a loss a child's key
+    determines its parent's, so it cannot repeat.
+
+    A flood grows from each free neighbour in turn, one level at a time,
+    and floods merge as they meet.  The last one still growing gets what
+    the others leave, so a cut costs its smaller sides only."""
+    adj, members = comp.adj, comp.members
+    rest = region & ~comp.bit[z]
+    seeds = adj[z] & rest
+    growing, closed = [], []
+    while seeds:
+        b = seeds & -seeds
+        growing.append((b, b))
+        seeds ^= b
+    while len(growing) > 1:
+        grown = []
+        for part, front in growing:
+            front = _grow(front, adj, members) & rest & ~part
+            part |= front
+            for other in [g for g in grown if g[0] & part]:
+                grown.remove(other)
+                part |= other[0]
+                front |= other[1]
+            (grown if front else closed).append((part, front))
+        growing = grown
+    parts = [(part, _edge_count(part, adj, members)) for part, _ in closed]
+    if growing:
+        last = rest
+        for part, _ in closed:
+            last &= ~part
+        edges -= (adj[z] & rest).bit_count() + sum(e for _, e in parts)
+        parts.append((last, edges))
+    out = []
+    for part, e in parts:
+        border_w = [p for p in border if adj[p] & part]
+        insort(border_w, z)
+        out.append((part, e, border_w, len(parts) > 1 or len(border_w) <= len(border)))
+    return out
+
+
+def _shared(phi, nbrs, path, pos, leaves, memo, comp, region, edges_in):
+    """``_subtree`` of the root ``path[0]`` whose region is worth keying:
+    each distinct subtree is swept once and its answer kept in ``memo``.
+
+    The subtree under a tip z entered from u depends only on z, u, z's
+    region (its component in the graph without the other path nodes) and
+    the path successor of each path node bordering that region, the one
+    node the Green/Red rule reads: those form its key.  Each tip splits
+    its region among its children (``_regions``), and a child's key is
+    looked up only after a step that lost a node.  A region not worth
+    keying is swept by ``_subtree``, its answer kept under its own key.
+    Answers are the sums ``_subtree`` would make, in the same order, so
+    both agree bit for bit.  Frames live on an explicit stack, as in
+    ``_subtree``.
+    """
+    bit, saved = comp.bit, 0
+    z, u, up, key, start = path[-1], -1, None, None, 0
+    regions = _regions(z, region, edges_in, [], comp)
+    stack, edges, kids = [], 0, iter(nbrs[z])
+    in0, in1 = phi[z]
+    while True:
+        for w, t in kids:
+            if w == u:
+                continue
+            edges += 1
+            k = pos[w]
+            if k >= 0:
+                leaf = (w, z, z < path[k + 1])
+                msg = leaves.get(leaf)
+                if msg is None:
+                    msg = _send(t, -math.inf, 0.0) if leaf[2] else _send(t, 0.0, -math.inf)
+                    leaves[leaf] = msg
+                in0 += msg[0]
+                in1 += msg[1]
+                continue
+            bw = bit[w]
+            region_w, edges_w, border_w, lossy = next(r for r in regions if r[0] & bw)
+            pos[w] = len(path)
+            path.append(w)
+            key_w = (w, z, region_w, tuple([path[pos[p] + 1] for p in border_w])) if lossy else None
+            msg = memo.get(key_w)
+            if msg is None:
+                if _shares(region_w.bit_count(), edges_w):
+                    stack.append((z, u, up, kids, in0, in1, key, start, regions))
+                    z, u, up, key, start = w, z, t, key_w, edges
+                    regions = _regions(z, region_w, edges_w, border_w, comp)
+                    kids = iter(nbrs[z])
+                    in0, in1 = phi[z]
+                    break
+                s0, s1, e = _subtree(phi, nbrs, path, pos, leaves)
+                msg = (*_send(t, s0, s1), e)
+                if key_w is not None:
+                    memo[key_w] = msg
+            else:
+                saved += msg[2]
+            path.pop()
+            pos[w] = -1
+            in0 += msg[0]
+            in1 += msg[1]
+            edges += msg[2]
+        else:
+            if not stack:
+                comp.saved += saved
+                comp.keys += len(memo)
+                return in0, in1, edges
+            msg = _send(up, in0, in1)
+            if key is not None:
+                memo[key] = (*msg, edges - start)
+            path.pop()
+            pos[z] = -1
+            z, u, up, kids, in0, in1, key, start, regions = stack.pop()
+            in0 += msg[0]
+            in1 += msg[1]
+
+
+def _walk(phi, nbrs, root, pos, leaves, share=None, trace=None) -> tuple[RatioPair, int]:
+    """The root's max-belief pair and walk-tree edge count, by a depth-first
+    walk of its tree that builds no tree.
+
+    ``share`` is None, to sweep every sequence (``_subtree``; a ``trace``
+    then lists each one), or ``_share``'s (memo, ``_Component``, region,
+    edge count) for the root: the walk then sums each distinct subtree,
+    keyed by (tip, parent, region, border successors), once, in ``memo``,
+    a dict that lives for this root's walk (``_shared``).  ``pos`` and
+    ``leaves`` are the caller's, as ``_subtree`` describes."""
+    path = [root]
+    pos[root] = 0
+    if share is None:
+        in0, in1, edges = _subtree(phi, nbrs, path, pos, leaves, trace)
+    else:
+        in0, in1, edges = _shared(phi, nbrs, path, pos, leaves, *share)
+    pos[root] = -1
+    return _belief(in0, in1), edges
+
+
+def _share(v, nbrs, parts, keyed, low):
+    """``_walk``'s ``share`` for the root v, or None when its region is not
+    worth keying or its component's keys have not paid.  The region is v's
+    component among the ids at or above ``low``: 0 for all of it, v for
+    the free graph of ``saw_component_map``.  ``keyed`` holds the call's
+    ``_Component`` records."""
+    comps, comp_of, inner = parts
+    c = comp_of[v]
+    if not _shares(len(comps[c]), inner[c]):
+        return None
+    if c not in keyed:
+        keyed[c] = _Component.of(nbrs, comps[c])
+    comp = keyed[c]
+    if comp.saved < _KEY_PAYS * comp.keys:
+        return None
+    # members ascend, so the ids at or above low hold the bits from its index up
+    within = -(1 << bisect_left(comp.members, low))
+    region = _flood(comp.bit[v], within, comp.adj, comp.members)
+    edges = _edge_count(region, comp.adj, comp.members)
+    return ({}, comp, region, edges) if _shares(region.bit_count(), edges) else None
 
 
 @dataclass
@@ -350,14 +597,20 @@ def msg_pass_mode(
     the schedule is deterministic.  Per origin, the number of path
     sequences and of computation sequences each equal the walk-tree edge
     count.
+
+    Each origin's walk sums each distinct subtree once and reuses its
+    answer where the tree repeats it (see ``_shared``); the counts still
+    report every sequence of the schedule.  With ``keep_trace`` the walk
+    sends every sequence, so the trace lists each one in schedule order.
     """
-    phi, nbrs = _binary_tables(mrf, cap)
-    pos, leaves = [-1] * mrf.n, {}
+    phi, nbrs, parts = _binary_tables(mrf, cap)
+    pos, leaves, keyed = [-1] * mrf.n, {}, {}
     trace: list[str] | None = [] if keep_trace else None
     ratios: dict[int, RatioPair] = {}
     counts: dict[int, int] = {}
     for v in range(mrf.n):
-        ratios[v], counts[v] = _walk(phi, nbrs, v, pos, leaves, trace)
+        share = None if keep_trace else _share(v, nbrs, parts, keyed, 0)
+        ratios[v], counts[v] = _walk(phi, nbrs, v, pos, leaves, share, trace)
     return MsgPassResult(ratios=ratios, sequences_per_origin=counts, trace=trace)
 
 
@@ -386,11 +639,12 @@ def saw_component_map(
     turn an exact tie into a ratio just above 1; either state of a tied
     node extends to an optimum.
     """
-    phi, nbrs = _binary_tables(mrf, cap)
-    pos, leaves = [-1] * mrf.n, {}
+    phi, nbrs, parts = _binary_tables(mrf, cap)
+    pos, leaves, keyed = [-1] * mrf.n, {}, {}
     states: list[int] = []
     for v in range(mrf.n):
-        r = _walk(phi, nbrs, v, pos, leaves)[0].log_ratio()
+        share = _share(v, nbrs, parts, keyed, v)
+        r = _walk(phi, nbrs, v, pos, leaves, share)[0].log_ratio()
         state = 1 if r > 0.0 else 0
         states.append(state)
         for w, _ in nbrs[v]:

@@ -373,6 +373,23 @@ def test_experiment_command(tmp_path):
     assert all(r.lb <= r.exact_logz <= r.ub for r in records)
 
 
+def test_experiment_builds_its_graph_once(tmp_path, monkeypatch):
+    # parsing validates the spec, building the graph and checking the scheme
+    # at each parameter; the run reuses that graph and those checks
+    from localmrf import bench
+
+    builds, schemes = [], []
+    grid, scheme = bench.TOPOLOGIES["grid"], bench.scheme
+    monkeypatch.setitem(bench.TOPOLOGIES, "grid", lambda spec: builds.append(spec) or grid(spec))
+    monkeypatch.setattr(bench, "scheme", lambda *args: schemes.append(args) or scheme(*args))
+    spec = tmp_path / "sweep.spec"
+    spec.write_text("topology=grid\nn=4\nalphas=0.5\nr=2\nlambdas=3,4\ntrials=2\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["experiment", "--spec", str(spec), "--csv", str(out)]) == 0
+    assert len(builds) == 1
+    assert len(schemes) == 2 + 4  # one check per lambda, one draw per cell
+
+
 def test_limit_command(tmp_path):
     out = tmp_path / "limit.csv"
     assert main([

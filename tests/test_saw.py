@@ -5,6 +5,7 @@ import inspect
 import math
 import sys
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -578,3 +579,140 @@ class TestComponentMap:
         assert x == saw_map_by_trees(m, trees)
         assert walked == [tree.edge_count for tree in trees]
         assert sum(walked) == 16531
+
+
+@st.composite
+def split_region_mrfs(draw):
+    """Binary models on 12-24 nodes whose walk regions split: cycles that
+    share a cut vertex or hang off a bridge, pendant paths, separate
+    components (a ring, chorded at times), then up to 6 extra edges and
+    shuffled ids; some node entries -inf, tables integer at times."""
+    n_target = draw(st.integers(12, 24))
+    edges, n = set(), 0
+    while n < n_target:
+        kind = draw(st.sampled_from(["cut", "bridge", "pendant", "apart"])) if n else "apart"
+        size = min(draw(st.integers(3, 7)), n_target - n)
+        new = list(range(n, n + size))
+        anchor = draw(st.integers(0, n - 1)) if n else None
+        if kind == "pendant" or size < 3:
+            chain = [anchor, *new] if n else new
+        elif kind == "cut":
+            chain = [anchor, *new, anchor]
+        else:
+            chain = [*new, new[0]]
+            if kind == "bridge":
+                edges.add((anchor, new[0]))
+            elif size > 3 and draw(st.booleans()):
+                edges.add((new[0], new[2]))
+        edges.update(zip(chain, chain[1:]))
+        n += size
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if u != v:
+            edges.add((u, v))
+    ids = draw(st.permutations(range(n)))
+    g = Graph(n, sorted({tuple(sorted((ids[u], ids[v]))) for u, v in edges}))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_mrf(rng, g, lo=-1.5, hi=1.5)
+    phi, psi = np.array(m.phi), np.array(m.psi)
+    if draw(st.booleans()):
+        phi, psi = np.round(phi) + 1, np.round(psi) + 1
+    for v, state in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)), max_size=3)):
+        phi[v, state] = -np.inf
+    return PairwiseMrf(g, 2, phi, psi)
+
+
+class TestSharedSubtrees:
+    """The walks sum each distinct subtree once (``saw._shared``); every
+    answer must stay the unshared tree sweep's, bit for bit."""
+
+    @given(split_region_mrfs(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_tree_sweep_exactly(self, m, everywhere):
+        # everywhere: keep keying the subtrees of every region with two
+        # cycles, whether or not the keys pay, so the keyed path runs often
+        with patch.object(saw, "_KEY_PAYS", 0 if everywhere else saw._KEY_PAYS):
+            result = msg_pass_mode(m)
+            traced = msg_pass_mode(m, keep_trace=True)
+            x = saw_component_map(m)
+        for v in range(m.n):
+            tree = build_saw_tree(m, v)
+            assert result.ratios[v] == saw_max_ratio(tree)  # bit-exact
+            assert result.sequences_per_origin[v] == tree.edge_count
+        assert traced.ratios == result.ratios
+        assert traced.sequences_per_origin == result.sequences_per_origin
+        assert x == saw_map_by_trees(m)  # bit-exact
+
+    def test_dense_graphs_match_exactly(self):
+        # small dense graphs reach one region by paths that leave a border
+        # node through different successors, whose leaves' marks then differ
+        rng = np.random.default_rng(21)
+        with patch.object(saw, "_KEY_PAYS", 0):
+            for _ in range(150):
+                g = random_connected_graph(rng, int(rng.integers(5, 10)), int(rng.integers(2, 6)))
+                m = random_mrf(rng, g, lo=-1.5, hi=1.5)
+                result = msg_pass_mode(m)
+                for v in range(m.n):
+                    assert result.ratios[v] == saw_max_ratio(build_saw_tree(m, v))
+                assert saw_component_map(m) == saw_map_by_trees(m)
+
+    def test_large_component_matches_exactly(self):
+        # a 150-node component keys its regions on masks of 150 bits
+        m = sample_potentials(size_lower_bound_family(150, 4), VARYING_INTERACTION, 1.0, seed=2)
+        with patch.object(saw, "_KEY_PAYS", 0):
+            result = msg_pass_mode(m)
+            x = saw_component_map(m)
+        for v in range(m.n):
+            assert result.ratios[v] == saw_max_ratio(build_saw_tree(m, v))
+        assert x == saw_map_by_trees(m)
+
+    @staticmethod
+    def _count_work(monkeypatch):
+        """Per call of ``_walk``, the subtrees its memo keyed; and the
+        messages sent, one per subtree node swept."""
+        walk, send, keyed, sent = saw._walk, saw._send, [], [0]
+
+        def counting_walk(*args):
+            out = walk(*args)
+            share = args[5] if len(args) > 5 else None
+            keyed.append(0 if share is None else len(share[0]))
+            return out
+
+        def counting_send(*args):
+            sent[0] += 1
+            return send(*args)
+
+        monkeypatch.setattr(saw, "_walk", counting_walk)
+        monkeypatch.setattr(saw, "_send", counting_send)
+        return keyed, sent
+
+    def test_chorded_ring_walks_share_subtrees(self, monkeypatch):
+        # the 40 root walks take 169,188 steps but hold a few thousand
+        # distinct subtrees; unshared, they send 140,414 messages
+        m = sample_potentials(size_lower_bound_family(40, 8), VARYING_INTERACTION, 1.0, seed=1)
+        keyed, sent = self._count_work(monkeypatch)
+        result = msg_pass_mode(m)
+        assert sum(result.sequences_per_origin.values()) == 169188
+        assert len(keyed) == 40 and 0 < sum(keyed) <= 8000
+        assert sent[0] <= 20000
+
+    def test_ring_keys_nothing(self, monkeypatch):
+        # one cycle: no subtree can repeat, so every walk sweeps as before
+        m = random_mrf(np.random.default_rng(20), Graph(300, [(i, (i + 1) % 300) for i in range(300)]))
+        keyed, sent = self._count_work(monkeypatch)
+        result = msg_pass_mode(m)
+        x = saw_component_map(m)
+        assert set(result.sequences_per_origin.values()) == {600}
+        assert keyed == [0] * 600
+        assert x == component_solve(m, range(300)).map_assignment
+
+    @pytest.mark.parametrize("run", [msg_pass_mode, saw_component_map])
+    def test_cap_bounds_the_tree_not_the_work(self, run):
+        # the shared walks of the chorded ring send about a tenth of the
+        # messages, yet the cap still refuses by the tree-size bound
+        m = sample_potentials(size_lower_bound_family(40, 8), VARYING_INTERACTION, 1.0, seed=1)
+        bound = saw_size_upper(40, 8)
+        assert bound == 24064
+        with pytest.raises(CapExceeded) as err:
+            run(m, cap=bound - 1)
+        assert str(err.value) == "walk tree may have up to 24064 edges (n=40, extra edges k=8), cap=24063"
+        run(m, cap=bound)

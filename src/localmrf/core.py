@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import chain
+from numbers import Integral
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -40,6 +41,14 @@ class FormatError(ValueError):
 
 def _canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _node_id(v):
+    """``v`` itself if it is an integer (numpy's included), else a
+    ``ValueError`` naming it."""
+    if not isinstance(v, Integral):
+        raise ValueError(f"node {v!r} is not an integer id")
+    return v
 
 
 @lru_cache(maxsize=2)
@@ -137,6 +146,14 @@ class Graph:
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.edge_list)
 
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        """The keys ``u * n + v`` of ``ends``, ascending, then ``n**2``: a
+        last key above every pair's, so each search lands on a key."""
+        keys = np.append(self.ends[:, 0] * self.n + self.ends[:, 1], self.n**2)
+        keys.setflags(write=False)
+        return keys
+
     def edge_rows(self, pairs) -> np.ndarray:
         """The row of ``ends`` holding each ``(u, v)`` of the ``(k, 2)``
         array-like ``pairs``, or -1 where none does (``u >= v`` included):
@@ -146,8 +163,7 @@ class Graph:
         u, v = np.asarray(pairs).reshape(len(pairs), 2).T
         at = np.flatnonzero((0 <= u) & (u < v) & (v < self.n))
         a, b = u[at].astype(np.intp), v[at].astype(np.intp)
-        # a last key above every pair's, so each search lands on a key
-        keys = np.append(self.ends[:, 0] * self.n + self.ends[:, 1], self.n**2)
+        keys = self._edge_keys
         found = keys.searchsorted(a * self.n + b)
         hit = (keys[found] == a * self.n + b) & (a == u[at]) & (b == v[at])
         rows = np.full(len(u), -1, dtype=np.intp)
@@ -498,9 +514,9 @@ class PairwiseMrf:
         the original ids.  Walks only the CSR rows of ``nodes``, so it costs
         O(k + sum of their degrees) for k nodes, and the induced sub-models
         of a partition of V cost O(n + m) together.  A node listed twice or
-        outside ``0..n-1`` raises ``ValueError``.
+        outside ``0..n-1`` or that is no integer raises ``ValueError``.
         """
-        order = tuple(sorted(nodes))
+        order = tuple(sorted(map(_node_id, nodes)))  # every id checked before a comparison
         if order and not (0 <= order[0] and order[-1] < self.n):
             bad = order[0] if order[0] < 0 else order[-1]
             raise ValueError(f"node {bad} out of range for n={self.n}")

@@ -36,7 +36,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core import Edge, Graph, bfs_depths, criscross_graph, grid_graph, sweep
+from .core import Edge, Graph, _node_id, bfs_depths, criscross_graph, grid_graph, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 
@@ -130,7 +130,7 @@ def edge_cut(graph: Graph, dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     cut = np.bincount(rows, minlength=len(graph.ends)) > 0
     comp_of = [-1] * dec.n
     for i, comp in enumerate(dec.components):
-        for v in comp:
+        for v in map(_node_id, comp):
             if not 0 <= v < dec.n or comp_of[v] != -1:
                 raise ValueError(f"components do not partition the nodes (node {v})")
             comp_of[v] = i

@@ -1,15 +1,16 @@
 """Exact solvers: the elimination engine and the brute-force oracle.
 
-* ``solve_components`` is the one exact engine.  It groups components by
-  shape in a few array passes over the graph's ``ends`` (no walk per node)
-  and runs one batched variable-elimination sweep per group, which
-  eliminates the nodes in descending id order and yields log Z and the MAP
-  together.  Each shape's elimination is compiled once into a plan of
-  index tuples (``_plan``, keyed by the shape's node count and the bytes
-  of its local edge ends), kept across calls for the last
-  ``_PLAN_SHAPES`` shapes used, so a sweep does only table arithmetic.
-  It returns arrays: each component's log Z, and one assignment over all
-  nodes that stitches the components' maximizers.
+* ``solve_components`` is the one exact engine.  It reads the components
+  as one label per node, as ``core.sweep`` and ``decompose.edge_cut`` give
+  them, groups them by shape in a few array passes over the graph's
+  ``ends`` (no walk per node) and runs one batched variable-elimination
+  sweep per group, which eliminates the nodes in descending id order and
+  yields log Z and the MAP together.  Each shape's elimination is compiled
+  once into a plan of index tuples (``_plan``, keyed by the shape's node
+  count and the bytes of its local edge ends), kept across calls for the
+  last ``_PLAN_SHAPES`` shapes used, so a sweep does only table
+  arithmetic.  It returns each component's log Z and one assignment over
+  all nodes that stitches the components' maximizers.
   ``component_solve`` (one component) and ``solve_model`` (a whole model,
   one connected component at a time; also through ``grid_transfer_map``)
   read those arrays and call ``energy`` for the MAP's energy, and
@@ -34,13 +35,11 @@ The engine and the oracle both break MAP ties that way; the walk-tree
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
-from .core import CapExceeded, PairwiseMrf, connected_components, energy, left_sum
+from .core import CapExceeded, PairwiseMrf, energy, left_sum, sweep
 
 DEFAULT_CAP = 2**24
 _CHUNK = 2**18
@@ -245,86 +244,62 @@ def _eliminate(phi, psi, plan, q: int, with_map: bool):
     return lse, x
 
 
-def _raise_first_bad_set(components, n: int) -> NoReturn:
-    """Raise the ``ValueError`` of the first set, in order, that holds a node
-    outside ``0..n-1`` or, taking its nodes ascending, a node already seen."""
-    seen = set()
-    for comp in components:
-        order = sorted(comp)
-        if order and not (0 <= order[0] and order[-1] < n):
-            bad = order[0] if order[0] < 0 else order[-1]
-            raise ValueError(f"node {bad} out of range for n={n}")
-        for g in order:
-            if g in seen:
-                raise ValueError(f"node {g} lies in two components")
-            seen.add(g)
-    raise AssertionError("a bulk check failed on disjoint sets")
-
-
 def solve_components(
-    mrf: PairwiseMrf, components, cap: int = DEFAULT_CAP,
+    mrf: PairwiseMrf, labels, cap: int = DEFAULT_CAP,
     cut=None, with_map: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact log Z and MAP of the sub-MRF induced on each of disjoint node sets.
+    """Exact log Z and MAP of the sub-MRF induced on each set of a labelling.
 
-    Only edges with both endpoints inside a set contribute, less the edges
-    flagged in ``cut`` (a mask over ``edge_list``; None removes nothing):
-    the results are those of the pruned model.  Returns ``(log_z, x)``:
-    ``log_z`` holds one float per set, in the order of ``components``, and
-    ``x`` is one assignment over all ``n`` nodes that holds each set's
-    lexicographically smallest maximizer on that set's nodes and 0 on
-    nodes in no set.  Without ``with_map`` no MAP table is built and ``x``
-    is None.  A node listed twice or outside ``0..n-1`` raises
-    ``ValueError``, for the first set in order that holds one.
+    ``labels`` holds one integer per node: the index of the node's set, or
+    -1 for a node in no set.  Only edges with both endpoints in one set
+    contribute, less the edges flagged in ``cut`` (a boolean mask over
+    ``graph.ends``; None removes nothing): the results are those of the
+    pruned model.  Returns ``(log_z, x)``: ``log_z`` holds one float per set
+    ``0..labels.max()``, 0.0 for a set no node carries, and ``x`` is one
+    assignment over all ``n`` nodes that holds each set's lexicographically
+    smallest maximizer on that set's nodes and 0 on nodes in no set.
+    Without ``with_map`` no MAP table is built and ``x`` is None.  Labels
+    that are not ``n`` integers of at least -1 raise ``ValueError``.
 
-    Components are grouped by shape (their nodes relabelled ``0..k-1`` in
+    Sets are grouped by shape (their nodes relabelled ``0..k-1`` in
     ascending order, with each node's lower neighbours) in array passes
-    over ``graph.ends``: the kept edges are ordered by set, upper and lower
-    node with one ``lexsort``, and a set's shape is its node count and the
-    bytes of its slice of their local ends.  Groups keep their order of
-    first appearance, and each runs one batched elimination of its nodes
-    in descending order along the shape's cached ``_plan``; see
-    ``_eliminate``.  A component whose widest table holds more than ``cap``
-    entries raises ``CapExceeded`` before any table is built; a group's
-    batch is split so that no batched table holds more than ``cap``
-    entries.
+    over ``graph.ends``: one stable ``argsort`` of the labels lays the
+    sets' nodes out set after set, each ascending, the kept edges are
+    ordered by upper and lower node in that layout with one ``lexsort``,
+    and a set's shape is its node count and the bytes of its slice of their
+    local ends.  Groups keep the order of their first set, and each runs
+    one batched elimination of its nodes in descending order along the
+    shape's cached ``_plan``; see ``_eliminate``.  A set whose widest table
+    holds more than ``cap`` entries raises ``CapExceeded`` before any table
+    is built; a group's batch is split so that no batched table holds more
+    than ``cap`` entries.
     """
     n, q = mrf.n, mrf.q
-    components = list(map(tuple, components))
-    sizes = list(map(len, components))
-    total = sum(sizes)
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(components), np.intp, total)
-    except OverflowError:
-        _raise_first_bad_set(components, n)
-    if total and not (0 <= flat.min() and flat.max() < n):
-        _raise_first_bad_set(components, n)
-    # slots: the sets' nodes, set after set, each set ascending; set c
-    # holds slots offsets[c] to offsets[c + 1] - 1
-    offsets = np.fromiter(itertools.accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
-    # each slot's set, and len(sizes) for slot total, which stands for no set
-    label = np.repeat(np.arange(len(sizes) + 1), sizes + [1])
-    nodes = flat[np.lexsort((flat, label[:-1]))]
-    at = np.arange(total)
-    slot = np.full(n, total)
-    slot[nodes] = at
-    if (slot[nodes] != at).any():
-        _raise_first_bad_set(components, n)
-    # each edge's (lower, upper) slots; an edge with both ends in no set is
-    # kept too, but sorts after every set's edges and is never read
-    ends = slot[mrf.graph.ends.T]
-    sets = label[ends]
-    keep = sets[0] == sets[1]
+    labels = np.asarray(labels)
+    if not (labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.intp)
+            and labels.shape == (n,) and (labels >= -1).all()):
+        raise ValueError(f"labels must be {n} integers, each a set index or -1")
+    labels = labels.astype(np.intp, copy=False)
+    # slots: the nodes in no set, then the sets' nodes, set after set, each
+    # set ascending; set c holds slots offsets[c] to offsets[c + 1] - 1
+    nodes = np.argsort(labels, kind="stable")
+    offsets = np.cumsum(np.bincount(labels + 1, minlength=1))
+    sizes = np.diff(offsets).tolist()
+    slot = np.empty(n, dtype=np.intp)
+    slot[nodes] = np.arange(n)
+    # an edge is kept when both ends lie in one set, unless it is cut
+    sets = labels[mrf.graph.ends.T]
+    keep = (sets[0] == sets[1]) & (sets[0] >= 0)
     if cut is not None:
-        # numpy would read bytes as one string, not as a buffer
-        keep &= np.logical_not(np.frombuffer(cut, np.uint8) if isinstance(cut, bytes) else cut)
+        keep &= np.logical_not(cut)
     rows = keep.nonzero()[0]
+    ends = slot[mrf.graph.ends[rows].T]
     # by upper slot, then lower slot: by set first, since slots run set after set
-    rows = rows[np.lexsort(ends[:, rows])]
-    ends = ends[:, rows]
+    by_slot = np.lexsort(ends)
+    rows, ends = rows[by_slot], ends[:, by_slot]
     first_row = ends[1].searchsorted(offsets)  # each set's first kept edge
     # each edge's local (lower, upper) ends, one pair after the other
-    blob = (ends - offsets[label[ends[1]]]).tobytes(order="F")
+    blob = (ends - offsets[sets[0, rows]]).tobytes(order="F")
     pair = 2 * ends.itemsize
     bounds = first_row.tolist()
     groups: dict[tuple, list[int]] = {}
@@ -340,14 +315,14 @@ def solve_components(
                 f"of {q}^{width} entries (cap={cap})"
             )
         plans.append((plan, cap // q**width, members, k, len(pairs) // pair))
-    log_z = np.zeros(len(components))
+    log_z = np.zeros(len(sizes))
     x = np.zeros(n, dtype=np.intp) if with_map else None
-    row_at = np.arange(len(rows))
+    at = np.arange(max(n, len(rows)))
     for plan, step, members, k, m in plans:
         for s in range(0, len(members), step):
             idx = np.array(members[s : s + step], dtype=np.intp)
             orders = nodes[offsets[idx][:, None] + at[:k]]
-            psi = mrf.psi[rows[first_row[idx][:, None] + row_at[:m]]]
+            psi = mrf.psi[rows[first_row[idx][:, None] + at[:m]]]
             z, xs = _eliminate(mrf.phi[orders], psi, plan, q, with_map)
             log_z[idx] = z
             if with_map:
@@ -367,9 +342,12 @@ def component_solve(
     more than ``cap`` entries raises ``CapExceeded``.
     """
     sub, order = mrf.induced(nodes)
-    log_z, x = solve_components(mrf, [order], cap)
+    labels = np.full(mrf.n, -1, dtype=np.intp)
+    labels[list(order)] = 0
+    log_z, x = solve_components(mrf, labels, cap)
     assignment = tuple(x[list(order)].tolist())
-    return ExactResult(float(log_z[0]), assignment, energy(sub, assignment), order)
+    z = float(log_z[0]) if order else 0.0  # no nodes label no set
+    return ExactResult(z, assignment, energy(sub, assignment), order)
 
 
 def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
@@ -379,7 +357,7 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
     maximizers; when a component has no feasible state every assignment
     has energy ``-inf``, and the MAP is all zeros, brute's first maximizer.
     """
-    log_z, x = solve_components(mrf, connected_components(mrf.graph), cap)
+    log_z, x = solve_components(mrf, np.array(sweep(mrf.graph)[2], dtype=np.intp), cap)
     total = left_sum(log_z)
     assignment = (0,) * mrf.n if total == -np.inf else tuple(x.tolist())
     return ExactResult(total, assignment, energy(mrf, assignment), tuple(range(mrf.n)))
@@ -388,8 +366,8 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
 def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:
     """Exact log Z of a whole model, summed over its connected components as
     ``solve_model`` sums it, but with no MAP table built."""
-    comps = connected_components(mrf.graph)
-    return left_sum(solve_components(mrf, comps, cap, with_map=False)[0])
+    labels = np.array(sweep(mrf.graph)[2], dtype=np.intp)
+    return left_sum(solve_components(mrf, labels, cap, with_map=False)[0])
 
 
 def grid_transfer_map(

@@ -11,6 +11,7 @@ the true quantity lies inside the bracket.  ``mode_estimate`` is its MAP and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -20,18 +21,19 @@ from .exact import DEFAULT_CAP, solve_components
 from .exact import component_solve  # noqa: F401  the perfbench tracer wraps this name
 
 
-def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> np.ndarray:
+def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """Reject a decomposition the certificate does not cover, in O(n + m):
     ``edge_cut``'s checks, and no kept edge may cross two components (it
     would be dropped from both the component solves and the bracket).
-    Returns the removed edges as a boolean mask over ``graph.ends``."""
+    Returns ``edge_cut``'s arrays: each node's component index and the
+    removed edges as a boolean mask over ``graph.ends``."""
     comp_of, cut = edge_cut(mrf.graph, decomp)
     u, v = mrf.graph.ends.T
     crossing = np.flatnonzero((comp_of[u] != comp_of[v]) & ~cut)
     if len(crossing):
         a, b = mrf.graph.ends[crossing[0]].tolist()
         raise ValueError(f"kept edge ({a},{b}) crosses two components")
-    return cut
+    return comp_of, cut
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class ErrorCertificate:
 
 def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
     """Check ``decomp``, solve its components and bracket log Z: (bounds, x)."""
-    cut = _check_decomposition(mrf, decomp)
-    log_z, x = solve_components(mrf, decomp.components, cap, cut, with_map)
+    comp_of, cut = _check_decomposition(mrf, decomp)
+    log_z, x = solve_components(mrf, comp_of, cap, cut, with_map)
     total = left_sum(log_z)
     rows = np.flatnonzero(cut)
     lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]
@@ -75,7 +77,8 @@ def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
         log_z_lb=total + left_sum(lo),
         log_z_ub=total + left_sum(hi),
         gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
-        component_log_z=tuple(zip(decomp.components, log_z.tolist())),
+        # trailing empty components carry no label, so no log_z entry: 0.0 each
+        component_log_z=tuple(zip_longest(decomp.components, log_z.tolist(), fillvalue=0.0)),
     )
     return bounds, x
 

@@ -59,6 +59,15 @@ def random_mrf(rng, graph: Graph, q: int = 2, lo: float = 0.0, hi: float = 2.0) 
     return PairwiseMrf(graph, q, phi, psi)
 
 
+def labels_of(components, n: int) -> np.ndarray:
+    """Each node's index in ``components``, or -1 for a node in none: the
+    labels ``solve_components`` reads."""
+    labels = np.full(n, -1, dtype=np.intp)
+    for c, comp in enumerate(components):
+        labels[list(comp)] = c
+    return labels
+
+
 def with_forced_node(mrf: PairwiseMrf, v: int, state: int) -> PairwiseMrf:
     """Copy of ``mrf`` with node ``v`` conditioned to ``state`` (its other
     states get -inf); it shares the model's graph and edge tables."""

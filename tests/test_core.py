@@ -225,6 +225,15 @@ class TestGraphArrays:
         assert g.edge_rows([(0.0, 1.0), (0.5, 1.0), (1e-20, 1.0), (1.0, 2.0)]).tolist() == [0, -1, -1, 2]
         assert g.edge_rows([(np.inf, 1), (0, np.nan)]).tolist() == [-1, -1]
 
+    def test_edge_rows_build_their_keys_once(self, monkeypatch):
+        # a one-edge lookup costs O(log m), not a key array of O(m)
+        g = grid_graph(100)
+        built, append = [], np.append
+        monkeypatch.setattr(np, "append", lambda *a, **k: built.append(a) or append(*a, **k))
+        assert g.edge_rows([(0, 1)]).tolist() == [0]
+        assert g.edge_rows([(0, 100), (5, 7)]).tolist() == [1, -1]
+        assert len(built) == 1
+
     def test_degree_of_a_non_node(self):
         g = grid_graph(2)
         for v in (-1, 4):

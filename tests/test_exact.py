@@ -30,6 +30,7 @@ from localmrf.exact import DEFAULT_CAP
 from localmrf.inference import certify, log_partition_bounds
 
 from helpers import (
+    labels_of,
     oracle_log_z,
     oracle_map_reversed,
     oracle_max_marginal,
@@ -264,6 +265,7 @@ class TestSolveComponents:
         comps += [tuple(copies * k + int(u) for u in np.flatnonzero(labels == lab))
                   for lab in set(labels.tolist())]
         comps = [comps[i] for i in rng.permutation(len(comps))]
+        sets = labels_of(comps, n)
         cap = DEFAULT_CAP
         if small_cap:
             # the smallest cap that solves splits the widest group's batch
@@ -271,18 +273,18 @@ class TestSolveComponents:
             cap = 1
             while True:
                 try:
-                    solve_components(m, comps, cap)
+                    solve_components(m, sets, cap)
                     break
                 except CapExceeded:
                     cap *= q
         singles = [component_solve(m, comp) for comp in comps]
-        log_z, x = solve_components(m, comps, cap)
+        log_z, x = solve_components(m, sets, cap)
         assert log_z.tolist() == [r.log_z for r in singles]
         assert [tuple(x[list(r.nodes)].tolist()) for r in singles] == [
             r.map_assignment for r in singles
         ]
         assert [r.nodes for r in singles] == [tuple(sorted(c)) for c in comps]
-        z_only, no_map = solve_components(m, comps, cap, with_map=False)
+        z_only, no_map = solve_components(m, sets, cap, with_map=False)
         assert z_only.tolist() == log_z.tolist() and no_map is None
 
     @given(
@@ -294,7 +296,7 @@ class TestSolveComponents:
     )
     @settings(max_examples=60, deadline=None)
     def test_disjoint_sets_equal_brute_on_pruned_model(self, seed, q, n, parts, with_cut):
-        # unsorted sets, empty sets, singletons and nodes in no set, a random
+        # labels no node carries, singletons and nodes in no set, a random
         # cut and -inf node entries: each set's log Z and MAP are brute's on
         # the sub-model the set induces in the pruned model
         rng = np.random.default_rng(seed)
@@ -304,58 +306,50 @@ class TestSolveComponents:
         phi[rng.random((n, q)) < 0.15] = -math.inf
         m = PairwiseMrf(g, q, phi, m.psi)
         label = rng.integers(-1, parts, size=n)  # -1: in no set
-        comps = [tuple(int(v) for v in rng.permutation(np.flatnonzero(label == c)))
-                 for c in range(parts)]
         cut = None
         if with_cut:
-            cut = bytes((rng.random(len(g.edge_list)) < 0.4).astype(np.uint8))
+            cut = rng.random(len(g.edge_list)) < 0.4
         pruned = m if cut is None else m.without_edges(
             [e for e, flag in zip(g.edge_list, cut) if flag])
-        log_z, x = solve_components(m, comps, DEFAULT_CAP, cut)
-        assert solve_components(m, comps, DEFAULT_CAP, cut, False)[0].tolist() == log_z.tolist()
-        for z, comp in zip(log_z.tolist(), comps):
-            sub, order = pruned.induced(comp)
+        log_z, x = solve_components(m, label, DEFAULT_CAP, cut)
+        assert solve_components(m, label, DEFAULT_CAP, cut, False)[0].tolist() == log_z.tolist()
+        assert len(log_z) == label.max(initial=-1) + 1
+        for c, z in enumerate(log_z.tolist()):
+            sub, order = pruned.induced(np.flatnonzero(label == c).tolist())
             ref = brute_log_z(sub)
             assert z == ref or z == pytest.approx(ref, rel=1e-12)
             assert tuple(x[list(order)].tolist()) == brute_map(sub)[0]
         assert not x[label == -1].any()
 
     def test_overlapping_sets_rejected(self):
-        # one assignment cannot hold two states for a node
+        # labels that are not one integer set index (or -1) per node: floats,
+        # node sets (the parent read [(0, 1.5)] as the set {0, 1}), a wrong
+        # length, a value below -1 and booleans
         m = random_mrf(np.random.default_rng(22), grid_graph(2))
-        for comps in ([(0, 1), (2, 1)], [(3, 0, 3)], [(2, 1, 0, 1)], [(0,), (3, 3)]):
-            with pytest.raises(ValueError, match="^node [13] lies in two components$"):
-                solve_components(m, comps)
-        # the first offending set names the error; within a set an id out of
-        # range comes before a node seen twice
-        for comps, message in (
-            ([(0, 1), (1, 4)], "node 4 out of range for n=4"),
-            ([(1, 4), (0, 1)], "node 4 out of range for n=4"),
-            ([(0, 1), (1, -1)], "node -1 out of range for n=4"),
-            ([(2, 2, 5)], "node 5 out of range for n=4"),
-            ([(0, 1), (1,), (5,)], "node 1 lies in two components"),
-            ([(0, 1), (5,), (1,)], "node 5 out of range for n=4"),
-            ([(3, 2), (2, 1), (1, 3)], "node 2 lies in two components"),
-            ([(1, 2**70)], f"node {2**70} out of range for n=4"),
-        ):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                solve_components(m, comps)
-        # a negative id would index from the end, one of n or more past it
+        for labels in ([0, 1.5, -1, -1], np.zeros(4), [(0, 1.5)], [("0", 1)], [(0, 1), (2, 3)],
+                       [0, 0, 1], np.zeros(5, dtype=np.intp), [0, -2, 1, 1],
+                       np.array([True, False, True, True]), np.zeros(4, dtype=np.uint64)):
+            with pytest.raises(ValueError, match="^labels must be 4 integers, each a set index or -1$"):
+                solve_components(m, labels)
+        # a negative id would index from the end, one of n or more past it;
+        # an id that is no integer is named, and numpy integers are ids
         for bad in (-1, 4):
-            for comps in ([(bad,)], [(0, 1), (2, bad)]):
-                with pytest.raises(ValueError, match=f"^node {bad} out of range for n=4$"):
-                    solve_components(m, comps)
             for solve in (m.induced, lambda nodes: component_solve(m, nodes)):
                 with pytest.raises(ValueError, match=f"^node {bad} out of range for n=4$"):
                     solve((0, bad))
+        for solve in (m.induced, lambda nodes: component_solve(m, nodes)):
+            for nodes, bad in (([0, 1.5], "1.5"), ([0.0, 1], "0.0"), (["0", 1], "'0'")):
+                with pytest.raises(ValueError, match=f"^node {bad} is not an integer id$"):
+                    solve(nodes)
+        assert component_solve(m, [np.int64(0), 1]) == component_solve(m, [0, 1])
         # nodes in no set read 0
-        log_z, x = solve_components(m, [(3,)])
+        log_z, x = solve_components(m, labels_of([(3,)], 4))
         assert x.tolist() == [0, 0, 0, int(np.argmax(m.phi[3]))]
         assert log_z.tolist() == [component_solve(m, (3,)).log_z]
 
 
 def _plan_cases():
-    """Seeded (model, components, cap, cut) cases for the plan cache.
+    """Seeded (model, labels, cap, cut) cases for the plan cache.
 
     Each model holds three copies of one random shape on interleaved ids
     (one shape repeated inside a call) and a few other components; the
@@ -389,19 +383,20 @@ def _plan_cases():
         m = PairwiseMrf(g, q, phi, psi)
         comps = [tuple(u * copies + c for u in range(shape.n)) for c in range(copies)]
         comps += [tuple(range(copies * shape.n, n))] if extra else []
+        labels = labels_of(comps, n)
         cut = None
         if seed % 5 == 4:
-            cut = bytes((rng.random(len(g.edge_list)) < 0.3).astype(np.uint8))
+            cut = rng.random(len(g.edge_list)) < 0.3
         cap = DEFAULT_CAP
         if seed % 2:
             cap = 1
             while True:
                 try:
-                    solve_components(m, comps, cap, cut)
+                    solve_components(m, labels, cap, cut)
                     break
                 except CapExceeded:
                     cap *= q
-        cases.append((m, comps, cap, cut))
+        cases.append((m, labels, cap, cut))
     return cases
 
 
@@ -417,16 +412,16 @@ class TestPlanCache:
     def test_reuse_is_bit_identical(self):
         cases = _plan_cases()
         exact._plan.cache_clear()
-        cold = [_exactly(solve_components(m, c, cap, cut)) for m, c, cap, cut in cases]
+        cold = [_exactly(solve_components(*case)) for case in cases]
         assert exact._plan.cache_info().hits > 0
-        warm = [_exactly(solve_components(m, c, cap, cut)) for m, c, cap, cut in cases[::-1]]
+        warm = [_exactly(solve_components(*case)) for case in cases[::-1]]
         assert warm[::-1] == cold
-        for m, comps, cap, cut in cases:
-            log_z, x = solve_components(m, comps, cap, cut)
+        for m, labels, cap, cut in cases:
+            log_z, x = solve_components(m, labels, cap, cut)
             pruned = m if cut is None else m.without_edges(
                 [e for e, flag in zip(m.edge_list, cut) if flag])
-            for z, comp in zip(log_z.tolist(), comps):
-                sub, order = pruned.induced(comp)
+            for c, z in enumerate(log_z.tolist()):
+                sub, order = pruned.induced(np.flatnonzero(labels == c).tolist())
                 assert z == pytest.approx(brute_log_z(sub), rel=1e-12)
                 assert tuple(x[list(order)].tolist()) == brute_map(sub)[0]
 
@@ -438,11 +433,11 @@ class TestPlanCache:
         m = random_mrf(np.random.default_rng(30), Graph(1800, edges))
         comps = [tuple(range(6 * c, 6 * c + 6)) for c in range(300)]
         exact._plan.cache_clear()
-        first = _exactly(solve_components(m, comps))
+        first = _exactly(solve_components(m, labels_of(comps, m.n)))
         info = exact._plan.cache_info()
         assert info.maxsize == exact._PLAN_SHAPES < 300
         assert info.misses == 300 and info.currsize <= info.maxsize
-        assert _exactly(solve_components(m, comps)) == first
+        assert _exactly(solve_components(m, labels_of(comps, m.n))) == first
         assert exact._plan.cache_info().currsize <= info.maxsize
 
     def test_public_signatures_unchanged(self):
@@ -451,7 +446,7 @@ class TestPlanCache:
 
         empty = inspect.Parameter.empty
         assert params(solve_components) == [
-            ("mrf", empty), ("components", empty), ("cap", DEFAULT_CAP),
+            ("mrf", empty), ("labels", empty), ("cap", DEFAULT_CAP),
             ("cut", None), ("with_map", True),
         ]
         assert params(solve_model) == [("mrf", empty), ("cap", DEFAULT_CAP)]

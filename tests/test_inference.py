@@ -37,7 +37,7 @@ from localmrf.exact import solve_components
 from localmrf.inference import InferenceBounds, MapEstimate
 from localmrf.core import connected_components
 
-from helpers import random_graph, random_mrf
+from helpers import labels_of, random_graph, random_mrf
 
 
 def coupled_pair():
@@ -223,7 +223,12 @@ _SLAB = grid_decomp(4, 2, 1, 0)
      r"do not partition the nodes \(node 0\)"),
     (replace(_SLAB, components=_SLAB.components + ((16,),)),
      r"do not partition the nodes \(node 16\)"),
-], ids=["node-count", "node-removing", "stray-edge", "missing", "doubled", "out-of-range"])
+    (replace(_SLAB, components=((0.0, 1),) + _SLAB.components[1:]),
+     r"^node 0\.0 is not an integer id$"),
+    (replace(_SLAB, components=(("0", 1),) + _SLAB.components[1:]),
+     r"^node '0' is not an integer id$"),
+], ids=["node-count", "node-removing", "stray-edge", "missing", "doubled", "out-of-range",
+        "float-id", "str-id"])
 def test_certify_and_lift_reject_a_malformed_record_alike(record, message):
     cc = criscross_graph(4)
     m = sample_potentials(cc, VARYING_INTERACTION, 1.0, 0)
@@ -232,6 +237,29 @@ def test_certify_and_lift_reject_a_malformed_record_alike(record, message):
     with pytest.raises(ValueError) as cert:
         certify(m, record)
     assert str(cert.value) == str(lift.value)
+
+
+def test_numpy_integer_ids_are_ids():
+    m = sample_potentials(grid_graph(4), VARYING_INTERACTION, 1.0, 0)
+    ids = replace(_SLAB, components=tuple(tuple(map(np.int64, c)) for c in _SLAB.components))
+    assert certify(m, ids) == certify(m, _SLAB)
+
+
+@pytest.mark.parametrize("at", [1, 2])
+def test_empty_component_reads_zero(at):
+    # an empty component carries no node, so no label when it comes last,
+    # yet it keeps its place in component_log_z with log Z 0.0
+    m = sample_potentials(grid_graph(2), VARYING_INTERACTION, 1.0, 3)
+    dec = cut_decomposition(m.graph, [(0, 2), (1, 3)])
+    assert dec.components == ((0, 1), (2, 3))
+    comps = dec.components[:at] + ((),) + dec.components[at:]
+    bounds, estimate = certify(m, replace(dec, components=comps))
+    ref_bounds, ref_estimate = certify(m, dec)
+    log_z = list(ref_bounds.component_log_z)
+    log_z.insert(at, ((), 0.0))
+    assert repr(bounds) == repr(replace(ref_bounds, component_log_z=tuple(log_z)))
+    assert repr(estimate) == repr(ref_estimate)
+    assert log_partition_bounds(m, replace(dec, components=comps)) == bounds
 
 
 def left_fold(terms):
@@ -375,7 +403,7 @@ class TestPrunedReference:
         )
         dec = Decomposition("manual", n, comps, 0.0, None, removed_edges=removed)
 
-        ref_z, ref_x = solve_components(m.without_edges(removed), comps)
+        ref_z, ref_x = solve_components(m.without_edges(removed), labels_of(comps, n))
         rows = [g.edge_list.index(e) for e in sorted(removed)]
         lo, hi = m.edge_min[rows], m.edge_max[rows]
         total = left_fold(ref_z)

@@ -339,7 +339,7 @@ def run_trial(
         h_hat=estimate.energy,
         h_star=h_star,
         err_map=err_map,
-        removed=len(dec.removed_edges),
+        removed=len(dec.removed_ends),
         max_component=dec.max_component,
         wall_time=wall,
     )

@@ -14,7 +14,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import bench, decompose
-from .core import CapExceeded, dump_mrf, load_mrf
+from .core import CapExceeded, _members, dump_mrf, load_mrf
 from .exact import grid_transfer_log_z, solve_model
 from .inference import certify, log_partition_bounds
 from .mwis import factor_to_mwis, mwis_as_binary_mrf, parse_factor_model
@@ -35,9 +35,9 @@ def _write_decomposition(dec, out) -> None:
         f"# decomposition alg={dec.alg} n={dec.n} eps_target={dec.eps_target:.17g}"
         f" max_component={dec.max_component} seed={dec.seed}"
     ]
-    lines += [f"removed_node {v}" for v in sorted(dec.removed_nodes)]
-    lines += [f"removed_edge {u} {v}" for u, v in sorted(dec.removed_edges)]
-    for comp in dec.components:
+    lines += [f"removed_node {v}" for v in np.flatnonzero(dec.comp_of < 0).tolist()]
+    lines += [f"removed_edge {u} {v}" for u, v in dec.removed_ends.tolist()]
+    for comp in _members(dec.comp_of, dec.n_components):
         lines.append("component " + " ".join(map(str, comp)))
     _write(out, "\n".join(lines) + "\n")
 

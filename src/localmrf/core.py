@@ -90,6 +90,7 @@ class Graph:
             raise ValueError("node count must be >= 0")
         pairs: list[int] = []
         for u, v in edges:
+            u, v = _node_id(u), _node_id(v)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -256,27 +257,23 @@ def sweep(graph: Graph, dead=None, cut=None):
 
     A BFS, exploring neighbors ascending, starts from each live node not yet
     visited, in ascending order, so it starts from its component's lowest
-    id.  One pass over the CSR rows (each node's slices of ``nbr`` and
-    ``nbr_edge``), O(n + m).  Returns ``(components, depth, comp_of,
-    order)``: ascending node tuples ordered by smallest member; each node's
-    depth from its component's lowest id and its component's index (-1 and
-    -2 for a removed node); and the live nodes in visit order, component by
-    component.
+    id and the components are numbered by their smallest member.  One pass
+    over the CSR rows (each node's slices of ``nbr`` and ``nbr_edge``),
+    O(n + m).  Returns ``(comp_of, depth, count)``: each node's component
+    index and its depth from its component's lowest id as ``intp`` arrays
+    (-1 and -1 for a removed node), and the number of components.
     """
     n = graph.n
-    comp_of = [-1] * n if dead is None else [-2 if d else -1 for d in dead]
+    comp_of = [-2] * n if dead is None else [-1 if d else -2 for d in dead]  # -2: not yet visited
     if cut is None:
         cut = bytes(len(graph.ends))
     ptr, nbr, ids = graph._csr_lists
     depth = [-1] * n
-    order: list[int] = []
-    comps: list[tuple[int, ...]] = []
+    count = 0
     for s in range(n):
-        if comp_of[s] != -1:
+        if comp_of[s] != -2:
             continue
-        c, head = len(comps), len(order)
-        comp_of[s], depth[s] = c, 0
-        order.append(s)
+        comp_of[s], depth[s] = count, 0
         frontier, d = [s], 0
         while frontier:
             d += 1
@@ -284,13 +281,20 @@ def sweep(graph: Graph, dead=None, cut=None):
             for u in frontier:
                 for i in range(ptr[u], ptr[u + 1]):
                     w = nbr[i]
-                    if comp_of[w] == -1 and not cut[ids[i]]:
-                        comp_of[w], depth[w] = c, d
+                    if comp_of[w] == -2 and not cut[ids[i]]:
+                        comp_of[w], depth[w] = count, d
                         nxt.append(w)
-            order += nxt
             frontier = nxt
-        comps.append(tuple(sorted(order[head:])))
-    return tuple(comps), depth, comp_of, order
+        count += 1
+    return np.array(comp_of, dtype=np.intp), np.array(depth, dtype=np.intp), count
+
+
+def _members(comp_of: np.ndarray, count: int) -> tuple[tuple[int, ...], ...]:
+    """The nodes of each component ``0..count-1`` of the ``intp`` labels
+    ``comp_of``, as ascending tuples; a node labelled -1 lies in none."""
+    order = np.argsort(comp_of, kind="stable")
+    cuts = np.searchsorted(comp_of, np.arange(count + 1), sorter=order).tolist()
+    return tuple(map(tuple(_shared(order, len(comp_of))).__getitem__, map(slice, cuts, cuts[1:])))
 
 
 def connected_components(
@@ -303,17 +307,18 @@ def connected_components(
     Components are returned as ascending node tuples, ordered by their
     smallest member, so output is deterministic.  Removed ids outside the
     graph and removed pairs that are not edges (in either orientation) are
-    ignored.
+    ignored; a removed node that is no integer raises ``ValueError``.
     """
     n = graph.n
     dead = bytearray(n)
-    for v in removed_nodes:
+    for v in map(_node_id, removed_nodes):
         if 0 <= v < n:
             dead[v] = 1
     pairs = [_canon_edge(u, v) for u, v in removed_edges]
     rows = graph.edge_rows(pairs) if pairs else np.empty(0, dtype=np.intp)
     cut = np.bincount(rows[rows >= 0], minlength=len(graph.ends)) > 0
-    return sweep(graph, dead, cut.tobytes())[0]
+    comp_of, _, count = sweep(graph, dead, cut.tobytes())
+    return _members(comp_of, count)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ B in ascending id order):
 ``scheme`` turns a scheme's name into its decomposition as a function of
 the seed; the command line and the experiment harness both call it.
 ``edge_cut``, the one check of a record against a graph, serves the
-certificate (``inference``) and the cris-cross lift; a record carved on
-that very graph carries the check's arrays and skips it.
+certificate (``inference``) and the cris-cross lift.  A record is stored as
+its arrays, a label per node and the removed pairs, and checked when built.
 
 Every scheme is reproducible: all randomness comes from numpy PCG64
 generators keyed by the caller's 64-bit seed.  Layer cutting draws one
@@ -31,13 +31,15 @@ could be processed concurrently without changing the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .core import Edge, Graph, _node_id, bfs_depths, criscross_graph, grid_graph, sweep
+from .core import Edge, Graph, _members, _node_id, bfs_depths, criscross_graph, grid_graph, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
+
+_INTP = np.iinfo(np.intp)
 
 
 def _rng(*key: int) -> np.random.Generator:
@@ -50,14 +52,12 @@ class Decomposition:
 
     A scheme fills the removed set it cuts and leaves the other empty; the
     components are the connected components of the graph without both.
-    The removed sets are built in ascending id order, which fixes their
-    iteration order and so the repr.
 
-    A record a scheme builds also carries, outside its fields, the graph's
-    ``ends`` array, each node's component index and the removed-edge mask;
-    ``edge_cut`` returns those unchecked on that very graph.  The fields
-    alone make equality, the hash, the repr and ``dataclasses.replace``,
-    and a replaced record carries nothing.
+    A record is stored as read-only ``intp`` arrays: ``comp_of`` (each
+    node's component, -1 if removed), ``removed_ends`` (removed pairs, rows
+    ascending) and ``n_components``.  The tuple fields, which alone make
+    equality, the hash, the repr and ``replace``, are views built ascending
+    on first read.  A record built from its fields is checked once.
     """
 
     alg: str
@@ -65,12 +65,52 @@ class Decomposition:
     components: tuple[tuple[int, ...], ...]
     eps_target: float
     seed: int | None
-    removed_nodes: frozenset[int] = frozenset()
-    removed_edges: frozenset[Edge] = frozenset()
+    removed_nodes: frozenset[int] = field(default_factory=frozenset)
+    removed_edges: frozenset[Edge] = field(default_factory=frozenset)
+
+    def __post_init__(self):
+        # label 0 marks the removed nodes, label i + 1 component i
+        labels = [-1] * self.n
+        for i, nodes in enumerate((self.removed_nodes, *self.components)):
+            for v in map(_node_id, nodes):
+                if not 0 <= v < self.n or labels[v] != -1:
+                    raise ValueError(f"components do not partition the nodes (node {v})")
+                labels[v] = i
+        if -1 in labels:
+            raise ValueError(f"components do not cover node {labels.index(-1)}")
+        # a removed edge of any graph is a pair of intp ids
+        stray = [e for e in self.removed_edges if not (isinstance(e, tuple) and len(e) == 2 and all(
+            isinstance(v, Integral) and _INTP.min <= v <= _INTP.max for v in e))]
+        if stray:
+            raise ValueError(f"removed edges not in the graph: {sorted(stray, key=repr)}")
+        ends = np.array(list(self.removed_edges), dtype=np.intp).reshape(-1, 2)
+        _hold(self, np.array(labels, dtype=np.intp) - 1, np.unique(ends, axis=0), len(self.components))
+
+    def __getattr__(self, name):
+        if name not in _VIEWS:  # only a view not yet built is missing from the instance
+            raise AttributeError(name)
+        view = vars(self)[name] = _VIEWS[name](self)
+        return view
 
     @property
     def max_component(self) -> int:
-        return max((len(c) for c in self.components), default=0)
+        return int(np.bincount(self.comp_of + 1, minlength=self.n_components + 1)[1:].max(initial=0))
+
+
+_VIEWS = {
+    "components": lambda dec: _members(dec.comp_of, dec.n_components),
+    "removed_nodes": lambda dec: frozenset(np.flatnonzero(dec.comp_of < 0).tolist()),
+    "removed_edges": lambda dec: frozenset(zip(*dec.removed_ends.T.tolist())),
+}
+
+
+def _hold(dec: Decomposition, comp_of, removed_ends, count: int, **fields) -> Decomposition:
+    """Store ``dec`` as its arrays, made read-only, in place of its views."""
+    state = vars(dec)
+    for name in _VIEWS:
+        state.pop(name, None)
+    state.update(fields, comp_of=_frozen(comp_of), removed_ends=_frozen(removed_ends), n_components=count)
+    return dec
 
 
 def _carve(
@@ -80,20 +120,12 @@ def _carve(
     and the edges flagged in ``cut`` (masks as in ``core.sweep``).
 
     Every scheme builds its record here, with one sweep, so the components
-    are always the connected components of what is left.  The record
-    carries the sweep's component index per node and the edge mask, which
-    ``edge_cut`` trusts on this graph.
+    are always the connected components of what is left.
     """
-    nodes = frozenset(compress(range(graph.n), dead or ()))
-    cut = bytes(len(graph.ends) if cut is None else cut)
-    mask = np.frombuffer(cut, dtype=bool)  # read-only, as bytes are
-    edges = frozenset(zip(*graph.ends[mask].T.tolist()))
-    comps, _, comp_of, _ = sweep(graph, dead, cut)
-    dec = Decomposition(alg, graph.n, comps, eps_target, seed, nodes, edges)
-    # in the instance dict, not a field: equality, hash, repr and
-    # dataclasses.replace see only the fields
-    dec.__dict__["_carved"] = (graph.ends, _frozen(np.array(comp_of, dtype=np.intp)), mask)
-    return dec
+    mask = np.asarray(bytearray(len(graph.ends)) if cut is None else cut, dtype=bool)
+    comp_of, _, count = sweep(graph, dead, mask.tobytes())
+    return _hold(object.__new__(Decomposition), comp_of, graph.ends[mask], count,  # no fields to convert
+                 alg=alg, n=graph.n, eps_target=eps_target, seed=seed)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -104,39 +136,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def edge_cut(graph: Graph, dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     """Each node's index in ``dec.components`` and the removed edges as a
     boolean mask over ``graph.ends`` (read-only arrays); raises
-    ``ValueError`` unless ``dec`` has the graph's node count, removes only
-    edges of the graph and has components that partition ``0..n-1``.
-
-    A record carved (``_carve``) on this very ``graph.ends`` object returns
-    the arrays it carries with no second check: its components are a
-    sweep's, so they partition the nodes and no kept edge crosses them.
-    Every other record is checked in O(n + m): hand-built, changed by
-    ``dataclasses.replace``, or carved on another graph, even an equal one.
+    ``ValueError`` unless ``dec`` has the graph's node count and removes
+    only edges of the graph, found by one ``Graph.edge_rows`` lookup.
     """
     if dec.n != graph.n:
         raise ValueError(f"decomposition has {dec.n} nodes, the graph {graph.n}")
-    if dec.removed_nodes:
+    if dec.comp_of.min(initial=0) < 0:
         raise ValueError(f"node-removing decomposition {dec.alg}: it removes nodes, not edges")
-    carved = dec.__dict__.get("_carved")
-    if carved is not None and carved[0] is graph.ends:
-        return carved[1], carved[2]
-    try:
-        rows = graph.edge_rows(list(dec.removed_edges))
-    except (TypeError, ValueError):  # an item that is not two numbers
-        rows = None
-    if rows is None or (rows < 0).any():
-        stray = sorted(dec.removed_edges - graph.edges)
+    rows = graph.edge_rows(dec.removed_ends)
+    if (rows < 0).any():
+        stray = list(zip(*dec.removed_ends[rows < 0].T.tolist()))
         raise ValueError(f"removed edges not in the graph: {stray}")
-    cut = np.bincount(rows, minlength=len(graph.ends)) > 0
-    comp_of = [-1] * dec.n
-    for i, comp in enumerate(dec.components):
-        for v in map(_node_id, comp):
-            if not 0 <= v < dec.n or comp_of[v] != -1:
-                raise ValueError(f"components do not partition the nodes (node {v})")
-            comp_of[v] = i
-    if -1 in comp_of:
-        raise ValueError(f"components do not cover node {comp_of.index(-1)}")
-    return _frozen(np.array(comp_of, dtype=np.intp)), _frozen(cut)
+    return dec.comp_of, _frozen(np.bincount(rows, minlength=len(graph.ends)) > 0)
 
 
 def empty_edge_decomposition(graph: Graph) -> Decomposition:
@@ -362,16 +373,15 @@ def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
             return int(_rng(seed, i, j).integers(lam))
 
     for i in range(r):
-        comps, depth, comp_of, _ = sweep(graph, dead, cut)
+        comp_of, depth, count = sweep(graph, dead, cut)
         levels = []
-        for j in range(len(comps)):
+        for j in range(count):
             level = choose_level(i, j)
             if not 0 <= level < lam:
                 raise ValueError(f"level {level} outside 0..{lam - 1}")
             levels.append(level)
-        # a removed node (component -2, depth -1) reads level -1: no layer
-        level = np.array(levels + [-1, -1], dtype=np.intp)[comp_of]
-        depth = np.array(depth, dtype=np.intp)
+        # a removed node (component -1, depth -1) reads level -1: no layer
+        level = np.array(levels + [-1], dtype=np.intp)[comp_of]
         yield depth, depth % lam == level
 
 

@@ -357,7 +357,7 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
     maximizers; when a component has no feasible state every assignment
     has energy ``-inf``, and the MAP is all zeros, brute's first maximizer.
     """
-    log_z, x = solve_components(mrf, np.array(sweep(mrf.graph)[2], dtype=np.intp), cap)
+    log_z, x = solve_components(mrf, sweep(mrf.graph)[0], cap)
     total = left_sum(log_z)
     assignment = (0,) * mrf.n if total == -np.inf else tuple(x.tolist())
     return ExactResult(total, assignment, energy(mrf, assignment), tuple(range(mrf.n)))
@@ -366,8 +366,7 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
 def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:
     """Exact log Z of a whole model, summed over its connected components as
     ``solve_model`` sums it, but with no MAP table built."""
-    labels = np.array(sweep(mrf.graph)[2], dtype=np.intp)
-    return left_sum(solve_components(mrf, labels, cap, with_map=False)[0])
+    return left_sum(solve_components(mrf, sweep(mrf.graph)[0], cap, with_map=False)[0])
 
 
 def grid_transfer_map(

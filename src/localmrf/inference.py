@@ -1,11 +1,11 @@
 """Certified bounds on log Z and MAP estimates with a computable gap.
 
-``certify`` checks an edge decomposition (``decompose.edge_cut``, and no
-kept edge may cross two components), solves each surviving component
-exactly once, and accounts for every removed edge by its table minimum and
-maximum, so the gap is the removed edges' range sum (no oracle needed) and
-the true quantity lies inside the bracket.  ``mode_estimate`` is its MAP and
-``log_partition_bounds`` its bracket, from a solve that builds no MAP tables.
+``certify`` checks an edge decomposition (``decompose.edge_cut`` looks up
+its removed pairs, and no kept edge may cross two components), solves each
+component it labels exactly once, and accounts for each removed edge by
+its table minimum and maximum, so the gap is the removed edges' range sum
+and the true quantity lies inside the bracket.  ``mode_estimate`` is its
+MAP and ``log_partition_bounds`` its bracket, from a solve with no MAP tables.
 """
 
 from __future__ import annotations

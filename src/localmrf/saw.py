@@ -56,7 +56,7 @@ from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .core import CapExceeded, Graph, PairwiseMrf, sweep
+from .core import CapExceeded, Graph, PairwiseMrf, _members, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 DEFAULT_SAW_CAP = 2**20
@@ -211,7 +211,8 @@ def _binary_tables(mrf: PairwiseMrf, cap: int, root: int | None = None):
         raise ValueError("walk trees are defined for binary models only")
     if root is not None and not 0 <= root < mrf.n:
         raise ValueError(f"node {root} out of range for n={mrf.n}")
-    comps, _, comp_of, _ = sweep(mrf.graph)
+    labels, _, count = sweep(mrf.graph)
+    comps, comp_of = _members(labels, count), labels.tolist()
     inner = Counter(comp_of[u] for u in mrf.graph.ends[:, 0].tolist())
     for c in range(len(comps)) if root is None else (comp_of[root],):
         n, k = len(comps[c]), inner[c] - len(comps[c]) + 1

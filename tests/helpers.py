@@ -68,6 +68,23 @@ def labels_of(components, n: int) -> np.ndarray:
     return labels
 
 
+def edge_cut_by_loop(graph: Graph, dec) -> tuple[list[int], list[bool]]:
+    """``decompose.edge_cut`` as the loop over the record's fields that the
+    stored arrays replaced: each node's index in ``dec.components`` and,
+    per row of ``graph.ends``, whether the record removes that edge."""
+    if dec.n != graph.n or dec.removed_nodes or not dec.removed_edges <= graph.edges:
+        raise ValueError("not an edge decomposition of this graph")
+    comp_of = [-1] * dec.n
+    for i, comp in enumerate(dec.components):
+        for v in comp:
+            if not 0 <= v < dec.n or comp_of[v] != -1:
+                raise ValueError(f"components do not partition the nodes (node {v})")
+            comp_of[v] = i
+    if -1 in comp_of:
+        raise ValueError(f"components do not cover node {comp_of.index(-1)}")
+    return comp_of, [e in dec.removed_edges for e in graph.edge_list]
+
+
 def with_forced_node(mrf: PairwiseMrf, v: int, state: int) -> PairwiseMrf:
     """Copy of ``mrf`` with node ``v`` conditioned to ``state`` (its other
     states get -inf); it shares the model's graph and edge tables."""
@@ -285,8 +302,7 @@ def line_graph_by_pairs(graph: Graph) -> Graph:
 
 def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=None, edges=True):
     """``minor_edge`` (or, without ``edges``, ``minor_vertex``) with each
-    round's cut flagged node by node over the sweep's visit order (the loop
-    that the array cut replaced): a node in its component's cut layer is
+    round's cut flagged node by node (the loop that the array cut replaced): a node in its component's cut layer is
     removed, or cuts each of its edges to a node at the same or a greater
     depth.  Same draws, same record."""
     if choose_level is None:
@@ -295,10 +311,10 @@ def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=N
     adj, ids = graph.adjacency, edge_ids(graph)
     dead, cut = bytearray(graph.n), bytearray(len(graph.edge_list))
     for i in range(r):
-        comps, depth, comp_of, order = sweep(graph, dead, cut)
-        levels = [choose_level(i, j) for j in range(len(comps))]
-        for u in order:
-            d = depth[u]
+        comp_of, depth, count = sweep(graph, dead, cut)
+        levels = [choose_level(i, j) for j in range(count)]
+        for u in np.flatnonzero(comp_of >= 0).tolist():
+            d = int(depth[u])
             if d % lam != levels[comp_of[u]]:
                 continue
             if not edges:

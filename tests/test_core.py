@@ -23,7 +23,7 @@ from localmrf import (
     write_mrf_text,
 )
 from localmrf.bench import parse_experiment_spec
-from localmrf.core import CapExceeded, FormatError, bfs_depths, sweep
+from localmrf.core import CapExceeded, FormatError, _members, bfs_depths, sweep
 from localmrf.mwis import parse_factor_model
 
 from helpers import (
@@ -490,19 +490,27 @@ class TestComponents:
 
         dead_mask = bytearray(v in dead for v in range(n))
         cut_mask = bytearray(e in cut for e in g.edge_list)
-        components, depth, comp_of, order = sweep(g, dead_mask, cut_mask)
-        assert components == comps
-        assert sorted(order) == sorted(set(range(n)) - dead)
+        comp_of, depth, count = sweep(g, dead_mask, cut_mask)
+        assert comp_of.dtype == depth.dtype == np.intp and count == len(comps)
+        assert _members(comp_of, count) == comps
         for j, comp in enumerate(comps):
-            # the BFS from the lowest id visits the component in the sweep's order
+            # depths from the component's lowest id
             reference = bfs_depths(pruned, comp[0])
-            start = sum(map(len, comps[:j]))
-            assert order[start : start + len(comp)] == list(reference)
+            assert sorted(reference) == list(comp)
             for v in comp:
                 assert depth[v] == reference[v]
                 assert comp_of[v] == j
         for v in dead:
-            assert depth[v] == -1 and comp_of[v] < 0
+            assert depth[v] == -1 and comp_of[v] == -1
+
+    @pytest.mark.parametrize("build, bad", [
+        (lambda: Graph(3, [(0, 1.5)]), "1.5"),
+        (lambda: Graph(3, [("0", 1)]), "'0'"),
+        (lambda: connected_components(path_graph(3), removed_nodes=[1.5]), "1.5"),
+    ], ids=["float-end", "str-end", "float-removed-node"])
+    def test_non_integer_id_is_rejected(self, build, bad):
+        with pytest.raises(ValueError, match=f"^node {re.escape(bad)} is not an integer id$"):
+            build()
 
 
 # pairs that are no edge as written: reversed, a negative id, an id beyond

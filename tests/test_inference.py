@@ -32,12 +32,12 @@ from localmrf import (
     write_mrf_text,
 )
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
-from localmrf.decompose import Decomposition, edge_cut, scheme
+from localmrf.decompose import EDGE_SCHEMES, Decomposition, edge_cut, scheme
 from localmrf.exact import solve_components
 from localmrf.inference import InferenceBounds, MapEstimate
 from localmrf.core import connected_components
 
-from helpers import labels_of, random_graph, random_mrf
+from helpers import edge_cut_by_loop, labels_of, random_graph, random_mrf
 
 
 def coupled_pair():
@@ -149,22 +149,16 @@ class TestLogPartitionBounds:
                 run(m, dec)
 
     def test_rejects_components_not_covering_nodes(self):
-        # UB 6.84 < log Z 9.81 if accepted
+        # accepted, it would certify UB 6.84 < log Z 9.81 on
+        # sample_potentials(grid_graph(3), VARYING_INTERACTION, 1.0, 1)
         g = grid_graph(3)
-        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 1)
-        dec = Decomposition("manual", 9, ((0,), (1,)), 0.0, None, removed_edges=g.edges)
-        for run in (log_partition_bounds, mode_estimate, certify):
-            with pytest.raises(ValueError, match="do not cover node 2"):
-                run(m, dec)
+        with pytest.raises(ValueError, match="do not cover node 2"):
+            Decomposition("manual", 9, ((0,), (1,)), 0.0, None, removed_edges=g.edges)
 
     def test_rejects_overlapping_components(self):
         g = grid_graph(2)
-        m = random_mrf(np.random.default_rng(1), g)
-        dec = Decomposition(
-            "manual", 4, ((0, 1), (1, 2), (3,)), 0.0, None, removed_edges=g.edges
-        )
         with pytest.raises(ValueError, match="do not partition"):
-            log_partition_bounds(m, dec)
+            Decomposition("manual", 4, ((0, 1), (1, 2), (3,)), 0.0, None, removed_edges=g.edges)
 
     def test_rejects_node_removal(self):
         g = grid_graph(3)
@@ -218,17 +212,7 @@ _SLAB = grid_decomp(4, 2, 1, 0)
     (minor_vertex(grid_graph(4), 1, 2, 0), "node-removing decomposition minorv"),
     (replace(_SLAB, removed_edges=_SLAB.removed_edges | {(0, 15)}),
      r"removed edges not in the graph: \[\(0, 15\)\]"),
-    (replace(_SLAB, components=_SLAB.components[1:]), "components do not cover node 0"),
-    (replace(_SLAB, components=_SLAB.components + ((0,),)),
-     r"do not partition the nodes \(node 0\)"),
-    (replace(_SLAB, components=_SLAB.components + ((16,),)),
-     r"do not partition the nodes \(node 16\)"),
-    (replace(_SLAB, components=((0.0, 1),) + _SLAB.components[1:]),
-     r"^node 0\.0 is not an integer id$"),
-    (replace(_SLAB, components=(("0", 1),) + _SLAB.components[1:]),
-     r"^node '0' is not an integer id$"),
-], ids=["node-count", "node-removing", "stray-edge", "missing", "doubled", "out-of-range",
-        "float-id", "str-id"])
+], ids=["node-count", "node-removing", "stray-edge"])
 def test_certify_and_lift_reject_a_malformed_record_alike(record, message):
     cc = criscross_graph(4)
     m = sample_potentials(cc, VARYING_INTERACTION, 1.0, 0)
@@ -237,6 +221,19 @@ def test_certify_and_lift_reject_a_malformed_record_alike(record, message):
     with pytest.raises(ValueError) as cert:
         certify(m, record)
     assert str(cert.value) == str(lift.value)
+
+
+@pytest.mark.parametrize("components, message", [
+    (_SLAB.components[1:], "components do not cover node 0"),
+    (_SLAB.components + ((0,),), r"do not partition the nodes \(node 0\)"),
+    (_SLAB.components + ((16,),), r"do not partition the nodes \(node 16\)"),
+    (((0.0, 1),) + _SLAB.components[1:], r"^node 0\.0 is not an integer id$"),
+    ((("0", 1),) + _SLAB.components[1:], r"^node '0' is not an integer id$"),
+], ids=["missing", "doubled", "out-of-range", "float-id", "str-id"])
+def test_a_record_that_does_not_partition_is_not_built(components, message):
+    # the check needs no graph, so it runs where the record is built
+    with pytest.raises(ValueError, match=message):
+        replace(_SLAB, components=components)
 
 
 def test_numpy_integer_ids_are_ids():
@@ -277,8 +274,8 @@ def spy_edge_rows(monkeypatch) -> list:
 
 
 class TestCarvedRecord:
-    """A record carved on a graph carries its component labels and edge
-    mask, and ``edge_cut`` trusts them on that very graph only."""
+    """A record is its arrays, however it was built, and ``edge_cut`` checks
+    every record against the graph it is given."""
 
     @pytest.mark.parametrize("name", ["minore", "dbdim", "grid"])
     def test_parsed_model_builds_no_tuple_views(self, name):
@@ -302,39 +299,56 @@ class TestCarvedRecord:
                     assert labels.dtype == np.intp and mask.dtype == bool
                     assert not (labels.flags.writeable or mask.flags.writeable)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_record_is_its_arrays(self, data):
+        name = data.draw(st.sampled_from(EDGE_SCHEMES))
+        if name == "grid":  # a square or cris-cross lattice
+            lattice = data.draw(st.sampled_from([grid_graph, criscross_graph]))
+            g = lattice(data.draw(st.integers(1, 5)))
+        else:
+            n = data.draw(st.integers(0, 14))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n)) if pairs else [])
+        twin = Graph(g.n, g.edge_list[::-1])  # equal to g, built apart
+        side = max(1, math.isqrt(g.n))
+        dec = scheme(g, name, eps=data.draw(st.sampled_from([0.2, 0.5])), K=data.draw(st.integers(2, 5)),
+                     r=data.draw(st.integers(1, 3)), lam=data.draw(st.integers(1, 4)),
+                     k=data.draw(st.integers(1, side)))(data.draw(st.integers(0, 2**32)))
+        # a carved record holds its arrays and no tuple view
+        assert {"components", "removed_nodes", "removed_edges"}.isdisjoint(vars(dec))
+        fields = [getattr(dec, f) for f in Decomposition.__dataclass_fields__]
+        for other in (Decomposition(*fields), replace(dec)):
+            assert other == dec and hash(other) == hash(dec) and repr(other) == repr(dec)
+        reference = edge_cut_by_loop(g, dec)
+        for graph in (g, twin):
+            comp_of, cut = edge_cut(graph, dec)
+            assert comp_of.tolist() == reference[0] and cut.tolist() == reference[1]
+        assert dec.max_component == max(map(len, dec.components), default=0)
+
     def test_record_is_its_fields(self):
         g = grid_graph(4)
         dec = minor_edge(g, 2, 3, 5)
         twin = Decomposition(*(getattr(dec, f) for f in Decomposition.__dataclass_fields__))
         assert dec == twin and hash(dec) == hash(twin) and repr(dec) == repr(twin)
-        assert replace(dec) == dec and "_carved" not in vars(replace(dec))
+        assert replace(dec) == dec
         m = sample_potentials(g, VARYING_INTERACTION, 1.0, 2)
         assert certify(m, twin) == certify(m, dec) == certify(m, replace(dec))
 
-    def test_carved_on_an_equal_graph_is_checked(self, monkeypatch):
+    def test_carving_graph_is_checked_too(self, monkeypatch):
         g, twin = grid_graph(5), grid_graph(5)
         m = sample_potentials(twin, VARYING_INTERACTION, 1.0, 6)
         dec = minor_edge(g, 2, 3, 7)
         looked_up = spy_edge_rows(monkeypatch)
         assert certify(m, dec) == certify(sample_potentials(g, VARYING_INTERACTION, 1.0, 6), dec)
         # the twin is equal to g, so identity tells which was checked
-        assert [id(graph) for graph in looked_up] == [id(twin)]
-        # a record whose fields no longer match its arrays is caught there
-        broken = minor_edge(g, 2, 3, 7)
-        object.__setattr__(broken, "components", broken.components + ((0,),))
-        for run in (log_partition_bounds, mode_estimate, certify):
-            with pytest.raises(ValueError, match=r"^components do not partition the nodes \(node 0\)$"):
-                run(m, broken)
+        assert [id(graph) for graph in looked_up] == [id(twin), id(g)]
 
     def test_replaced_record_is_checked(self):
-        g = grid_graph(4)
-        m = sample_potentials(g, VARYING_INTERACTION, 1.0, 3)
-        dec = minor_edge(g, 2, 3, 1)
-        doubled = replace(dec, components=dec.components[:1] * 2 + dec.components[1:])
+        dec = minor_edge(grid_graph(4), 2, 3, 1)
         node = dec.components[0][0]
-        for run in (log_partition_bounds, mode_estimate, certify):
-            with pytest.raises(ValueError, match=rf"^components do not partition the nodes \(node {node}\)$"):
-                run(m, doubled)
+        with pytest.raises(ValueError, match=rf"^components do not partition the nodes \(node {node}\)$"):
+            replace(dec, components=dec.components[:1] * 2 + dec.components[1:])
 
     def test_hand_built_stray_edge_is_checked(self):
         g = grid_graph(3)
@@ -348,16 +362,22 @@ class TestCarvedRecord:
     @pytest.mark.parametrize("pair", [(1, 0), (-1, 0), (2**70, 0), (0, 0), (0, 1, 2)])
     def test_hostile_removed_pair_is_named(self, pair):
         # a reversed pair, a negative id, an id beyond intp, a self pair and
-        # a 3-tuple are each named as the full check named them before
+        # a 3-tuple are each named as the full check named them before; the
+        # last two are no pair of intp ids, so the record is not built
         g, cc = grid_graph(3), criscross_graph(3)
         m = sample_potentials(g, VARYING_INTERACTION, 1.0, 3)
-        hand = Decomposition("manual", 9, (tuple(range(9)),), 0.0, None,
-                             removed_edges=frozenset({(0, 1), pair}))
         carved = grid_decomp(3, 2, 0, 0)
-        grown = replace(carved, removed_edges=carved.removed_edges | {pair})
-        runs = (lambda: certify(m, hand), lambda: criscross_decomposition(cc, hand),
-                lambda: criscross_decomposition(cc, grown))
-        for run in runs:
+
+        def hand():
+            return Decomposition("manual", 9, (tuple(range(9)),), 0.0, None,
+                                 removed_edges=frozenset({(0, 1), pair}))
+
+        def grown():
+            return replace(carved, removed_edges=carved.removed_edges | {pair})
+
+        runs = (lambda: certify(m, hand()), lambda: criscross_decomposition(cc, hand()),
+                lambda: criscross_decomposition(cc, grown()))
+        for run in (hand, grown) if pair in ((2**70, 0), (0, 1, 2)) else runs:
             with pytest.raises(ValueError, match=f"^{re.escape(f'removed edges not in the graph: [{pair}]')}$"):
                 run()
 
@@ -402,6 +422,8 @@ class TestPrunedReference:
             (u, v) for u, v in g.edge_list if label[u] != label[v] or rng.random() < 0.3
         )
         dec = Decomposition("manual", n, comps, 0.0, None, removed_edges=removed)
+        # a component is a node set: it reads back ascending
+        assert dec.components == tuple(tuple(sorted(c)) for c in comps)
 
         ref_z, ref_x = solve_components(m.without_edges(removed), labels_of(comps, n))
         rows = [g.edge_list.index(e) for e in sorted(removed)]
@@ -413,7 +435,7 @@ class TestPrunedReference:
             total + left_fold(lo),
             total + left_fold(hi),
             gap,
-            tuple((c, float(z)) for c, z in zip(comps, ref_z)),
+            tuple((c, float(z)) for c, z in zip(dec.components, ref_z)),
         ))
         x = [int(s) for s in ref_x]
         h = left_fold([m.phi[v, x[v]] for v in range(n)]

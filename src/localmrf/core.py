@@ -54,7 +54,7 @@ def _node_id(v):
 @lru_cache(maxsize=2)
 def _int_objects(count: int) -> np.ndarray:
     """The ints ``0..count-1`` as a read-only object array, kept for the
-    last two counts asked (a graph's node count and its edge count)."""
+    last two counts asked; production asks only for a graph's node count."""
     ints = np.arange(count).astype(object)
     ints.setflags(write=False)
     return ints
@@ -189,6 +189,9 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.ends.tobytes()))
+
+    def __reduce__(self):
+        return Graph._from_ends, (self.n, self.ends)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.ends)})"
@@ -406,17 +409,12 @@ def doubling_dimension_exact(graph: Graph, cap: int = 12) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_table(a: np.ndarray, what: str) -> None:
-    if np.isnan(a).any() or (a == np.inf).any():
-        raise ValueError(f"{what} contains nan or +inf")
-
-
 class PairwiseMrf:
     """Finite-alphabet pairwise MRF in exponent form.
 
     ``node_potential[v]`` is a length-``q`` table and each edge carries a
     ``q x q`` table stored once, indexed ``(x_u, x_v)`` for the canonical
-    ``u < v`` orientation.  Instances are immutable after construction.
+    ``u < v`` orientation.  Instances are immutable and copy the tables given.
     """
 
     def __init__(
@@ -430,18 +428,18 @@ class PairwiseMrf:
             raise ValueError("alphabet size must be >= 2")
         self.graph = graph
         self.q = alphabet_size
-        phi = np.asarray(node_potentials, dtype=float)
-        if phi.shape != (graph.n, alphabet_size):
+        self.phi = np.array(node_potentials, dtype=float)
+        if self.phi.shape != (graph.n, alphabet_size):
             raise ValueError(
                 f"node potentials must have shape ({graph.n},{alphabet_size})"
             )
-        _check_table(phi, "node potential")
-        self.phi = phi
+        if np.isnan(self.phi).any() or (self.phi == np.inf).any():
+            raise ValueError("node potential contains nan or +inf")
         self.phi.setflags(write=False)
 
         m = len(graph.ends)
-        psi = np.empty((m, alphabet_size, alphabet_size))
         if isinstance(edge_potentials, Mapping):
+            psi = np.empty((m, alphabet_size, alphabet_size))
             tables = dict(edge_potentials)
             for i, (u, v) in enumerate(graph.edge_list):
                 if (u, v) in tables:
@@ -453,10 +451,9 @@ class PairwiseMrf:
             if tables:
                 raise ValueError(f"potentials for non-edges: {sorted(tables)}")
         else:
-            arr = np.asarray(edge_potentials, dtype=float)
-            if arr.shape != (m, alphabet_size, alphabet_size):
+            psi = np.array(edge_potentials, dtype=float, order="C")
+            if psi.shape != (m, alphabet_size, alphabet_size):
                 raise ValueError("edge potential array has wrong shape")
-            psi[:] = arr
         if not np.isfinite(psi).all():
             raise ValueError("edge potentials must be finite")
         self.psi = psi
@@ -547,6 +544,9 @@ class PairwiseMrf:
         )
         return sub, order
 
+    def __reduce__(self):
+        return PairwiseMrf, (self.graph, self.q, self.phi, self.psi)
+
     def __repr__(self):
         return f"PairwiseMrf(n={self.n}, m={len(self.psi)}, q={self.q})"
 
@@ -557,24 +557,22 @@ def left_sum(terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
-def check_assignment(mrf: PairwiseMrf, x: Sequence[int]) -> None:
-    if len(x) != mrf.n:
-        raise ValueError(f"assignment length {len(x)} != n={mrf.n}")
-    a = np.asarray(x)
-    bad = np.flatnonzero(np.logical_not((0 <= a) & (a < mrf.q)))
-    if len(bad):
-        v = int(bad[0])
-        raise ValueError(f"state {x[v]} at node {v} out of range")
-
-
 def energy(mrf: PairwiseMrf, x: Sequence[int]) -> float:
-    """Total exponent ``sum phi_v(x_v) + sum psi_uv(x_u, x_v)``.
+    """Total exponent ``sum phi_v(x_v) + sum psi_uv(x_u, x_v)`` of ``x``, one
+    integer state in ``0..q-1`` per node (any other raises ``ValueError``).
 
     Nodes are summed in ascending id order and edges in ascending edge
     order, so the result is deterministic.
     """
-    check_assignment(mrf, x)
-    x = np.asarray(x, dtype=np.intp)
+    if len(x) != mrf.n:
+        raise ValueError(f"assignment length {len(x)} != n={mrf.n}")
+    a = np.asarray(x)
+    if a.dtype.kind not in "biu" or a.ndim != 1:  # 0.5, 1.0 and "1" are no states
+        a = np.array([s if isinstance(s, Integral) else -1 for s in x], dtype=object)
+    bad = np.flatnonzero(np.logical_not((0 <= a) & (a < mrf.q)))
+    if len(bad):
+        raise ValueError(f"state {x[bad[0]]} at node {bad[0]} out of range")
+    x = a.astype(np.intp, copy=False)
     u, w = mrf.graph.ends.T
     return left_sum(np.concatenate((
         mrf.phi[np.arange(mrf.n), x],

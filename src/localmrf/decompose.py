@@ -92,6 +92,12 @@ class Decomposition:
         view = vars(self)[name] = _VIEWS[name](self)
         return view
 
+    def __getstate__(self):  # a copy is rebuilt from its arrays and fields, with no view
+        return {k: v for k, v in vars(self).items() if k not in _VIEWS}
+
+    def __setstate__(self, state):
+        _hold(self, **state)
+
     @property
     def max_component(self) -> int:
         return int(np.bincount(self.comp_of + 1, minlength=self.n_components + 1)[1:].max(initial=0))
@@ -104,12 +110,13 @@ _VIEWS = {
 }
 
 
-def _hold(dec: Decomposition, comp_of, removed_ends, count: int, **fields) -> Decomposition:
+def _hold(dec: Decomposition, comp_of, removed_ends, n_components: int, **fields) -> Decomposition:
     """Store ``dec`` as its arrays, made read-only, in place of its views."""
     state = vars(dec)
     for name in _VIEWS:
         state.pop(name, None)
-    state.update(fields, comp_of=_frozen(comp_of), removed_ends=_frozen(removed_ends), n_components=count)
+    state.update(fields, comp_of=_frozen(comp_of), removed_ends=_frozen(removed_ends),
+                 n_components=n_components)
     return dec
 
 

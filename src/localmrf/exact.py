@@ -255,11 +255,12 @@ def solve_components(
     contribute, less the edges flagged in ``cut`` (a boolean mask over
     ``graph.ends``; None removes nothing): the results are those of the
     pruned model.  Returns ``(log_z, x)``: ``log_z`` holds one float per set
-    ``0..labels.max()``, 0.0 for a set no node carries, and ``x`` is one
-    assignment over all ``n`` nodes that holds each set's lexicographically
-    smallest maximizer on that set's nodes and 0 on nodes in no set.
-    Without ``with_map`` no MAP table is built and ``x`` is None.  Labels
-    that are not ``n`` integers of at least -1 raise ``ValueError``.
+    ``0..labels.max()`` (its memory grows with that, not ``n``), 0.0 for a
+    set no node carries, and ``x`` is one assignment over all ``n`` nodes
+    that holds each set's lexicographically smallest maximizer on that
+    set's nodes and 0 on nodes in no set.  Without ``with_map`` no MAP
+    table is built and ``x`` is None.  Labels that are not ``n`` integers
+    of at least -1 raise ``ValueError``.
 
     Sets are grouped by shape (their nodes relabelled ``0..k-1`` in
     ascending order, with each node's lower neighbours) in array passes
@@ -359,8 +360,9 @@ def solve_model(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> ExactResult:
     """
     log_z, x = solve_components(mrf, sweep(mrf.graph)[0], cap)
     total = left_sum(log_z)
-    assignment = (0,) * mrf.n if total == -np.inf else tuple(x.tolist())
-    return ExactResult(total, assignment, energy(mrf, assignment), tuple(range(mrf.n)))
+    if total == -np.inf:
+        x[:] = 0
+    return ExactResult(total, tuple(x.tolist()), energy(mrf, x), tuple(range(mrf.n)))
 
 
 def grid_transfer_log_z(mrf: PairwiseMrf, cap: int = DEFAULT_CAP) -> float:

@@ -6,12 +6,12 @@ component it labels exactly once, and accounts for each removed edge by
 its table minimum and maximum, so the gap is the removed edges' range sum
 and the true quantity lies inside the bracket.  ``mode_estimate`` is its
 MAP and ``log_partition_bounds`` its bracket, from a solve with no MAP tables.
+The bracket keeps one log Z per component, by index; the record keeps the nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -38,10 +38,13 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> tuple[np.nd
 
 @dataclass(frozen=True)
 class InferenceBounds:
+    """``log_z_lb <= log Z <= log_z_ub``, ``gap`` wide; ``component_log_z[i]``
+    is the log Z of ``decomp.components[i]`` on the pruned model (0.0 if empty)."""
+
     log_z_lb: float
     log_z_ub: float
     gap: float
-    component_log_z: tuple[tuple[tuple[int, ...], float], ...]
+    component_log_z: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,13 @@ def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
     comp_of, cut = _check_decomposition(mrf, decomp)
     log_z, x = solve_components(mrf, comp_of, cap, cut, with_map)
     total = left_sum(log_z)
-    rows = np.flatnonzero(cut)
-    lo, hi = mrf.edge_min[rows], mrf.edge_max[rows]
+    lo, hi = mrf.edge_min[cut], mrf.edge_max[cut]
     bounds = InferenceBounds(
         log_z_lb=total + left_sum(lo),
         log_z_ub=total + left_sum(hi),
         gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
         # trailing empty components carry no label, so no log_z entry: 0.0 each
-        component_log_z=tuple(zip_longest(decomp.components, log_z.tolist(), fillvalue=0.0)),
+        component_log_z=tuple(log_z.tolist() + [0.0] * (decomp.n_components - len(log_z))),
     )
     return bounds, x
 
@@ -105,8 +107,7 @@ def certify(
     """``log_partition_bounds`` and ``mode_estimate`` bit for bit, from one
     check and one fused solve per component, whose log Z is the same double."""
     bounds, x = _bracket(mrf, decomp, cap, with_map=True)
-    assignment = tuple(x.tolist())
-    return bounds, MapEstimate(assignment, energy(mrf, assignment), bounds.gap)
+    return bounds, MapEstimate(tuple(x.tolist()), energy(mrf, x), bounds.gap)
 
 
 def mode_estimate(

@@ -53,10 +53,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
-from .core import CapExceeded, Graph, PairwiseMrf, _members, sweep
+import numpy as np
+
+from .core import CapExceeded, Graph, PairwiseMrf, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 DEFAULT_SAW_CAP = 2**20
@@ -205,24 +207,23 @@ def _binary_tables(mrf: PairwiseMrf, cap: int, root: int | None = None):
     component or else in every component, have at most ``cap`` edges; the
     first component in order over the cap raises ``CapExceeded``.  One
     sweep labels the components, and an edge counts in its lower end's;
-    the components, each node's component and their edge counts come
-    along."""
+    the labels and the components' node and edge counts come along."""
     if mrf.q != 2:
         raise ValueError("walk trees are defined for binary models only")
     if root is not None and not 0 <= root < mrf.n:
         raise ValueError(f"node {root} out of range for n={mrf.n}")
     labels, _, count = sweep(mrf.graph)
-    comps, comp_of = _members(labels, count), labels.tolist()
-    inner = Counter(comp_of[u] for u in mrf.graph.ends[:, 0].tolist())
-    for c in range(len(comps)) if root is None else (comp_of[root],):
-        n, k = len(comps[c]), inner[c] - len(comps[c]) + 1
+    sizes = np.bincount(labels, minlength=count).tolist()
+    inner = np.bincount(labels[mrf.graph.ends[:, 0]], minlength=count).tolist()
+    for c in range(count) if root is None else (labels[root],):
+        n, k = sizes[c], inner[c] - sizes[c] + 1
         bound = saw_size_upper(n, max(0, k))
         if bound > cap:
             raise CapExceeded(
                 f"walk tree may have up to {bound} edges "
                 f"(n={n}, extra edges k={k}), cap={cap}"
             )
-    return (*_tables(mrf), (comps, comp_of, inner))
+    return (*_tables(mrf), (labels, sizes, inner))
 
 
 def build_saw_tree(
@@ -561,12 +562,12 @@ def _share(v, nbrs, parts, keyed, low):
     component among the ids at or above ``low``: 0 for all of it, v for
     the free graph of ``saw_component_map``.  ``keyed`` holds the call's
     ``_Component`` records."""
-    comps, comp_of, inner = parts
-    c = comp_of[v]
-    if not _shares(len(comps[c]), inner[c]):
+    labels, sizes, inner = parts
+    c = int(labels[v])
+    if not _shares(sizes[c], inner[c]):
         return None
     if c not in keyed:
-        keyed[c] = _Component.of(nbrs, comps[c])
+        keyed[c] = _Component.of(nbrs, tuple(np.flatnonzero(labels == c).tolist()))
     comp = keyed[c]
     if comp.saved < _KEY_PAYS * comp.keys:
         return None

@@ -8,6 +8,7 @@ that agreement with the package is meaningful.
 import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from localmrf import (
     saw_max_ratio,
 )
 from localmrf.core import sweep
+
+# the two ways to copy a value whole
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
 
 
 def random_connected_graph(rng, n: int, extra_edges: int) -> Graph:
@@ -93,8 +97,9 @@ def with_forced_node(mrf: PairwiseMrf, v: int, state: int) -> PairwiseMrf:
     phi[v, :] = -np.inf
     phi[v, state] = keep
     phi.setflags(write=False)
-    forced = copy.copy(mrf)
-    forced.phi = phi
+    # not copy.copy: a copy of a model rebuilds it, tables included
+    forced = object.__new__(PairwiseMrf)
+    vars(forced).update(vars(mrf), phi=phi)
     return forced
 
 

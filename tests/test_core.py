@@ -27,6 +27,7 @@ from localmrf.core import CapExceeded, FormatError, _members, bfs_depths, sweep
 from localmrf.mwis import parse_factor_model
 
 from helpers import (
+    COPIES,
     distances_by_floyd,
     edge_ids,
     edge_index,
@@ -350,11 +351,24 @@ class TestEnergy:
             ((0, 1, -1, 5), "state -1 at node 2 out of range"),
             ((0, 1, 2, math.nan), "state nan at node 3 out of range"),
             ((2**70, 0, 0, 0), f"state {2**70} at node 0 out of range"),
+            # a state is an integer: no float is truncated, no string read
+            ((0.5, 1.9, 0, 1), "state 0.5 at node 0 out of range"),
+            ((0, 1.0, 0, 0), r"state 1\.0 at node 1 out of range"),
+            ((0, 0, "1", 0), "state 1 at node 2 out of range"),
+            (np.zeros(4), r"state 0\.0 at node 0 out of range"),
         ):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 energy(m, x)
         with pytest.raises(ValueError, match="^assignment length 3 != n=4$"):
             energy(m, (0, 0, 0))
+
+    def test_integer_and_bool_states_agree(self):
+        m = random_mrf(np.random.default_rng(15), grid_graph(2))
+        x = (1, 0, 1, 1)
+        h = energy(m, x)
+        for same in (list(x), np.array(x, dtype=np.uint8), np.array(x, dtype=bool),
+                     np.array(x, dtype=object), tuple(map(np.int64, x)), (True, False, 1, True)):
+            assert repr(energy(m, same)) == repr(h)
 
 
 class TestAffineShift:
@@ -597,6 +611,42 @@ class TestModelEdits:
         assert m.phi[0, 0] != -math.inf
         # the copy shares the graph and edge tables
         assert forced.graph is m.graph and forced.psi is m.psi
+
+    @pytest.mark.parametrize("tables", ["arrays", "dict"])
+    def test_model_copies_the_tables_given(self, tables):
+        g = Graph(2, [(0, 1)])
+        phi, psi = np.zeros((2, 2)), np.ones((1, 2, 2))
+        m = PairwiseMrf(g, 2, phi, psi if tables == "arrays" else {(0, 1): psi[0]})
+        assert phi.flags.writeable and psi.flags.writeable
+        phi[0, 0] = psi[0, 0, 0] = 5.0
+        assert m.phi[0, 0] == 0.0 and m.psi[0, 0, 0] == 1.0
+        assert not (m.phi.flags.writeable or m.psi.flags.writeable)
+
+
+class TestCopies:
+    """A copied graph or model is rebuilt from copies of its arrays: equal,
+    read-only, and with none of the views cached on the original."""
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_graph(self, how):
+        g = criscross_graph(4)
+        g.adjacency, g.edges, g.edge_rows([(0, 1)])  # cache the views
+        c = COPIES[how](g)
+        assert {"_csr_lists", "adjacency", "edge_list", "edges", "_edge_keys"}.isdisjoint(vars(c))
+        for a, b in ((c.ends, g.ends), (c.indptr, g.indptr), (c.nbr, g.nbr), (c.nbr_edge, g.nbr_edge)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype and not a.flags.writeable
+        assert c == g and c.adjacency == g.adjacency
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_model(self, how):
+        m = with_forced_node(random_mrf(np.random.default_rng(16), grid_graph(3)), 4, 1)
+        m.edge_min, m.edge_max, m.graph.adjacency  # cache the views
+        c = COPIES[how](m)
+        assert {"edge_min", "edge_max"}.isdisjoint(vars(c)) and "adjacency" not in vars(c.graph)
+        assert c.graph == m.graph and c.q == m.q
+        for a, b in ((c.phi, m.phi), (c.psi, m.psi), (c.graph.ends, m.graph.ends)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+        assert repr(energy(c, (1,) * 9)) == repr(energy(m, (1,) * 9))
 
 
 class TestInduced:

@@ -37,7 +37,7 @@ from localmrf.exact import solve_components
 from localmrf.inference import InferenceBounds, MapEstimate
 from localmrf.core import connected_components
 
-from helpers import edge_cut_by_loop, labels_of, random_graph, random_mrf
+from helpers import COPIES, edge_cut_by_loop, labels_of, random_graph, random_mrf
 
 
 def coupled_pair():
@@ -75,7 +75,7 @@ class TestLogPartitionBounds:
         assert b.log_z_ub == pytest.approx(math.log(4) + 1)
         true = math.log(3 + math.e)
         assert b.log_z_lb <= true <= b.log_z_ub
-        assert [z for _, z in b.component_log_z] == pytest.approx(
+        assert list(b.component_log_z) == pytest.approx(
             [math.log(2), math.log(2)]
         )
 
@@ -253,7 +253,7 @@ def test_empty_component_reads_zero(at):
     bounds, estimate = certify(m, replace(dec, components=comps))
     ref_bounds, ref_estimate = certify(m, dec)
     log_z = list(ref_bounds.component_log_z)
-    log_z.insert(at, ((), 0.0))
+    log_z.insert(at, 0.0)
     assert repr(bounds) == repr(replace(ref_bounds, component_log_z=tuple(log_z)))
     assert repr(estimate) == repr(ref_estimate)
     assert log_partition_bounds(m, replace(dec, components=comps)) == bounds
@@ -298,6 +298,26 @@ class TestCarvedRecord:
                 for labels, mask in ((comp_of, cut), checked):
                     assert labels.dtype == np.intp and mask.dtype == bool
                     assert not (labels.flags.writeable or mask.flags.writeable)
+
+    @pytest.mark.parametrize("solve", [certify, log_partition_bounds, mode_estimate])
+    def test_certificate_builds_no_record_view(self, solve):
+        # the bracket keeps one log Z per component; the record keeps the nodes
+        m = sample_potentials(grid_graph(12), VARYING_INTERACTION, 1.0, 5)
+        dec = minor_edge(m.graph, 3, 4, 0)
+        solve(m, dec)
+        assert {"components", "removed_nodes", "removed_edges"}.isdisjoint(vars(dec))
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize("carve", [minor_edge, minor_vertex])
+    def test_copy_is_rebuilt_from_its_arrays(self, how, carve):
+        dec = carve(grid_graph(6), 2, 3, 1)
+        dec.components, dec.removed_nodes, dec.removed_edges  # cache the views
+        c = COPIES[how](dec)
+        assert {"components", "removed_nodes", "removed_edges"}.isdisjoint(vars(c))
+        for a, b in ((c.comp_of, dec.comp_of), (c.removed_ends, dec.removed_ends)):
+            assert np.array_equal(a, b) and a.dtype == np.intp and not a.flags.writeable
+        assert c.n_components == dec.n_components
+        assert c == dec and hash(c) == hash(dec) and repr(c) == repr(dec)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -435,7 +455,7 @@ class TestPrunedReference:
             total + left_fold(lo),
             total + left_fold(hi),
             gap,
-            tuple((c, float(z)) for c, z in zip(dec.components, ref_z)),
+            tuple(ref_z.tolist()),  # entry i is the log Z of dec.components[i]
         ))
         x = [int(s) for s in ref_x]
         h = left_fold([m.phi[v, x[v]] for v in range(n)]

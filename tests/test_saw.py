@@ -26,7 +26,7 @@ from localmrf import (
     saw_size_upper,
     size_lower_bound_family,
 )
-from localmrf import saw
+from localmrf import core, saw
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
 from localmrf.core import CapExceeded
 from localmrf.saw import GREEN, RED, RatioPair, log_ratio_difference
@@ -716,3 +716,19 @@ class TestSharedSubtrees:
             run(m, cap=bound - 1)
         assert str(err.value) == "walk tree may have up to 24064 edges (n=40, extra edges k=8), cap=24063"
         run(m, cap=bound)
+
+
+def test_walk_trees_build_no_member_tuples(monkeypatch):
+    # the cap check reads two counts per component, and a keyed component
+    # its members, from the sweep's labels
+    calls, members = [], core._members
+
+    def counting_members(*args):
+        calls.append(args)
+        return members(*args)
+
+    monkeypatch.setattr(core, "_members", counting_members)
+    monkeypatch.setattr(saw, "_members", counting_members, raising=False)
+    m = sample_potentials(size_lower_bound_family(40, 8), VARYING_INTERACTION, 1.0, seed=1)
+    msg_pass_mode(m), saw_component_map(m), build_saw_tree(m, 0)
+    assert calls == []

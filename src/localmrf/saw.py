@@ -34,14 +34,14 @@ root walks take 169,188 steps but hold a few thousand distinct subtrees.
 The subtree under a path tip z entered from u depends only on z, u, z's
 region (its component in the graph without the other path nodes, a
 bitmask) and the path successor of each path node bordering that region,
-the one node the Green/Red rule reads.  A root walk keys its subtrees by
-these and sums each distinct one once (`_shared`), in a dict that lives
-for that root's walk only; the sums are the unshared walk's, in the same
-order, so ratios and counts stay bit-identical.  Regions that cannot
-repeat a subtree often enough to pay for its key walk every sequence as
-before (`_subtree`): those with fewer than two independent cycles (rings,
-paths and trees), and components whose keys have not saved the steps
-they cost.  A traced run walks every
+the one node the Green/Red rule reads.  The walks key their subtrees by
+these and sum each distinct one once (`_shared`), in one dict per
+component that every root walk of the call reads and fills; the sums are
+the unshared walk's, in the same order, so ratios and counts stay
+bit-identical.  Regions that cannot repeat a subtree often enough to pay
+for its key walk every sequence as before (`_subtree`): those with fewer
+than two independent cycles (rings, paths and trees), and components
+whose keys have not saved the steps they cost.  A traced run walks every
 sequence, and `build_saw_tree` and `saw_max_ratio` stay the unshared
 oracle.
 
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapExceeded, Graph, PairwiseMrf, sweep
+from .core import CapExceeded, Graph, PairwiseMrf, _node_id, sweep
 from .core import connected_components  # noqa: F401  the perfbench tracer wraps this name
 
 DEFAULT_SAW_CAP = 2**20
@@ -74,6 +74,8 @@ RED = "red"
 def saw_size_upper(n: int, k: int) -> int:
     """Edge-count bound (n + k - 1) * 2^(k+1) for a connected graph with
     n nodes and n - 1 + k edges."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     return (n + k - 1) * 2 ** (k + 1)
@@ -230,7 +232,7 @@ def build_saw_tree(
     mrf: PairwiseMrf, root: int, cap: int = DEFAULT_SAW_CAP
 ) -> SawTree:
     """Walk tree of the root's component, with marked-leaf potentials set."""
-    phi, nbrs, _ = _binary_tables(mrf, cap, root)
+    phi, nbrs, _ = _binary_tables(mrf, cap, _node_id(root))
 
     orig, parent, depth, mark, children = [root], [-1], [0], [None], [[]]
     tree_phi, psi_to_parent = [phi[root]], [None]
@@ -371,16 +373,17 @@ def _shares(nodes: int, edges: int) -> bool:
 
 @dataclass
 class _Component:
-    """One component's bitmasks, for one call: bit i stands for
-    ``members[i]``, ``adj`` holds each member's neighbour mask; ``saved``
-    counts the walk steps that repeated subtrees saved and ``keys`` the
-    subtrees keyed, over the call's walks so far."""
+    """One component's bitmasks and subtree memo, for one call: bit i
+    stands for ``members[i]``, ``adj`` holds each member's neighbour mask;
+    ``memo`` holds the answers of the subtrees keyed by every root walk of
+    the call so far (``_shared``), and ``saved`` counts the walk steps that
+    its hits saved."""
 
     members: tuple
     bit: dict
     adj: dict
+    memo: dict = field(default_factory=dict)
     saved: int = 0
-    keys: int = 0
 
     @classmethod
     def of(cls, nbrs, members):
@@ -461,9 +464,10 @@ def _regions(z, region, edges, border, comp):
     return out
 
 
-def _shared(phi, nbrs, path, pos, leaves, memo, comp, region, edges_in):
+def _shared(phi, nbrs, path, pos, leaves, comp, region, edges_in):
     """``_subtree`` of the root ``path[0]`` whose region is worth keying:
-    each distinct subtree is swept once and its answer kept in ``memo``.
+    each distinct subtree is swept once and its answer kept in
+    ``comp.memo``, which every root walk of the call reads and fills.
 
     The subtree under a tip z entered from u depends only on z, u, z's
     region (its component in the graph without the other path nodes) and
@@ -475,8 +479,18 @@ def _shared(phi, nbrs, path, pos, leaves, memo, comp, region, edges_in):
     Answers are the sums ``_subtree`` would make, in the same order, so
     both agree bit for bit.  Frames live on an explicit stack, as in
     ``_subtree``.
+
+    A key fixes its answer and edge count for the whole call.  A region's
+    border is every free node next to it, so in one free graph the region
+    fixes its border.  ``msg_pass_mode`` never changes ``phi`` or
+    ``nbrs``.  ``saw_component_map``, when it fixes a node c, deletes c
+    and changes only the potentials of c's neighbours.  A region keyed
+    while c was free that holds such a neighbour either held c, which no
+    later region does, or had c on its border; once c is gone the same
+    region's border lacks c, so its successor tuple is shorter.  No stale
+    key can match.
     """
-    bit, saved = comp.bit, 0
+    bit, memo, saved = comp.bit, comp.memo, 0
     z, u, up, key, start = path[-1], -1, None, None, 0
     regions = _regions(z, region, edges_in, [], comp)
     stack, edges, kids = [], 0, iter(nbrs[z])
@@ -524,7 +538,6 @@ def _shared(phi, nbrs, path, pos, leaves, memo, comp, region, edges_in):
         else:
             if not stack:
                 comp.saved += saved
-                comp.keys += len(memo)
                 return in0, in1, edges
             msg = _send(up, in0, in1)
             if key is not None:
@@ -541,11 +554,12 @@ def _walk(phi, nbrs, root, pos, leaves, share=None, trace=None) -> tuple[RatioPa
     walk of its tree that builds no tree.
 
     ``share`` is None, to sweep every sequence (``_subtree``; a ``trace``
-    then lists each one), or ``_share``'s (memo, ``_Component``, region,
-    edge count) for the root: the walk then sums each distinct subtree,
-    keyed by (tip, parent, region, border successors), once, in ``memo``,
-    a dict that lives for this root's walk (``_shared``).  ``pos`` and
-    ``leaves`` are the caller's, as ``_subtree`` describes."""
+    then lists each one), or ``_share``'s (``_Component``, region, edge
+    count) for the root: the walk then sums each distinct subtree, keyed
+    by (tip, parent, region, border successors), once, in the component's
+    memo, which the call's earlier root walks have filled and later ones
+    read (``_shared``).  ``pos`` and ``leaves`` are the caller's, as
+    ``_subtree`` describes."""
     path = [root]
     pos[root] = 0
     if share is None:
@@ -561,7 +575,7 @@ def _share(v, nbrs, parts, keyed, low):
     worth keying or its component's keys have not paid.  The region is v's
     component among the ids at or above ``low``: 0 for all of it, v for
     the free graph of ``saw_component_map``.  ``keyed`` holds the call's
-    ``_Component`` records."""
+    ``_Component`` records, each with its memo."""
     labels, sizes, inner = parts
     c = int(labels[v])
     if not _shares(sizes[c], inner[c]):
@@ -569,13 +583,13 @@ def _share(v, nbrs, parts, keyed, low):
     if c not in keyed:
         keyed[c] = _Component.of(nbrs, tuple(np.flatnonzero(labels == c).tolist()))
     comp = keyed[c]
-    if comp.saved < _KEY_PAYS * comp.keys:
+    if comp.saved < _KEY_PAYS * len(comp.memo):
         return None
     # members ascend, so the ids at or above low hold the bits from its index up
     within = -(1 << bisect_left(comp.members, low))
     region = _flood(comp.bit[v], within, comp.adj, comp.members)
     edges = _edge_count(region, comp.adj, comp.members)
-    return ({}, comp, region, edges) if _shares(region.bit_count(), edges) else None
+    return (comp, region, edges) if _shares(region.bit_count(), edges) else None
 
 
 @dataclass
@@ -600,10 +614,11 @@ def msg_pass_mode(
     sequences and of computation sequences each equal the walk-tree edge
     count.
 
-    Each origin's walk sums each distinct subtree once and reuses its
-    answer where the tree repeats it (see ``_shared``); the counts still
-    report every sequence of the schedule.  With ``keep_trace`` the walk
-    sends every sequence, so the trace lists each one in schedule order.
+    The origins' walks sum each distinct subtree once and reuse its
+    answer wherever their trees repeat it (see ``_shared``); the counts
+    still report every sequence of the schedule.  With ``keep_trace`` the
+    walk sends every sequence, so the trace lists each one in schedule
+    order.
     """
     phi, nbrs, parts = _binary_tables(mrf, cap)
     pos, leaves, keyed = [-1] * mrf.n, {}, {}

@@ -281,6 +281,16 @@ class TestBuildTree:
             build_saw_tree(m, 0, cap=4)
         assert str(saw_size_upper(8, 3)) in str(err.value)
 
+    @pytest.mark.parametrize("root", [1.0, "1", None])
+    def test_rejects_non_integer_root(self, root):
+        with pytest.raises(ValueError, match=f"node {root!r} is not an integer id"):
+            build_saw_tree(triangle_mrf(), root)
+
+    def test_numpy_integer_root(self):
+        m = triangle_mrf()
+        tree = build_saw_tree(m, np.int64(1))
+        assert repr(saw_max_ratio(tree)) == repr(saw_max_ratio(build_saw_tree(m, 1)))
+
     def test_rejects_non_binary(self):
         m = random_mrf(np.random.default_rng(6), Graph(2, [(0, 1)]), q=3)
         with pytest.raises(ValueError):
@@ -290,6 +300,11 @@ class TestBuildTree:
 class TestSizeBounds:
     def test_tree_bound(self):
         assert saw_size_upper(7, 0) == 12  # 2(n-1)
+
+    @pytest.mark.parametrize("n, k", [(-3, 1), (0, 0)])
+    def test_bound_needs_a_node(self, n, k):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            saw_size_upper(n, k)
 
     def test_triangle_bound_vs_actual(self):
         assert saw_size_upper(3, 1) == 12
@@ -667,15 +682,15 @@ class TestSharedSubtrees:
 
     @staticmethod
     def _count_work(monkeypatch):
-        """Per call of ``_walk``, the subtrees its memo keyed; and the
-        messages sent, one per subtree node swept."""
-        walk, send, keyed, sent = saw._walk, saw._send, [], [0]
+        """Per call of ``_walk``, the memo of the component it keyed in, or
+        None for a walk that keyed nothing; and the messages sent, one per
+        subtree node swept."""
+        walk, send, memos, sent = saw._walk, saw._send, [], [0]
 
         def counting_walk(*args):
-            out = walk(*args)
             share = args[5] if len(args) > 5 else None
-            keyed.append(0 if share is None else len(share[0]))
-            return out
+            memos.append(None if share is None else share[0].memo)
+            return walk(*args)
 
         def counting_send(*args):
             sent[0] += 1
@@ -683,27 +698,80 @@ class TestSharedSubtrees:
 
         monkeypatch.setattr(saw, "_walk", counting_walk)
         monkeypatch.setattr(saw, "_send", counting_send)
-        return keyed, sent
+        return memos, sent
 
     def test_chorded_ring_walks_share_subtrees(self, monkeypatch):
         # the 40 root walks take 169,188 steps but hold a few thousand
-        # distinct subtrees; unshared, they send 140,414 messages
+        # distinct subtrees; unshared, they send 140,414 messages, and the
+        # MAP's walks 15,063
         m = sample_potentials(size_lower_bound_family(40, 8), VARYING_INTERACTION, 1.0, seed=1)
-        keyed, sent = self._count_work(monkeypatch)
+        memos, sent = self._count_work(monkeypatch)
         result = msg_pass_mode(m)
         assert sum(result.sequences_per_origin.values()) == 169188
-        assert len(keyed) == 40 and 0 < sum(keyed) <= 8000
-        assert sent[0] <= 20000
+        # every walk keys in the one memo of the call
+        assert len(memos) == 40 and all(memo is memos[0] for memo in memos)
+        assert 0 < len(memos[0]) <= 3000
+        assert sent[0] <= 9000
+        sent[0] = 0
+        saw_component_map(m)
+        assert sent[0] <= 1000
 
     def test_ring_keys_nothing(self, monkeypatch):
         # one cycle: no subtree can repeat, so every walk sweeps as before
         m = random_mrf(np.random.default_rng(20), Graph(300, [(i, (i + 1) % 300) for i in range(300)]))
-        keyed, sent = self._count_work(monkeypatch)
+        memos, sent = self._count_work(monkeypatch)
         result = msg_pass_mode(m)
         x = saw_component_map(m)
         assert set(result.sequences_per_origin.values()) == {600}
-        assert keyed == [0] * 600
+        assert memos == [None] * 600
         assert x == component_solve(m, range(300)).map_assignment
+
+    @given(split_region_mrfs())
+    @settings(max_examples=60, deadline=None)
+    def test_map_roots_match_their_trees_exactly(self, m):
+        # every MAP root reads the subtrees that earlier roots keyed, yet
+        # its ratio is the sweep of its own conditioned tree, bit for bit
+        walk, ratios, trees = saw._walk, [], []
+
+        def recording_walk(*args):
+            pair, edges = walk(*args)
+            ratios.append(repr(pair))
+            return pair, edges
+
+        with patch.object(saw, "_KEY_PAYS", 0), patch.object(saw, "_walk", recording_walk):
+            x = saw_component_map(m)
+        assert x == saw_map_by_trees(m, trees)
+        assert ratios == [repr(saw_max_ratio(tree)) for tree in trees]
+
+    def test_map_walks_hit_earlier_roots_keys(self, monkeypatch):
+        walk, hits = saw._walk, []
+
+        class Recording(dict):
+            """A memo that counts the lookups finding a key stored before
+            the current walk began."""
+
+            def __init__(self, stored):
+                super().__init__(stored)
+                self.earlier, self.hits = set(stored), 0
+
+            def get(self, key, default=None):
+                self.hits += key in self.earlier
+                return super().get(key, default)
+
+        def recording_walk(*args):
+            share = args[5] if len(args) > 5 else None
+            if share is None:
+                return walk(*args)
+            comp = share[0]
+            comp.memo = Recording(comp.memo)
+            out = walk(*args)
+            hits.append(comp.memo.hits)
+            return out
+
+        monkeypatch.setattr(saw, "_walk", recording_walk)
+        m = sample_potentials(size_lower_bound_family(40, 8), VARYING_INTERACTION, 1.0, seed=1)
+        assert saw_component_map(m) == saw_map_by_trees(m)
+        assert hits[0] == 0 and max(hits) > 0
 
     @pytest.mark.parametrize("run", [msg_pass_mode, saw_component_map])
     def test_cap_bounds_the_tree_not_the_work(self, run):

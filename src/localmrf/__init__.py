@@ -53,13 +53,11 @@ from .exact import (
     solve_model,
 )
 from .inference import (
-    ErrorCertificate,
     InferenceBounds,
     MapEstimate,
     certify,
     log_partition_bounds,
     mode_estimate,
-    relative_error_bound,
 )
 from .mwis import (
     FactorModel,

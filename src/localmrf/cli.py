@@ -152,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     scheme.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("decompose", parents=[scheme], help="run a graph decomposition")
-    p.add_argument("--alg", required=True,
-                   choices=["dbdim", "dbdim-v", "minorv", "minore", "grid"])
+    p.add_argument("--alg", required=True, choices=decompose.SCHEMES)
     p.add_argument("--out", default="-")
     p.add_argument("--l1", type=int, default=0)
     p.add_argument("--l2", type=int, default=0)

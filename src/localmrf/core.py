@@ -86,7 +86,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
+        if not isinstance(n, Integral) or n < 0:
             raise ValueError("node count must be >= 0")
         pairs: list[int] = []
         for u, v in edges:
@@ -424,7 +424,7 @@ class PairwiseMrf:
         node_potentials,
         edge_potentials,
     ):
-        if alphabet_size < 2:
+        if not isinstance(alphabet_size, Integral) or alphabet_size < 2:
             raise ValueError("alphabet size must be >= 2")
         self.graph = graph
         self.q = alphabet_size
@@ -608,7 +608,7 @@ def affine_shift(mrf: PairwiseMrf) -> tuple[PairwiseMrf, float]:
 
 def _lattice(rows: int, cols: int | None, diagonals: bool) -> Graph:
     cols = rows if cols is None else cols
-    if rows < 0 or cols < 0:
+    if not all(isinstance(s, Integral) and s >= 0 for s in (rows, cols)):
         raise ValueError(f"grid sides must be non-negative, got {rows} x {cols}")
     r, c = np.indices((rows, cols), dtype=np.intp).reshape(2, -1)
     right, down = c + 1 < cols, r + 1 < rows

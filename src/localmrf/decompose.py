@@ -180,7 +180,7 @@ class RadiusLaw:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0,1)")
-        if self.K < 1:
+        if not isinstance(self.K, Integral) or self.K < 1:
             raise ValueError("K must be >= 1")
 
     def pmf(self) -> np.ndarray:
@@ -356,7 +356,7 @@ def line_graph(graph: Graph) -> Graph:
 
 
 def _check_layers(r: int, lam: int) -> None:
-    if r < 1 or lam < 1:
+    if not all(isinstance(s, Integral) and s >= 1 for s in (r, lam)):
         raise ValueError("need r >= 1 and lam >= 1")
 
 
@@ -451,14 +451,14 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> Decomposition:
     endpoint is in a row congruent to l2 mod k.  Averaged over the k^2
     offsets, each edge is removed in exactly a 1/k fraction of the choices.
     """
-    if not (1 <= k <= n):
+    if not (isinstance(k, Integral) and 1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     return _slab(grid_graph(n), n, k, l1, l2)
 
 
 def _slab(grid: Graph, n: int, k: int, l1: int, l2: int) -> Decomposition:
     """``grid_decomp`` on ``grid``, the already built ``grid_graph(n)``."""
-    if not (0 <= l1 < k and 0 <= l2 < k):
+    if not all(isinstance(o, Integral) and 0 <= o < k for o in (l1, l2)):
         raise ValueError("offsets must lie in 0..k-1")
     # horizontal (u, u + 1) by u's column, vertical (u, u + n) by u's row
     u, v = grid.ends.T
@@ -483,6 +483,7 @@ def criscross_decomposition(cc_graph: Graph, grid_dec: Decomposition) -> Decompo
     return _carve(cc_graph, grid_dec.alg + "+diag", eps_target, grid_dec.seed, cut=cut)
 
 
+SCHEMES = ("dbdim", "dbdim-v", "minorv", "minore", "grid", "none")  # the names scheme() takes
 EDGE_SCHEMES = ("dbdim", "minore", "grid", "none")  # the schemes the certificate takes
 
 
@@ -494,6 +495,8 @@ def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int
     cuts at ``offsets`` (l1, l2), or else at two drawn from each seed.  The
     name and the scheme's parameters are checked here, before any draw.
     """
+    if name not in SCHEMES:
+        raise ValueError(f"unknown decomposition {name}")
     if name in ("dbdim", "dbdim-v"):
         RadiusLaw(eps, K)  # raises on a bad eps or K
         carve = db_dim_edge if name == "dbdim" else db_dim_vertex
@@ -504,8 +507,6 @@ def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int
         return lambda seed: layers(graph, r, lam, seed)
     if name == "none":
         return lambda seed: empty_edge_decomposition(graph)
-    if name != "grid":
-        raise ValueError(f"unknown decomposition {name}")
     side = math.isqrt(graph.n)
     grid = grid_graph(side)
     lift = graph != grid
@@ -514,7 +515,7 @@ def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int
             "grid decomposition needs a square grid or cris-cross lattice, got"
             f" {graph.n} nodes and {len(graph.ends)} edges"
         )
-    if not 1 <= k <= side:
+    if not (isinstance(k, Integral) and 1 <= k <= side):
         raise ValueError("need 1 <= k <= n")
 
     def slab(seed):

@@ -7,6 +7,7 @@ its table minimum and maximum, so the gap is the removed edges' range sum
 and the true quantity lies inside the bracket.  ``mode_estimate`` is its
 MAP and ``log_partition_bounds`` its bracket, from a solve with no MAP tables.
 The bracket keeps one log Z per component, by index; the record keeps the nodes.
+It also carries the a-priori bound on the relative gap beside the achieved one.
 """
 
 from __future__ import annotations
@@ -39,12 +40,25 @@ def _check_decomposition(mrf: PairwiseMrf, decomp: Decomposition) -> tuple[np.nd
 @dataclass(frozen=True)
 class InferenceBounds:
     """``log_z_lb <= log Z <= log_z_ub``, ``gap`` wide; ``component_log_z[i]``
-    is the log Z of ``decomp.components[i]`` on the pruned model (0.0 if empty)."""
+    is the log Z of ``decomp.components[i]`` on the pruned model (0.0 if empty).
+
+    ``apriori_bound`` is eps * (max degree + 1), eps the record's removal
+    target: it bounds the expected relative gap of the bracket and the MAP
+    on non-negative models.  ``relative_gap`` is the achieved one."""
 
     log_z_lb: float
     log_z_ub: float
     gap: float
     component_log_z: tuple[float, ...]
+    apriori_bound: float
+
+    @property
+    def relative_gap(self) -> float:
+        """``gap / log_z_lb``; ``inf`` when the lower bound is not positive,
+        where only the absolute ``gap`` is certified."""
+        if self.log_z_lb > 0.0:
+            return self.gap / max(self.log_z_lb, 1e-300)
+        return float("inf")
 
 
 @dataclass(frozen=True)
@@ -52,21 +66,6 @@ class MapEstimate:
     assignment: tuple[int, ...]
     energy: float
     guarantee_gap: float
-
-
-@dataclass(frozen=True)
-class ErrorCertificate:
-    """Achieved error certificate of one run plus the a-priori bound.
-
-    ``relative_gap`` is gap / lower bound; when the lower bound is not
-    positive the certificate degrades to an absolute one and
-    ``absolute_only`` is set.
-    """
-
-    relative_gap: float
-    absolute_gap: float
-    apriori_bound: float
-    absolute_only: bool
 
 
 def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
@@ -81,6 +80,7 @@ def _bracket(mrf: PairwiseMrf, decomp: Decomposition, cap: int, with_map: bool):
         gap=left_sum(hi - lo),  # edge_range_sum's terms and order: the same double
         # trailing empty components carry no label, so no log_z entry: 0.0 each
         component_log_z=tuple(log_z.tolist() + [0.0] * (decomp.n_components - len(log_z))),
+        apriori_bound=decomp.eps_target * (mrf.graph.max_degree + 1),
     )
     return bounds, x
 
@@ -120,33 +120,3 @@ def mode_estimate(
     the full model's, removed edges included.
     """
     return certify(mrf, decomp, cap)[1]
-
-
-def relative_error_bound(
-    mrf: PairwiseMrf,
-    decomp: Decomposition,
-    bounds: InferenceBounds | None = None,
-    cap: int = DEFAULT_CAP,
-) -> ErrorCertificate:
-    """Certified relative error of a run and the a-priori expectation bound.
-
-    The a-priori bound is eps * (max degree + 1) with eps the decomposition's
-    removal-probability target; it bounds the expected relative gap for both
-    the log-partition and the MAP estimate on non-negative models.
-    """
-    if bounds is None:
-        bounds = log_partition_bounds(mrf, decomp, cap)
-    apriori = decomp.eps_target * (mrf.graph.max_degree + 1)
-    if bounds.log_z_lb > 0.0:
-        return ErrorCertificate(
-            relative_gap=bounds.gap / max(bounds.log_z_lb, 1e-300),
-            absolute_gap=bounds.gap,
-            apriori_bound=apriori,
-            absolute_only=False,
-        )
-    return ErrorCertificate(
-        relative_gap=float("inf"),
-        absolute_gap=bounds.gap,
-        apriori_bound=apriori,
-        absolute_only=True,
-    )

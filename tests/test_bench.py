@@ -396,6 +396,17 @@ class TestSpecFile:
                 with pytest.raises(ValueError, match=f"^unknown decomposition {name}$"):
                     spec.validate()
 
+    @pytest.mark.parametrize("spec, message", [
+        (ExperimentSpec(n=4, trials=0), "need at least one trial"),
+        (ExperimentSpec(n=4, alphas=()), "parameter grids must be non-empty"),
+        (ExperimentSpec(n=4, decomp="minore", lambdas=()), "parameter grids must be non-empty"),
+        (ExperimentSpec(n=4, decomp="grid", ks=()), "parameter grids must be non-empty"),
+        (ExperimentSpec(n=4, topology="torus"), "unknown topology torus"),
+    ])
+    def test_spec_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spec.validate()
+
 
 def _spec_text(spec: ExperimentSpec) -> str:
     """Every field of ``spec`` as a key=value line."""
@@ -502,6 +513,14 @@ class TestBoundCurves:
             bound_curve_value("grid", 10, VARYING_FIELD, -1.0, 0.5)
         with pytest.raises(ValueError, match="^unknown mode: bogus$"):
             expected_range("bogus", 0.0)
+
+    def test_unknown_scheme_and_topology_rejected(self):
+        for name in ("dbdim", "none", "bogus"):
+            with pytest.raises(ValueError, match="^bound curves cover minore and grid schemes$"):
+                bound_curves("grid", 10, VARYING_INTERACTION, (1.0,), name, (3,))
+        for topology in ("random", "linechords", "bogus"):
+            with pytest.raises(ValueError, match=f"^unknown topology {topology}$"):
+                bench.edge_profile(topology, 5)
 
 
 class TestFreeEnergy:

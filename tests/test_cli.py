@@ -12,6 +12,7 @@ from localmrf import (
     brute_map,
     criscross_graph,
     dump_mrf,
+    empty_edge_decomposition,
     grid_decomp,
     grid_graph,
     load_mrf,
@@ -95,7 +96,7 @@ def test_scheme_flags_shared():
     args = parser.parse_args(["map", "--graph", "m.mrf"])
     assert (args.decomp, args.trials, args.csv, args.exact) == ("minore", 1, "-", False)
     assert "l1" not in args
-    for head in (["decompose", "--alg", "none"], ["logz", "--decomp", "minorv"]):
+    for head in (["decompose", "--alg", "bogus"], ["logz", "--decomp", "minorv"]):
         with pytest.raises(SystemExit):
             parser.parse_args([*head, "--graph", "m.mrf"])
 
@@ -105,6 +106,21 @@ def test_decomp_choices_are_the_edge_schemes():
     for name in ("logz", "map"):
         (decomp,) = (a for a in sub.choices[name]._actions if a.dest == "decomp")
         assert tuple(decomp.choices) == decompose.EDGE_SCHEMES
+
+
+def test_alg_choices_are_the_scheme_names():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    (alg,) = (a for a in sub.choices["decompose"]._actions if a.dest == "alg")
+    assert tuple(alg.choices) == decompose.SCHEMES
+
+
+def test_decompose_none_prints_the_empty_removal(grid_model_file, capsys):
+    assert main(["decompose", "--alg", "none", "--graph", grid_model_file]) == 0
+    dec = empty_edge_decomposition(grid_graph(4))
+    assert capsys.readouterr().out == (
+        f"# decomposition alg={dec.alg} n=16 eps_target=0 max_component=16 seed=None\n"
+        "component " + " ".join(map(str, range(16))) + "\n"
+    )
 
 
 def test_decompose_grid_takes_given_offsets(grid_model_file, tmp_path):
@@ -281,6 +297,12 @@ def test_bad_inputs_are_errors_not_tracebacks(tmp_path):
         with pytest.raises(SystemExit, match="^error: grid sides must be at least 1"):
             main(["limit", "--phi", "0", "0", "--psi", "0", "0", "0", "1",
                   "--nmin", nmin, "--nmax", "1"])
+
+
+def test_limit_needs_a_full_psi_table():
+    for psi in (["0", "0", "0"], ["0"] * 5):
+        with pytest.raises(SystemExit, match="^psi needs 4 values for a 2-state table$"):
+            main(["limit", "--phi", "0", "0", "--psi", *psi, "--nmax", "3"])
 
 
 def test_huge_header_is_an_error_not_a_traceback(tmp_path):

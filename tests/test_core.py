@@ -623,6 +623,66 @@ class TestModelEdits:
         assert not (m.phi.flags.writeable or m.psi.flags.writeable)
 
 
+class TestModelChecks:
+    """Each rejection in ``PairwiseMrf.__init__``, with its message."""
+
+    G = Graph(2, [(0, 1)])
+    PHI = [[0.0, 0.0], [0.0, 0.0]]
+    PSI = [[0.0, 1.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("q, phi, psi, message", [
+        (1, [[0.0], [0.0]], {(0, 1): [[0.0]]}, "alphabet size must be >= 2"),
+        (2.0, PHI, {(0, 1): PSI}, "alphabet size must be >= 2"),
+        (2, [[0.0, 0.0]], {(0, 1): PSI}, r"node potentials must have shape \(2,2\)"),
+        (2, [[0.0, math.nan], [0.0, 0.0]], {(0, 1): PSI}, r"node potential contains nan or \+inf"),
+        (2, [[0.0, 0.0], [math.inf, 0.0]], {(0, 1): PSI}, r"node potential contains nan or \+inf"),
+        (2, PHI, {}, r"missing edge potential for \(0,1\)"),
+        (2, PHI, {(0, 1): PSI, (1, 2): PSI}, r"potentials for non-edges: \[\(1, 2\)\]"),
+        (2, PHI, np.zeros((2, 2, 2)), "edge potential array has wrong shape"),
+        (2, PHI, {(0, 1): [[0.0, -math.inf], [0.0, 0.0]]}, "edge potentials must be finite"),
+    ])
+    def test_rejected(self, q, phi, psi, message):
+        with pytest.raises(ValueError, match=message):
+            PairwiseMrf(self.G, q, phi, psi)
+
+    def test_reversed_key_is_stored_transposed(self):
+        m = PairwiseMrf(self.G, 2, self.PHI, {(1, 0): self.PSI})
+        assert m.psi[0].tolist() == np.transpose(self.PSI).tolist()
+        assert m.edge_table(0, 1).tolist() == [[0.0, 2.0], [1.0, 3.0]]
+
+    def test_numpy_integer_alphabet_accepted(self):
+        m = PairwiseMrf(self.G, np.int64(2), self.PHI, {(0, 1): self.PSI})
+        assert m.psi.tolist() == PairwiseMrf(self.G, 2, self.PHI, {(0, 1): self.PSI}).psi.tolist()
+
+    def test_text_format_rejects_minus_inf_node_entry(self):
+        m = PairwiseMrf(self.G, 2, [[0.0, -math.inf], [0.0, 0.0]], {(0, 1): self.PSI})
+        with pytest.raises(ValueError, match="text format requires finite tables"):
+            write_mrf_text(m)
+
+    def test_ball_rejects_out_of_range_node(self):
+        for v in (-1, 2):
+            with pytest.raises(ValueError, match=f"node {v} out of range"):
+                shortest_path_ball(self.G, v, 1.0)
+
+
+class TestIntegerSizes:
+    """A node count or lattice side that is no integer is rejected with the
+    message of the range check; numpy integers pass."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Graph(3.5, []), "node count must be >= 0"),
+        (lambda: grid_graph(2.5), "grid sides must be non-negative"),
+        (lambda: criscross_graph(3, 2.0), "grid sides must be non-negative"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        assert Graph(np.int64(3), [(0, 2)]) == Graph(3, [(0, 2)])
+        assert grid_graph(np.int64(3), np.int64(4)) == grid_graph(3, 4)
+
+
 class TestCopies:
     """A copied graph or model is rebuilt from copies of its arrays: equal,
     read-only, and with none of the views cached on the original."""

@@ -583,6 +583,40 @@ class TestScheme:
             assert {"adjacency", "edges", "edge_list"}.isdisjoint(vars(graph))
 
 
+class TestIntegerSizes:
+    """A size, stride or offset that is no integer is rejected where the
+    range check already stands, with its message; numpy integers pass."""
+
+    @pytest.mark.parametrize("make, message", [
+        # cut 32 of 112 edges yet reported eps_target 0.4
+        (lambda: grid_decomp(8, 2.5, 0, 0), "need 1 <= k <= n"),
+        (lambda: grid_decomp(4, 2, 0.5, 0), "offsets must lie in 0..k-1"),
+        (lambda: grid_decomp(4, 2, 0, 1.0), "offsets must lie in 0..k-1"),
+        # reported eps_target 0.8
+        (lambda: minor_edge(grid_graph(8), 2, 2.5, 0), "need r >= 1 and lam >= 1"),
+        (lambda: minor_vertex(grid_graph(8), 2.0, 3, 0), "need r >= 1 and lam >= 1"),
+        # no ball stopped at radius 2.5: one component held 53 of 64 nodes
+        (lambda: db_dim_vertex(grid_graph(8), 0.5, 2.5, 0), "K must be >= 1"),
+        # its pmf summed to 1.1036
+        (lambda: RadiusLaw(0.5, 2.5), "K must be >= 1"),
+        (lambda: decompose.scheme(grid_graph(4), "grid", 0.25, 5, 2, 3, 2.0), "need 1 <= k <= n"),
+        (lambda: decompose.scheme(grid_graph(4), "grid", 0.25, 5, 2, 3, 2, (0, 0.5))(0),
+         "offsets must lie in 0..k-1"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        g = grid_graph(6)
+        assert grid_decomp(i(6), i(3), i(1), i(2)) == grid_decomp(6, 3, 1, 2)
+        assert decompose.scheme(g, "grid", 0.25, 5, 2, 3, i(3), (i(1), i(2)))(0) == grid_decomp(6, 3, 1, 2)
+        same_record(minor_edge(g, i(2), i(3), 4), minor_edge(g, 2, 3, 4))
+        same_record(db_dim_vertex(g, 0.5, i(3), 4), db_dim_vertex(g, 0.5, 3, 4))
+        assert RadiusLaw(0.5, i(3)).pmf().tolist() == RadiusLaw(0.5, 3).pmf().tolist()
+
+
 class TestTargetEps:
     def test_default_offset_is_conservative(self):
         from localmrf.decompose import db_dim_target_eps

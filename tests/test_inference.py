@@ -28,7 +28,6 @@ from localmrf import (
     minor_vertex,
     mode_estimate,
     parse_mrf_text,
-    relative_error_bound,
     write_mrf_text,
 )
 from localmrf.bench import VARYING_INTERACTION, sample_potentials
@@ -456,6 +455,7 @@ class TestPrunedReference:
             total + left_fold(hi),
             gap,
             tuple(ref_z.tolist()),  # entry i is the log Z of dec.components[i]
+            0.0 * (g.max_degree + 1),  # the record's eps_target times (max degree + 1)
         ))
         x = [int(s) for s in ref_x]
         h = left_fold([m.phi[v, x[v]] for v in range(n)]
@@ -530,30 +530,35 @@ class TestRelativeErrorBound:
         rng = np.random.default_rng(6)
         g = random_graph(rng, 5, 0.5)
         m = random_mrf(rng, g)
-        cert = relative_error_bound(m, empty_edge_decomposition(g))
-        assert cert.relative_gap == 0.0
-        assert not cert.absolute_only
+        b = log_partition_bounds(m, empty_edge_decomposition(g))
+        assert b.relative_gap == 0.0
+        assert b.log_z_lb > 0.0
 
     def test_two_node_value(self):
         m = coupled_pair()
-        cert = relative_error_bound(m, cut_decomposition(m.graph, [(0, 1)]))
-        assert cert.relative_gap == pytest.approx(1.0 / math.log(4))
-        assert cert.absolute_gap == pytest.approx(1.0)
+        b = log_partition_bounds(m, cut_decomposition(m.graph, [(0, 1)]))
+        assert b.relative_gap == pytest.approx(1.0 / math.log(4))
+        assert b.relative_gap == b.gap / b.log_z_lb
+        assert b.gap == pytest.approx(1.0)
 
     def test_absolute_only_flag(self):
         # strongly negative tables push the certified lower bound below zero
         m = PairwiseMrf(Graph(1, []), 2, [[-10.0, -10.0]], {})
-        cert = relative_error_bound(m, empty_edge_decomposition(m.graph))
-        assert cert.absolute_only
-        assert cert.relative_gap == math.inf
+        b = log_partition_bounds(m, empty_edge_decomposition(m.graph))
+        assert b.log_z_lb <= 0.0
+        assert b.relative_gap == math.inf
+        assert b.gap == 0.0  # the absolute certificate stands
 
     def test_apriori_bound_value(self):
         g = grid_graph(4)
         rng = np.random.default_rng(7)
         m = random_mrf(rng, g)
         dec = minor_edge(g, 3, 4, seed=0)
-        cert = relative_error_bound(m, dec)
-        assert cert.apriori_bound == pytest.approx((3 / 4) * (g.max_degree + 1))
+        b = log_partition_bounds(m, dec)
+        assert b.apriori_bound == pytest.approx((3 / 4) * (g.max_degree + 1))
+        assert b.apriori_bound == dec.eps_target * (g.max_degree + 1)
+        # the certificate carries the same bracket, a-priori bound included
+        assert certify(m, dec)[0] == b
 
     def test_extreme_table_magnitudes(self):
         # log-domain accumulation keeps the bracket sound at +-50 exponents

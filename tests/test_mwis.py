@@ -1,6 +1,8 @@
 """Factor-model to conflict-graph transform and the independent-set bridge."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from localmrf import (
     mwis_as_binary_mrf,
     mwis_to_assignment,
 )
-from localmrf.core import FormatError
+from localmrf.core import CapExceeded, FormatError
 from localmrf.mwis import (
     nodes_for_assignment,
     parse_factor_model,
@@ -101,6 +103,22 @@ class TestFactorToMwis:
         with pytest.raises(ValueError, match="out of range"):
             FactorModel((2, 2), factors)
 
+    def test_rejects_wrong_table_shape(self):
+        with pytest.raises(ValueError, match=r"table shape \(3,\) != domains \(2,\)"):
+            FactorModel((2,), (((0,), np.zeros(3)),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_table(self, bad):
+        with pytest.raises(ValueError, match="factor tables must be finite"):
+            FactorModel((2,), (((0,), np.array([0.0, bad])),))
+
+    def test_cap(self):
+        # three binary pairwise factors list 12 labels
+        model = FactorModel((2, 2), tuple(((0, 1), np.zeros((2, 2))) for _ in range(3)))
+        with pytest.raises(CapExceeded, match="conflict graph exceeds 11 nodes"):
+            factor_to_mwis(model, cap=11)
+        assert factor_to_mwis(model, cap=12).graph.n == 12
+
     def test_conflicts_match_pairwise_rule(self):
         # every pair of labels that disagrees on a shared variable, and no other
         def pairwise_edges(inst):
@@ -163,6 +181,20 @@ class TestMwisToAssignment:
         with pytest.raises(ValueError):
             mwis_to_assignment(inst, bad)
 
+    def test_two_nodes_for_one_factor(self):
+        inst = factor_to_mwis(two_var_model())
+        index = {lab: i for i, lab in enumerate(inst.labels)}
+        with pytest.raises(ValueError, match="two selected nodes for factor 0"):
+            mwis_to_assignment(inst, [index[(0, (0,))], index[(0, (1,))]])
+
+    def test_unassigned_variable(self):
+        # every factor has its node, yet no factor holds the third variable
+        inst = dataclasses.replace(factor_to_mwis(two_var_model()), n_vars=3)
+        index = {lab: i for i, lab in enumerate(inst.labels)}
+        chosen = [index[(0, (1,))], index[(1, (1,))], index[(2, (1, 1))]]
+        with pytest.raises(ValueError, match="selection leaves variables unassigned"):
+            mwis_to_assignment(inst, chosen)
+
     def test_round_trip_random_models(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -208,6 +240,17 @@ class TestMwisSolver:
             os_, ow = brute_mwis_oracle(g, weights)
             assert w == pytest.approx(ow, rel=1e-12)
             assert not any(u in s and v in s for u, v in g.edges)
+
+    def test_cap(self):
+        g = Graph(3, [(0, 1)])
+        with pytest.raises(CapExceeded, match="exact MWIS refused for n=3 > cap=2"):
+            max_weight_independent_set(g, [1.0, 1.0, 1.0], cap=2)
+        assert max_weight_independent_set(g, [1.0, 1.0, 1.0], cap=3)[1] == 2.0
+
+    def test_one_weight_per_node(self):
+        for weights in ([1.0, 1.0], [1.0] * 4):
+            with pytest.raises(ValueError, match="need one weight per node"):
+                max_weight_independent_set(Graph(3, [(0, 1)]), weights)
 
     def test_deterministic(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])

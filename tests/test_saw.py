@@ -306,6 +306,10 @@ class TestSizeBounds:
         with pytest.raises(ValueError, match="n must be >= 1"):
             saw_size_upper(n, k)
 
+    def test_bound_needs_k_at_least_zero(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            saw_size_upper(5, -1)
+
     def test_triangle_bound_vs_actual(self):
         assert saw_size_upper(3, 1) == 12
         tree = build_saw_tree(triangle_mrf(), 0)

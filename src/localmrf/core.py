@@ -7,10 +7,11 @@ shortest-path metric with ball queries, and an exact (exponential-time,
 tiny-instance) doubling-dimension computation.
 
 A graph is arrays: its sorted edge ends and their compressed sparse rows.
-The walks read the rows as lists, ``Graph.edge_rows`` is the one edge
-lookup, the tuple views (``adjacency``, ``edge_list``, ``edges``) are built
-on first use, and the lattice functions, the parser and induced sub-models
-build graphs from checked arrays without a second check.
+``sweep`` masks the rows with numpy before its walk, the other walks read
+them as cached lists, ``Graph.edge_rows`` is the one edge lookup, the
+tuple views (``adjacency``, ``edge_list``, ``edges``) are built on first
+use, and the lattice functions, the parser and induced sub-models build
+graphs from checked arrays without a second check.
 
 A model over states ``{0..q-1}`` assigns probability proportional to
 ``exp(sum_v phi_v(x_v) + sum_{(u,v)} psi_uv(x_u, x_v))``; all potential
@@ -48,6 +49,13 @@ def _node_id(v):
     ``ValueError`` naming it."""
     if not isinstance(v, Integral):
         raise ValueError(f"node {v!r} is not an integer id")
+    return v
+
+
+def _node_of(graph: "Graph", v):
+    """``v`` if it is a node of ``graph``, else a ``ValueError`` naming it."""
+    if not 0 <= _node_id(v) < graph.n:
+        raise ValueError(f"node {v} out of range")
     return v
 
 
@@ -172,8 +180,7 @@ class Graph:
         return rows
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"node {v} out of range")
+        v = _node_of(self, v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     @cached_property
@@ -222,8 +229,7 @@ def shortest_path_ball(graph: Graph, v: int, r: float) -> frozenset[int]:
 
     A BFS from ``v`` that stops below depth ``r``: it visits the ball only.
     """
-    if not 0 <= v < graph.n:
-        raise ValueError(f"node {v} out of range")
+    _node_of(graph, v)
     if not r > 0:
         return frozenset()
     max_depth = None if math.isinf(r) else math.ceil(r) - 1
@@ -235,8 +241,10 @@ def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[in
     ascending; the dict lists the nodes in visit order.
 
     ``max_depth`` stops the search there: only nodes at depth <= max_depth
-    are visited and returned.
+    are visited and returned.  A root that is no node of the graph raises
+    ``ValueError``.
     """
+    root = _node_of(graph, root)
     ptr, nbr, _ = graph._csr_lists
     depth = {root: 0}
     frontier = [root]
@@ -256,38 +264,44 @@ def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[in
 def sweep(graph: Graph, dead=None, cut=None):
     """Components and BFS depths of ``graph`` without the nodes flagged in
     ``dead`` (a mask over ``0..n-1``) and the edges flagged in ``cut`` (a
-    mask over ``ends``); a mask left None removes nothing.
+    mask over ``ends``); a mask is ``bytes``, a ``bytearray`` or a boolean
+    array, and one left None removes nothing.
 
-    A BFS, exploring neighbors ascending, starts from each live node not yet
-    visited, in ascending order, so it starts from its component's lowest
-    id and the components are numbered by their smallest member.  One pass
-    over the CSR rows (each node's slices of ``nbr`` and ``nbr_edge``),
-    O(n + m).  Returns ``(comp_of, depth, count)``: each node's component
+    The CSR rows are masked once, with numpy: a slot stays when its edge is
+    not cut and its neighbour is not dead.  Then a BFS, with one queue,
+    starts from each live node not yet visited, in ascending order, so it
+    starts from its component's lowest id and the components are numbered
+    by their smallest member; it reads the kept neighbours only, O(n + m)
+    in all.  Returns ``(comp_of, depth, count)``: each node's component
     index and its depth from its component's lowest id as ``intp`` arrays
     (-1 and -1 for a removed node), and the number of components.
     """
     n = graph.n
-    comp_of = [-2] * n if dead is None else [-1 if d else -2 for d in dead]  # -2: not yet visited
     if cut is None:
-        cut = bytes(len(graph.ends))
-    ptr, nbr, ids = graph._csr_lists
+        keep = np.ones(len(graph.nbr), dtype=bool)
+    else:
+        keep = np.frombuffer(cut, np.uint8)[graph.nbr_edge] == 0
+    if dead is None:
+        comp_of = [-2] * n  # -2: not yet visited
+    else:
+        gone = np.frombuffer(dead, np.uint8) != 0
+        keep &= ~gone[graph.nbr]
+        comp_of = np.where(gone, -1, -2).tolist()
+    kept = np.flatnonzero(keep)
+    ptr, nbr = kept.searchsorted(graph.indptr).tolist(), graph.nbr[kept].tolist()
     depth = [-1] * n
     count = 0
     for s in range(n):
         if comp_of[s] != -2:
             continue
         comp_of[s], depth[s] = count, 0
-        frontier, d = [s], 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for i in range(ptr[u], ptr[u + 1]):
-                    w = nbr[i]
-                    if comp_of[w] == -2 and not cut[ids[i]]:
-                        comp_of[w], depth[w] = count, d
-                        nxt.append(w)
-            frontier = nxt
+        queue = [s]
+        for u in queue:
+            d = depth[u] + 1
+            for w in nbr[ptr[u] : ptr[u + 1]]:
+                if comp_of[w] == -2:
+                    comp_of[w], depth[w] = count, d
+                    queue.append(w)
         count += 1
     return np.array(comp_of, dtype=np.intp), np.array(depth, dtype=np.intp), count
 
@@ -320,7 +334,7 @@ def connected_components(
     pairs = [_canon_edge(u, v) for u, v in removed_edges]
     rows = graph.edge_rows(pairs) if pairs else np.empty(0, dtype=np.intp)
     cut = np.bincount(rows[rows >= 0], minlength=len(graph.ends)) > 0
-    comp_of, _, count = sweep(graph, dead, cut.tobytes())
+    comp_of, _, count = sweep(graph, dead, cut)
     return _members(comp_of, count)
 
 

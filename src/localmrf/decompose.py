@@ -25,13 +25,17 @@ its arrays, a label per node and the removed pairs, and checked when built.
 Every scheme is reproducible: all randomness comes from numpy PCG64
 generators keyed by the caller's 64-bit seed.  Layer cutting draws one
 stream per (seed, round, component-index) triple so components of a round
-could be processed concurrently without changing the output.
+could be processed concurrently without changing the output; a round of
+``_BATCH_FROM`` components or more computes its streams' first draws
+together, as arrays, bit for bit equal to numpy's (``_batched_levels``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -129,8 +133,8 @@ def _carve(
     Every scheme builds its record here, with one sweep, so the components
     are always the connected components of what is left.
     """
-    mask = np.asarray(bytearray(len(graph.ends)) if cut is None else cut, dtype=bool)
-    comp_of, _, count = sweep(graph, dead, mask.tobytes())
+    mask = np.zeros(len(graph.ends), dtype=bool) if cut is None else np.asarray(cut, dtype=bool)
+    comp_of, _, count = sweep(graph, dead, mask)
     return _hold(object.__new__(Decomposition), comp_of, graph.ends[mask], count,  # no fields to convert
                  alg=alg, n=graph.n, eps_target=eps_target, seed=seed)
 
@@ -360,6 +364,136 @@ def _check_layers(r: int, lam: int) -> None:
         raise ValueError("need r >= 1 and lam >= 1")
 
 
+_M32 = 0xFFFFFFFF
+# SeedSequence's hash constants, and PCG64's multiplier as its two words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# from this many components a round draws its levels as arrays: below it,
+# numpy's per-key streams cost less than the batch's fixed numpy calls
+_BATCH_FROM = 8
+
+
+def _levels(seed, i: int, count: int, lam: int) -> np.ndarray:
+    """``default_rng(SeedSequence((seed, i, j))).integers(lam)`` for each
+    component ``j`` in ``0..count-1`` of round ``i``, as ``intp``.
+
+    From ``_BATCH_FROM`` components on, a non-negative int seed and
+    ``2 <= lam < 2**32`` are drawn together by ``_batched_levels``; any
+    other round runs numpy's own streams, which stay the tests' oracle.
+    """
+    if (count < _BATCH_FROM or not 2 <= lam <= _M32
+            or not isinstance(seed, (int, np.integer)) or seed < 0):
+        return np.array([_rng(seed, i, j).integers(lam) for j in range(count)], dtype=np.intp)
+    return _batched_levels(int(seed), i, count, int(lam))
+
+
+def _words(x: int) -> list[int]:
+    """SeedSequence's 32-bit words of the int ``x >= 0``, low word first."""
+    words = [x & _M32]
+    while x := x >> 32:
+        words.append(x & _M32)
+    return words
+
+
+def _hash_steps(start: int, mult: int, count: int) -> np.ndarray:
+    """The xor and the multiply constants of ``count`` successive
+    SeedSequence hash steps, as a ``(2, count, 1)`` uint32 array."""
+    steps = []
+    for _ in range(count):
+        steps.append((start, start := start * mult & _M32))
+    return np.array(steps, dtype=np.uint32).T[..., None]
+
+
+@lru_cache(maxsize=4)
+def _mix_steps(words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SeedSequence's hash steps for a key of ``words`` 32-bit words: the
+    pool's four, each pool word's into the other three (at ``[:, src,
+    dst]``, none on the diagonal), and each later key word's into all four."""
+    steps = _hash_steps(_INIT_A, _MULT_A, 16 + 4 * max(0, words - 4))
+    cross = np.zeros((2, 4, 4, 1), dtype=np.uint32)
+    cross[:, ~np.eye(4, dtype=bool)] = steps[:, 4:16]
+    return steps[:, :4], cross, steps[:, 16:].reshape(2, -1, 4, 1)
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state's, eight words
+
+
+def _hash(values, steps):
+    """SeedSequence's ``hashmix`` of uint32 ``values``, one step a row."""
+    values = (values ^ steps[0]) * steps[1]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of the uint32 arrays ``x`` and ``y``."""
+    x = _MIX_L * x - _MIX_R * y
+    return x ^ (x >> np.uint32(16))
+
+
+def _lcg(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step ``state * multiplier + inc`` mod 2**128, on the
+    states' high and low uint64 words; the low words' full product is
+    summed from their 32-bit halves."""
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    a0, a1 = lo & m32, lo >> s32
+    b0, b1 = np.uint64(_PCG_LO & _M32), np.uint64(_PCG_LO >> 32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> s32) + (p01 & m32) + (p10 & m32)
+    hi = (a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+          + hi * np.uint64(_PCG_LO) + lo * np.uint64(_PCG_HI))
+    return _add(hi, (mid << s32) | (p00 & m32), inc_hi, inc_lo)
+
+
+def _add(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _batched_levels(seed: int, i: int, count: int, lam: int) -> np.ndarray:
+    """``_levels`` for an int ``seed >= 0`` and ``2 <= lam < 2**32``,
+    with one numpy expression per step over all ``count`` keys.
+
+    The steps are numpy's: SeedSequence's hashing of the key's 32-bit
+    words into a pool of four, ``generate_state(4, np.uint64)``, PCG64's
+    seeding (two LCG steps) and first outputs, each split into two 32-bit
+    draws low half first, and ``Generator.integers``' 32-bit Lemire draw,
+    which rejects a draw whose low product word is below ``2**32 % lam``.
+    """
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _words(seed) + _words(i)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    first, cross, later = _mix_steps(len(entropy))
+    pool = _hash(np.stack((entropy + [np.zeros(count, dtype=np.uint32)])[:4]), first)
+    for src in range(4):  # each pool word into the other three, in turn
+        mixed = _mix(pool, _hash(pool[src], cross[:, src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for k, word in enumerate(entropy[4:]):  # key words past the pool's four
+        pool = _mix(pool, _hash(word, later[:, k]))
+    state = _hash(np.concatenate((pool, pool)), _STATE_STEPS).astype(np.uint64)
+    s_hi, s_lo, q_hi, q_lo = state[0::2] | (state[1::2] << np.uint64(32))
+    one = np.uint64(1)
+    inc_hi, inc_lo = (q_hi << one) | (q_lo >> np.uint64(63)), (q_lo << one) | one
+    hi, lo = _lcg(*_add(inc_hi, inc_lo, s_hi, s_lo), inc_hi, inc_lo)
+    levels = np.empty(count, dtype=np.intp)
+    todo = np.arange(count)
+    threshold = np.uint64((1 << 32) % lam)
+    for draw in itertools.count():
+        if draw % 2 == 0:  # the next output, XSL-RR: its words xored, rotated by its top six bits
+            hi, lo = _lcg(hi, lo, inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> np.uint64(58)
+            out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            bits = out & np.uint64(_M32)
+        else:
+            bits = out >> np.uint64(32)
+        product = bits * np.uint64(lam)
+        ok = (product & np.uint64(_M32)) >= threshold
+        levels[todo[ok]] = product[ok] >> np.uint64(32)
+        if ok.all():
+            return levels
+        todo, hi, lo, inc_hi, inc_lo, out = (a[~ok] for a in (todo, hi, lo, inc_hi, inc_lo, out))
+
+
 def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
     """Check the layer-cutting arguments, then yield ``(depth, layer)``
     per round, from one ``core.sweep`` of the graph without the nodes
@@ -372,23 +506,21 @@ def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
     item.
     """
     _check_layers(r, lam)
-    if choose_level is None:
-        if seed is None:
-            raise ValueError("give a seed or an explicit choose_level")
-
-        def choose_level(i, j):
-            return int(_rng(seed, i, j).integers(lam))
-
+    if choose_level is None and seed is None:
+        raise ValueError("give a seed or an explicit choose_level")
     for i in range(r):
         comp_of, depth, count = sweep(graph, dead, cut)
-        levels = []
-        for j in range(count):
-            level = choose_level(i, j)
-            if not 0 <= level < lam:
-                raise ValueError(f"level {level} outside 0..{lam - 1}")
-            levels.append(level)
+        if choose_level is None:
+            levels = _levels(seed, i, count, lam)
+        else:
+            levels = []
+            for j in range(count):
+                level = choose_level(i, j)
+                if not 0 <= level < lam:
+                    raise ValueError(f"level {level} outside 0..{lam - 1}")
+                levels.append(level)
         # a removed node (component -1, depth -1) reads level -1: no layer
-        level = np.array(levels + [-1], dtype=np.intp)[comp_of]
+        level = np.append(np.asarray(levels, dtype=np.intp), -1)[comp_of]
         yield depth, depth % lam == level
 
 
@@ -456,10 +588,14 @@ def grid_decomp(n: int, k: int, l1: int, l2: int) -> Decomposition:
     return _slab(grid_graph(n), n, k, l1, l2)
 
 
-def _slab(grid: Graph, n: int, k: int, l1: int, l2: int) -> Decomposition:
-    """``grid_decomp`` on ``grid``, the already built ``grid_graph(n)``."""
+def _check_offsets(k: int, l1: int, l2: int) -> None:
     if not all(isinstance(o, Integral) and 0 <= o < k for o in (l1, l2)):
         raise ValueError("offsets must lie in 0..k-1")
+
+
+def _slab(grid: Graph, n: int, k: int, l1: int, l2: int) -> Decomposition:
+    """``grid_decomp`` on ``grid``, the already built ``grid_graph(n)``."""
+    _check_offsets(k, l1, l2)
     # horizontal (u, u + 1) by u's column, vertical (u, u + n) by u's row
     u, v = grid.ends.T
     cut = np.where(v == u + 1, u % n % k == l1, u // n % k == l2)
@@ -517,6 +653,8 @@ def scheme(graph: Graph, name: str, eps: float, K: int, r: int, lam: int, k: int
         )
     if not (isinstance(k, Integral) and 1 <= k <= side):
         raise ValueError("need 1 <= k <= n")
+    if offsets is not None:
+        _check_offsets(k, *offsets)
 
     def slab(seed):
         if offsets is None:

@@ -277,6 +277,18 @@ class TestBall:
                 expect = frozenset(np.flatnonzero(d[v] < r).tolist())
                 assert shortest_path_ball(g, v, r) == expect
 
+    @pytest.mark.parametrize("root, message", [
+        (-1, "node -1 out of range"),  # read node 8 at distance 0, the rest at inf
+        (9, "node 9 out of range"),  # raised a bare IndexError
+        (1.5, "node 1.5 is not an integer id"),
+        ("0", "node '0' is not an integer id"),
+    ])
+    def test_non_node_root_is_rejected(self, root, message):
+        g = grid_graph(3)
+        for search in (g.distances, lambda v: bfs_depths(g, v), lambda v: shortest_path_ball(g, v, 2)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                search(root)
+
     def test_ball_does_not_build_distance_matrix(self):
         g = grid_graph(6)
         assert shortest_path_ball(g, 14, 2) == {8, 13, 14, 15, 20}
@@ -459,6 +471,12 @@ class TestDoublingDimension:
                     assert len(shortest_path_ball(g, v, 2.0**r)) <= c**r + 1e-9
 
 
+# the mask forms ``sweep`` takes: none, bytes, a bytearray (layer cutting,
+# ball carving and ``connected_components`` pass one) and a boolean array
+# (``_carve`` and ``connected_components`` pass one)
+MASK_FORMS = (None, bytes, bytearray, lambda flags: np.array(flags, dtype=bool))
+
+
 class TestComponents:
     def test_edgeless(self):
         assert connected_components(Graph(3, [])) == ((0,), (1,), (2,))
@@ -481,16 +499,25 @@ class TestComponents:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_sweep_matches_union_find_and_bfs(self, data):
-        n = data.draw(st.integers(0, 14))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True)) if pairs else []
+        # long paths through the nodes in a drawn order, broken at drawn
+        # points, and a few chords
+        n = data.draw(st.integers(0, 40))
+        order = data.draw(st.permutations(range(n)))
+        breaks = data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=4))
+        edges = [(u, v) for k, (u, v) in enumerate(zip(order, order[1:]), 1) if k not in breaks]
+        if n > 1:
+            edges += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]), max_size=n // 4))
         g = Graph(n, edges)
-        dead = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
-        chosen = data.draw(st.lists(st.sampled_from(edges))) if edges else []
+        # each mask in a form a caller passes; None removes nothing
+        dead_form, cut_form = data.draw(st.tuples(*[st.sampled_from(MASK_FORMS)] * 2))
+        dead = data.draw(st.sets(st.integers(0, n - 1))) if n and dead_form else set()
+        chosen = data.draw(st.lists(st.sampled_from(g.edge_list))) if g.edge_list and cut_form else []
         # removed pairs also come reversed, and as arbitrary pairs: those
         # that are not edges in either orientation are ignored
         removed = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in chosen]
-        removed += data.draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=4))
+        if cut_form:
+            removed += data.draw(st.lists(st.tuples(st.integers(0, 41), st.integers(0, 41)), max_size=4))
         cut = {(min(p), max(p)) for p in removed} & g.edges
         kept = [(u, v) for u, v in g.edge_list if (u, v) not in cut and not {u, v} & dead]
         pruned = Graph(n, kept)
@@ -502,8 +529,8 @@ class TestComponents:
         assert all(list(c) == sorted(c) for c in comps)
         assert [c[0] for c in comps] == sorted(c[0] for c in comps)
 
-        dead_mask = bytearray(v in dead for v in range(n))
-        cut_mask = bytearray(e in cut for e in g.edge_list)
+        dead_mask = dead_form([v in dead for v in range(n)]) if dead_form else None
+        cut_mask = cut_form([e in cut for e in g.edge_list]) if cut_form else None
         comp_of, depth, count = sweep(g, dead_mask, cut_mask)
         assert comp_of.dtype == depth.dtype == np.intp and count == len(comps)
         assert _members(comp_of, count) == comps
@@ -516,6 +543,7 @@ class TestComponents:
                 assert comp_of[v] == j
         for v in dead:
             assert depth[v] == -1 and comp_of[v] == -1
+        assert "_csr_lists" not in vars(g)
 
     @pytest.mark.parametrize("build, bad", [
         (lambda: Graph(3, [(0, 1.5)]), "1.5"),

@@ -482,6 +482,47 @@ class TestLayerCutArrays:
             minor_edge(grid_graph(3), 2, 3, choose_level=lambda i, j: 3)
 
 
+def numpy_levels(seed, i, count, lam):
+    """Round ``i``'s levels drawn one numpy stream per component."""
+    return [np.random.default_rng(np.random.SeedSequence((seed, i, j))).integers(lam) for j in range(count)]
+
+
+class TestBatchedLevels:
+    """A round's levels, drawn together as arrays, are numpy's per-key draws."""
+
+    @given(
+        st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**70]), st.integers(0, 2**64 - 1)),
+        st.integers(0, 3),
+        st.integers(0, 3 * decompose._BATCH_FROM),
+        # 2**31 + 11 rejects about half the first draws; 1 and from 2**32
+        # on are numpy's other paths
+        st.sampled_from([1, 2, 5, 12, 2**31 + 11, 2**32 - 1, 2**32, 2**40]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_levels_are_numpy_streams(self, seed, i, count, lam):
+        expected = numpy_levels(seed, i, count, lam)
+        levels = decompose._levels(seed, i, count, lam)
+        assert levels.dtype == np.intp and levels.tolist() == expected
+        if 2 <= lam < 2**32:  # the batch itself, below the crossover too
+            assert decompose._batched_levels(seed, i, count, lam).tolist() == expected
+
+    @pytest.mark.parametrize("g", [grid_graph(3), Graph(2 * decompose._BATCH_FROM, [])],
+                             ids=["one-component", "past-crossover"])
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), (np.float64(2), TypeError)])
+    def test_bad_seed_raises_numpys_error(self, g, seed, error):
+        for layers in (minor_edge, minor_vertex):
+            with pytest.raises(error):
+                layers(g, 2, 3, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**70])
+    def test_records_match_per_node_loop(self, seed):
+        # round 0 has one component, the later rounds dozens
+        g = grid_graph(30)
+        for layers, edges in ((minor_edge, True), (minor_vertex, False)):
+            ref = layer_cut_by_nodes(g, 3, 3, seed, edges=edges)
+            assert repr(layers(g, 3, 3, seed)) == repr(ref)
+
+
 class TestGridDecomp:
     def test_k1_removes_all(self):
         dec = grid_decomp(3, 1, 0, 0)
@@ -601,6 +642,9 @@ class TestIntegerSizes:
         (lambda: RadiusLaw(0.5, 2.5), "K must be >= 1"),
         (lambda: decompose.scheme(grid_graph(4), "grid", 0.25, 5, 2, 3, 2.0), "need 1 <= k <= n"),
         (lambda: decompose.scheme(grid_graph(4), "grid", 0.25, 5, 2, 3, 2, (0, 0.5))(0),
+         "offsets must lie in 0..k-1"),
+        # returned its function, which raised only when called
+        (lambda: decompose.scheme(grid_graph(4), "grid", 0.25, 5, 2, 3, 2, (5, 0)),
          "offsets must lie in 0..k-1"),
     ])
     def test_rejected(self, make, message):

@@ -95,7 +95,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not isinstance(n, Integral) or n < 0:
-            raise ValueError("node count must be >= 0")
+            raise ValueError("node count must be an integer >= 0")
         pairs: list[int] = []
         for u, v in edges:
             u, v = _node_id(u), _node_id(v)
@@ -263,30 +263,28 @@ def bfs_depths(graph: Graph, root: int, max_depth: int | None = None) -> dict[in
 
 def sweep(graph: Graph, dead=None, cut=None):
     """Components and BFS depths of ``graph`` without the nodes flagged in
-    ``dead`` (a mask over ``0..n-1``) and the edges flagged in ``cut`` (a
-    mask over ``ends``); a mask is ``bytes``, a ``bytearray`` or a boolean
-    array, and one left None removes nothing.
+    ``dead`` (a boolean array over ``0..n-1``) and the edges flagged in
+    ``cut`` (a boolean array over ``ends``); a mask left None removes
+    nothing.
 
     The CSR rows are masked once, with numpy: a slot stays when its edge is
-    not cut and its neighbour is not dead.  Then a BFS, with one queue,
-    starts from each live node not yet visited, in ascending order, so it
-    starts from its component's lowest id and the components are numbered
-    by their smallest member; it reads the kept neighbours only, O(n + m)
-    in all.  Returns ``(comp_of, depth, count)``: each node's component
-    index and its depth from its component's lowest id as ``intp`` arrays
-    (-1 and -1 for a removed node), and the number of components.
+    not cut and its neighbour is not dead (the walk would skip a dead
+    neighbour anyway, but the gather costs less than its visits).  Then a
+    BFS, with one queue, starts from each live node not yet visited, in
+    ascending order, so it starts from its component's lowest id and the
+    components are numbered by their smallest member; it reads the kept
+    neighbours only, O(n + m) in all.  Returns ``(comp_of, depth,
+    count)``: each node's component index and its depth from its
+    component's lowest id as ``intp`` arrays (-1 and -1 for a removed
+    node), and the number of components.
     """
     n = graph.n
-    if cut is None:
-        keep = np.ones(len(graph.nbr), dtype=bool)
-    else:
-        keep = np.frombuffer(cut, np.uint8)[graph.nbr_edge] == 0
+    keep = np.ones(len(graph.nbr), dtype=bool) if cut is None else ~cut[graph.nbr_edge]
     if dead is None:
         comp_of = [-2] * n  # -2: not yet visited
     else:
-        gone = np.frombuffer(dead, np.uint8) != 0
-        keep &= ~gone[graph.nbr]
-        comp_of = np.where(gone, -1, -2).tolist()
+        keep &= ~dead[graph.nbr]
+        comp_of = np.where(dead, -1, -2).tolist()
     kept = np.flatnonzero(keep)
     ptr, nbr = kept.searchsorted(graph.indptr).tolist(), graph.nbr[kept].tolist()
     depth = [-1] * n
@@ -327,10 +325,8 @@ def connected_components(
     ignored; a removed node that is no integer raises ``ValueError``.
     """
     n = graph.n
-    dead = bytearray(n)
-    for v in map(_node_id, removed_nodes):
-        if 0 <= v < n:
-            dead[v] = 1
+    dead = np.zeros(n, dtype=bool)
+    dead[[int(v) for v in map(_node_id, removed_nodes) if 0 <= v < n]] = True
     pairs = [_canon_edge(u, v) for u, v in removed_edges]
     rows = graph.edge_rows(pairs) if pairs else np.empty(0, dtype=np.intp)
     cut = np.bincount(rows[rows >= 0], minlength=len(graph.ends)) > 0
@@ -439,7 +435,7 @@ class PairwiseMrf:
         edge_potentials,
     ):
         if not isinstance(alphabet_size, Integral) or alphabet_size < 2:
-            raise ValueError("alphabet size must be >= 2")
+            raise ValueError("alphabet size must be an integer >= 2")
         self.graph = graph
         self.q = alphabet_size
         self.phi = np.array(node_potentials, dtype=float)
@@ -500,12 +496,12 @@ class PairwiseMrf:
     @cached_property
     def edge_min(self) -> np.ndarray:
         """Per-edge table minimum, aligned with ``edge_list``."""
-        return self.psi.min(axis=(1, 2)) if len(self.psi) else np.zeros(0)
+        return self.psi.min(axis=(1, 2))
 
     @cached_property
     def edge_max(self) -> np.ndarray:
         """Per-edge table maximum, aligned with ``edge_list``."""
-        return self.psi.max(axis=(1, 2)) if len(self.psi) else np.zeros(0)
+        return self.psi.max(axis=(1, 2))
 
     def edge_range_sum(self, edges: Iterable[Edge]) -> float:
         """Sum of (max - min) over the given edges, in either orientation, in
@@ -605,12 +601,8 @@ def affine_shift(mrf: PairwiseMrf) -> tuple[PairwiseMrf, float]:
         raise ValueError("affine shift requires finite tables")
     node_shifts = np.maximum(0.0, -mrf.phi.min(axis=1))
     phi = mrf.phi + node_shifts[:, None]
-    if len(mrf.psi):
-        edge_shifts = np.maximum(0.0, -mrf.psi.min(axis=(1, 2)))
-        psi = mrf.psi + edge_shifts[:, None, None]
-    else:
-        edge_shifts = np.zeros(0)
-        psi = mrf.psi
+    edge_shifts = np.maximum(0.0, -mrf.psi.min(axis=(1, 2)))
+    psi = mrf.psi + edge_shifts[:, None, None]
     total = float(node_shifts.sum() + edge_shifts.sum())
     return PairwiseMrf(mrf.graph, mrf.q, phi, psi), total
 

@@ -1,8 +1,8 @@
 """Randomized graph decompositions with removal-probability certificates.
 
-Three schemes, each flagging a removed set B in a node or edge mask
-(``_carve`` then sweeps once for the components of what survives and lists
-B in ascending id order):
+Three schemes, each flagging a removed set B in a boolean array over the
+nodes or the edges (``_carve`` then sweeps once for the components of what
+survives and lists B in ascending id order):
 
 * random ball carving driven by a truncated geometric radius, suited to
   graphs whose metric balls grow polynomially (low doubling dimension;
@@ -10,10 +10,10 @@ B in ascending id order):
   itself rather than on its line graph, and the uncarved ids sit in a
   Fenwick tree, so a run costs its ball sizes times O(log n));
 * iterated BFS-layer cutting, suited to minor-excluded graphs (r rounds,
-  layers taken modulo a stride Lambda; each round is one BFS sweep of the
-  graph, ``core.sweep``, with the nodes or edges cut so far as masks, and
-  one array expression over the sweep's depths that flags the round's
-  cut);
+  layers taken modulo a stride Lambda; ``_layer_cut`` owns one mask of the
+  nodes or edges cut so far, and each round is one BFS sweep of the graph
+  without them, ``core.sweep``, and one array expression over the sweep's
+  depths that ORs the round's cut into the mask);
 * the deterministic axis-aligned slab cut of an n x n lattice.
 
 ``scheme`` turns a scheme's name into its decomposition as a function of
@@ -133,9 +133,9 @@ def _carve(
     Every scheme builds its record here, with one sweep, so the components
     are always the connected components of what is left.
     """
-    mask = np.zeros(len(graph.ends), dtype=bool) if cut is None else np.asarray(cut, dtype=bool)
-    comp_of, _, count = sweep(graph, dead, mask)
-    return _hold(object.__new__(Decomposition), comp_of, graph.ends[mask], count,  # no fields to convert
+    comp_of, _, count = sweep(graph, dead, cut)
+    removed = np.empty((0, 2), dtype=np.intp) if cut is None else graph.ends[cut]
+    return _hold(object.__new__(Decomposition), comp_of, removed, count,  # no fields to convert
                  alg=alg, n=graph.n, eps_target=eps_target, seed=seed)
 
 
@@ -311,21 +311,21 @@ class _WhiteIds:
         return True
 
 
-def _ball_cut(n: int, ball, eps: float, K: int, seed: int) -> bytearray:
+def _ball_cut(n: int, ball, eps: float, K: int, seed: int) -> np.ndarray:
     """The blue mask of one ball-carving run over ids ``0..n-1`` (see
     ``db_dim_vertex``); ``ball(u, radius)`` lists the (id, distance) pairs
     within ``radius`` of ``u``."""
     law = RadiusLaw(eps, K)
     rng = _rng(seed)
     white = _WhiteIds(n)
-    blue = bytearray(n)
+    blue = np.zeros(n, dtype=bool)
     while white.count:
         u = white.kth(int(rng.integers(white.count)))
         radius = law.sample(rng)
         for w, d in ball(u, radius):
             # only an id that is still white can turn blue
             if white.discard(w) and d == radius:
-                blue[w] = 1
+                blue[w] = True
     return blue
 
 
@@ -494,20 +494,23 @@ def _batched_levels(seed: int, i: int, count: int, lam: int) -> np.ndarray:
         todo, hi, lo, inc_hi, inc_lo, out = (a[~ok] for a in (todo, hi, lo, inc_hi, inc_lo, out))
 
 
-def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
-    """Check the layer-cutting arguments, then yield ``(depth, layer)``
-    per round, from one ``core.sweep`` of the graph without the nodes
-    flagged in ``dead`` and the edges flagged in ``cut``: each node's BFS
-    depth inside its component from the component's lowest-id node, and
-    whether that depth is congruent to the component's drawn (or chosen)
-    level, as arrays; a removed node lies in no layer.
+def _layer_cut(graph: Graph, alg: str, r: int, lam: int, seed, choose_level) -> Decomposition:
+    """``minor_vertex`` (``alg`` "minorv") or ``minor_edge`` ("minore").
 
-    The caller flags each round's cut in the masks before taking the next
-    item.
+    One boolean mask holds the nodes or edges cut so far.  Each round
+    sweeps the graph without them (``core.sweep``: each node's BFS depth
+    inside its component from the component's lowest-id node), draws (or
+    asks ``choose_level`` for) each component's level, and ORs the round's
+    layer, the nodes whose depth is congruent to their component's level,
+    into the mask, or for edges those whose lower-depth end is in it.
     """
     _check_layers(r, lam)
     if choose_level is None and seed is None:
         raise ValueError("give a seed or an explicit choose_level")
+    edges = alg == "minore"
+    u, w = graph.ends.T
+    mask = np.zeros(len(graph.ends) if edges else graph.n, dtype=bool)
+    dead, cut = (None, mask) if edges else (mask, None)
     for i in range(r):
         comp_of, depth, count = sweep(graph, dead, cut)
         if choose_level is None:
@@ -520,8 +523,11 @@ def _layer_levels(graph, r, lam, seed, choose_level, dead=None, cut=None):
                     raise ValueError(f"level {level} outside 0..{lam - 1}")
                 levels.append(level)
         # a removed node (component -1, depth -1) reads level -1: no layer
-        level = np.append(np.asarray(levels, dtype=np.intp), -1)[comp_of]
-        yield depth, depth % lam == level
+        layer = depth % lam == np.append(np.asarray(levels, dtype=np.intp), -1)[comp_of]
+        # the two ends of an edge not yet cut share a component, and at
+        # equal depths a layer, so its lower-depth end decides
+        mask |= layer[np.where(depth[u] <= depth[w], u, w)] if edges else layer
+    return _carve(graph, alg, r / lam, seed, dead, cut)
 
 
 def minor_vertex(
@@ -539,11 +545,7 @@ def minor_vertex(
     lam.  ``choose_level(round, comp_index)`` overrides the random draw,
     which is how traces are replayed in tests.
     """
-    dead = bytearray(graph.n)
-    flags = np.frombuffer(dead, dtype=bool)  # a view: it writes dead
-    for _, layer in _layer_levels(graph, r, lam, seed, choose_level, dead=dead):
-        flags |= layer
-    return _carve(graph, "minorv", r / lam, seed, dead=dead)
+    return _layer_cut(graph, "minorv", r, lam, seed, choose_level)
 
 
 def minor_edge(
@@ -560,14 +562,7 @@ def minor_edge(
     between equal-depth nodes' layers correctly.  Each round flags its cut
     with one array expression over ``graph.ends``.
     """
-    u, w = graph.ends.T
-    cut = bytearray(len(graph.ends))
-    flags = np.frombuffer(cut, dtype=bool)  # a view: it writes cut
-    for depth, layer in _layer_levels(graph, r, lam, seed, choose_level, cut=cut):
-        # the two ends of an edge not yet cut share a component, and at
-        # equal depths a layer, so its lower-depth end decides
-        flags |= layer[np.where(depth[u] <= depth[w], u, w)]
-    return _carve(graph, "minore", r / lam, seed, cut=cut)
+    return _layer_cut(graph, "minore", r, lam, seed, choose_level)
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,7 @@ def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=N
         def choose_level(i, j):
             return int(np.random.default_rng(np.random.SeedSequence((seed, i, j))).integers(lam))
     adj, ids = graph.adjacency, edge_ids(graph)
-    dead, cut = bytearray(graph.n), bytearray(len(graph.edge_list))
+    dead, cut = np.zeros(graph.n, dtype=bool), np.zeros(len(graph.edge_list), dtype=bool)
     for i in range(r):
         comp_of, depth, count = sweep(graph, dead, cut)
         levels = [choose_level(i, j) for j in range(count)]
@@ -323,11 +323,11 @@ def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=N
             if d % lam != levels[comp_of[u]]:
                 continue
             if not edges:
-                dead[u] = 1
+                dead[u] = True
                 continue
             for w, e in zip(adj[u], ids[u]):
                 if depth[w] >= d:
-                    cut[e] = 1
+                    cut[e] = True
     nodes = frozenset(v for v in range(graph.n) if dead[v])
     removed = frozenset(e for e, c in zip(graph.edge_list, cut) if c)
     comps = connected_components(graph, nodes, removed)

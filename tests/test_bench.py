@@ -378,7 +378,7 @@ class TestSpecFile:
 
     @pytest.mark.parametrize("text, message", [
         ("topology=linechords\nn=7\nchords_k=9\n", "need 1 <= k <= n/2"),
-        ("topology=random\nn=-3\n", "node count must be >= 0"),
+        ("topology=random\nn=-3\n", "node count must be an integer >= 0"),
         ("topology=random\np=1.7\n", r"p must be in \[0, 1\]"),
         ("topology=random\np=-0.5\n", r"p must be in \[0, 1\]"),
     ])

@@ -428,6 +428,17 @@ class TestAffineShift:
         with pytest.raises(ValueError):
             affine_shift(m)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_edgeless(self, q):
+        # numpy reduces an empty (0, q, q) stack to an empty float array
+        phi = np.arange(3 * q, dtype=float).reshape(3, q) - 4.0
+        m = PairwiseMrf(Graph(3, []), q, phi, np.zeros((0, q, q)))
+        for table in (m.edge_min, m.edge_max):
+            assert table.shape == (0,) and table.dtype == float
+        shifted, total = affine_shift(m)
+        assert shifted.psi.shape == (0, q, q)
+        assert total == {2: 4.0 + 2.0, 3: 4.0 + 1.0}[q]  # the node shifts' sum
+
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_shift_property(self, table):
@@ -440,6 +451,9 @@ class TestAffineShift:
 class TestDoublingDimension:
     def test_single_node(self):
         assert doubling_dimension_exact(Graph(1, [])) == 0.0
+
+    def test_empty_graph(self):
+        assert doubling_dimension_exact(Graph(0, [])) == 0.0
 
     def test_complete_graph_k4(self):
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -471,10 +485,9 @@ class TestDoublingDimension:
                     assert len(shortest_path_ball(g, v, 2.0**r)) <= c**r + 1e-9
 
 
-# the mask forms ``sweep`` takes: none, bytes, a bytearray (layer cutting,
-# ball carving and ``connected_components`` pass one) and a boolean array
-# (``_carve`` and ``connected_components`` pass one)
-MASK_FORMS = (None, bytes, bytearray, lambda flags: np.array(flags, dtype=bool))
+# the mask forms ``sweep`` takes: none, or a boolean array (every caller
+# that removes anything passes one)
+MASK_FORMS = (None, lambda flags: np.array(flags, dtype=bool))
 
 
 class TestComponents:
@@ -659,8 +672,8 @@ class TestModelChecks:
     PSI = [[0.0, 1.0], [2.0, 3.0]]
 
     @pytest.mark.parametrize("q, phi, psi, message", [
-        (1, [[0.0], [0.0]], {(0, 1): [[0.0]]}, "alphabet size must be >= 2"),
-        (2.0, PHI, {(0, 1): PSI}, "alphabet size must be >= 2"),
+        (1, [[0.0], [0.0]], {(0, 1): [[0.0]]}, "alphabet size must be an integer >= 2"),
+        (2.0, PHI, {(0, 1): PSI}, "alphabet size must be an integer >= 2"),
         (2, [[0.0, 0.0]], {(0, 1): PSI}, r"node potentials must have shape \(2,2\)"),
         (2, [[0.0, math.nan], [0.0, 0.0]], {(0, 1): PSI}, r"node potential contains nan or \+inf"),
         (2, [[0.0, 0.0], [math.inf, 0.0]], {(0, 1): PSI}, r"node potential contains nan or \+inf"),
@@ -672,6 +685,9 @@ class TestModelChecks:
     def test_rejected(self, q, phi, psi, message):
         with pytest.raises(ValueError, match=message):
             PairwiseMrf(self.G, q, phi, psi)
+
+    def test_repr(self):
+        assert repr(PairwiseMrf(self.G, 2, self.PHI, {(0, 1): self.PSI})) == "PairwiseMrf(n=2, m=1, q=2)"
 
     def test_reversed_key_is_stored_transposed(self):
         m = PairwiseMrf(self.G, 2, self.PHI, {(1, 0): self.PSI})
@@ -698,7 +714,7 @@ class TestIntegerSizes:
     message of the range check; numpy integers pass."""
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: Graph(3.5, []), "node count must be >= 0"),
+        (lambda: Graph(3.5, []), "node count must be an integer >= 0"),
         (lambda: grid_graph(2.5), "grid sides must be non-negative"),
         (lambda: criscross_graph(3, 2.0), "grid sides must be non-negative"),
     ])

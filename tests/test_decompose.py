@@ -481,6 +481,12 @@ class TestLayerCutArrays:
         with pytest.raises(ValueError, match=r"level 3 outside 0\.\.2"):
             minor_edge(grid_graph(3), 2, 3, choose_level=lambda i, j: 3)
 
+    @pytest.mark.parametrize("layers", [minor_edge, minor_vertex])
+    def test_no_seed_and_no_levels_rejected(self, layers):
+        # the public defaults leave both out
+        with pytest.raises(ValueError, match="^give a seed or an explicit choose_level$"):
+            layers(grid_graph(3), 2, 3)
+
 
 def numpy_levels(seed, i, count, lam):
     """Round ``i``'s levels drawn one numpy stream per component."""

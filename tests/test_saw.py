@@ -339,6 +339,13 @@ class TestSizeBounds:
 
 
 class TestMaxRatio:
+    def test_nan_ratio_difference(self):
+        # both log-values -inf make the ratio NaN
+        nan, one = RatioPair(-math.inf, -math.inf), RatioPair(0.0, 1.0)
+        assert math.isnan(nan.log_ratio())
+        assert log_ratio_difference(nan, nan) == 0.0
+        assert log_ratio_difference(nan, one) == log_ratio_difference(one, nan) == math.inf
+
     def test_flat_single_node(self):
         m = PairwiseMrf(Graph(1, []), 2, [[0.7, 0.7]], {})
         pair = saw_max_ratio(build_saw_tree(m, 0))

@@ -184,7 +184,7 @@ def parse_experiment_spec(text: str) -> ExperimentSpec:
     """
     kinds = typing.get_type_hints(ExperimentSpec)
     values: dict[str, object] = {}
-    for no, tokens in _rows(text):
+    for no, tokens in _rows(text.splitlines()):
         line = " ".join(tokens)
         if "=" not in line:
             raise FormatError(f"line {no}: expected key=value, got: {line}")

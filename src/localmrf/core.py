@@ -22,8 +22,8 @@ force a state off (used for conditioning); everything else must be finite.
 from __future__ import annotations
 
 import math
+import warnings
 from functools import cached_property, lru_cache
-from itertools import chain
 from numbers import Integral
 from typing import Iterable, Mapping, NoReturn, Sequence
 
@@ -661,19 +661,21 @@ def _fmt(x: float) -> str:
 def write_mrf_text(mrf: PairwiseMrf) -> str:
     if not np.isfinite(mrf.phi).all():
         raise ValueError("text format requires finite tables")
-    lines = [f"mrf {mrf.n} {mrf.q}"]
-    for v in range(mrf.n):
-        vals = " ".join(_fmt(x) for x in mrf.phi[v])
-        lines.append(f"node {v} {vals}")
-    for (u, v), table in zip(mrf.graph.ends.tolist(), mrf.psi):
-        vals = " ".join(_fmt(x) for x in table.ravel())
-        lines.append(f"edge {u} {v} {vals}")
+    q = mrf.q
+    node, edge = "node %d" + " %.17g" * q, "edge %d %d" + " %.17g" * (q * q)
+    lines = [f"mrf {mrf.n} {q}"]
+    lines += [node % (v, *row) for v, row in enumerate(mrf.phi.tolist())]
+    tables = mrf.psi.reshape(len(mrf.psi), q * q).tolist()
+    lines += [edge % (*e, *t) for e, t in zip(mrf.graph.ends.tolist(), tables)]
     return "\n".join(lines) + "\n"
 
 
 def _numbers(no: int, tokens: list[str], kind=float) -> list:
-    """Tokens of line ``no`` as ints or finite floats, else ``FormatError``."""
+    """Tokens of line ``no`` as ints or finite floats, else ``FormatError``;
+    digits are ASCII and unseparated (no ``1_0``), as numpy's reader has them."""
     try:
+        if not all(t.isascii() and "_" not in t for t in tokens):
+            raise ValueError
         values = [kind(t) for t in tokens]
     except ValueError:
         raise FormatError(f"line {no}: not a number in: {' '.join(tokens)}") from None
@@ -682,18 +684,21 @@ def _numbers(no: int, tokens: list[str], kind=float) -> list:
     return values
 
 
-def _rows(text: str):
+def _rows(lines: Iterable[str]):
     """(line number, tokens) of each line that is not blank or a comment."""
-    for no, raw in enumerate(text.splitlines(), 1):
+    for no, raw in enumerate(lines, 1):
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield no, tokens
 
 
+_WIDEST = 2**27  # values in a line: numpy's reader needs a row to fit in 2**31 bytes
+
+
 def _raise_first_bad_line(text: str, n: int, q: int) -> NoReturn:
     """Raise the ``FormatError`` of the first malformed line after the header;
     a node line holds one id and ``q`` values, an edge line two ids and ``q^2``."""
-    rows, seen = _rows(text), set()
+    rows, seen = _rows(text.splitlines()), set()
     next(rows)
     for no, row in rows:
         kind = row[0]
@@ -702,6 +707,8 @@ def _raise_first_bad_line(text: str, n: int, q: int) -> NoReturn:
             raise FormatError(f"line {no}: unknown line kind: {kind}")
         if len(row) != 1 + k + q**k:
             raise FormatError(f"line {no}: {kind} line needs {q**k} values")
+        if q**k > _WIDEST:
+            raise FormatError(f"line {no}: {kind} line of {q**k} values is too wide to read")
         ids = tuple(_numbers(no, row[1 : 1 + k], int))
         if k == 1 and not 0 <= ids[0] < n:
             raise FormatError(f"line {no}: node id {ids[0]} out of range")
@@ -714,49 +721,61 @@ def _raise_first_bad_line(text: str, n: int, q: int) -> NoReturn:
     raise AssertionError("a bulk check failed on well-formed lines")
 
 
+def _read(lines: list[str], k: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids, ``(k, len(lines))``, and the flat values of lines of one kind,
+    read by numpy's C text reader, which also counts each line's tokens; a
+    bad line raises ``ValueError`` or a ``Warning`` that does not name it."""
+    if not lines:  # no dtype: a header sigma may be too large for one
+        return np.empty((k, 0), np.int64), np.empty(0)
+    if width > _WIDEST:
+        raise ValueError(width)
+    # the kind token is not checked: the caller grouped the lines by it
+    row = np.dtype([("kind", "U4"), ("ids", np.int64, (k,)), ("x", float, (width,))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 1.x reads an id such as 1.0 as 1, and warns
+        rows = np.loadtxt(lines, row, ndmin=1)
+    return rows["ids"].T.copy(), rows["x"].ravel()
+
+
 def parse_mrf_text(text: str) -> PairwiseMrf:
     """Parse format v1; a malformed line raises ``FormatError`` naming it.
 
     Bad tokens, non-finite values, ids out of range and duplicate node or
-    edge lines are all rejected.  One pass over the lines checks each
-    line's kind and token count and collects its tokens; the ids and values
-    are then converted and checked as arrays.  Only when a check fails are
-    the lines walked again, in file order, to name the first bad one.
+    edge lines are all rejected.  The lines are grouped by kind, by their
+    first five characters or else their first token, each group is read by
+    one ``np.loadtxt`` call, and the ids and values are checked as arrays.
+    Only when a read or a check fails are the lines walked, in file order,
+    to name the first bad one.
     """
-    rows = _rows(text)
-    no, header = next(rows, (0, [None]))
+    lines = text.splitlines()
+    no, header = next(_rows(lines), (0, [None]))
     if header[0] != "mrf" or len(header) != 3:
         raise FormatError("expected header: mrf <n> <sigma>")
     n, q = _numbers(no, header[1:], int)
     if n < 0 or q < 2:
         raise FormatError(f"line {no}: need n >= 0 and sigma >= 2")
-    node_ids, node_values, edge_ends, edge_values = [], [], [], []
-    for _, row in rows:
-        if row[0] == "node" and len(row) == 2 + q:
-            node_ids.append(row[1])
-            node_values += row[2:]
-        elif row[0] == "edge" and len(row) == 3 + q * q:
-            edge_ends += row[1:3]
-            edge_values += row[3:]
-        else:
+    if n > np.iinfo(np.int64).max:
+        raise FormatError(f"line {no}: n {n} does not fit a 64-bit id")
+    body = lines[no:]
+    nodes, edges = ([s for s in body if s[:5] == kind] for kind in ("node ", "edge "))
+    if len(nodes) + len(edges) < len(body):  # comments, blank lines or indentation
+        kinds = [s.split("#", 1)[0].split()[:1] for s in body]
+        if any(t not in ([], ["node"], ["edge"]) for t in kinds):
             _raise_first_bad_line(text, n, q)
+        nodes, edges = ([s for s, t in zip(body, kinds) if t == [k]] for k in ("node", "edge"))
     try:
-        v = np.array(list(map(int, node_ids)), dtype=np.int64)
-        u, w = np.array(list(map(int, edge_ends)), dtype=np.int64).reshape(-1, 2).T
-        count = len(node_values) + len(edge_values)
-        values = np.fromiter(map(float, chain(node_values, edge_values)), float, count)
-    except (ValueError, OverflowError):
+        (v,), node_values = _read(nodes, 1, q)
+        (u, w), edge_values = _read(edges, 2, q * q)
+    except (ValueError, Warning):
         _raise_first_bad_line(text, n, q)
-    # the token strings would otherwise stay alive while the model is built,
-    # and set the parse's peak memory
-    del node_ids, node_values, edge_ends, edge_values
+    del lines, body, nodes, edges  # else the line strings set the parse's peak memory
     order = np.lexsort((w, u))  # edge_list order
     u, w = u[order], w[order]
     # nothing is sized by the header alone: a huge n or q fails here, on
     # the lines that are there, before any table is allocated
     ids = np.sort(v)
     if not (
-        np.isfinite(values).all()
+        np.isfinite(node_values).all() and np.isfinite(edge_values).all()
         and ((0 <= v) & (v < n)).all()
         and (ids[1:] != ids[:-1]).all()
         and ((0 <= u) & (u < w) & (w < n)).all()
@@ -768,12 +787,12 @@ def parse_mrf_text(text: str) -> PairwiseMrf:
         # the first missing id
         first = np.count_nonzero(ids == np.arange(len(ids)))
         raise FormatError(f"missing node lines for {n - len(v)} of {n} nodes, first node {first}")
-    if q * q * values.itemsize > np.iinfo(np.intp).max:
+    if q * q * edge_values.itemsize > np.iinfo(np.intp).max:
         # not even an empty (0, q, q) edge table has a numpy shape
         raise FormatError(f"line {no}: sigma {q} is too large for an edge table")
     phi = np.empty((n, q))
-    phi[v] = values[: n * q].reshape(n, q)
-    psi = values[n * q :].reshape(-1, q, q)[order]
+    phi[v] = node_values.reshape(n, q)
+    psi = edge_values.reshape(-1, q, q)[order]
     graph = Graph._from_ends(n, np.stack((u, w), axis=1, dtype=np.intp))
     return PairwiseMrf(graph, q, phi, psi)
 

@@ -230,7 +230,7 @@ def parse_factor_model(text: str) -> FactorModel:
     below 1, out-of-range or repeated factor variables and tables of the
     wrong size are all rejected, as is a variable that no factor covers.
     """
-    rows = _rows(text)
+    rows = _rows(text.splitlines())
     no, header = next(rows, (0, [None]))
     if header[0] != "factors" or len(header) < 2:
         raise FormatError("expected header: factors <nvars> <domains...>")

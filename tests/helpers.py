@@ -22,7 +22,7 @@ from localmrf import (
     line_graph,
     saw_max_ratio,
 )
-from localmrf.core import sweep
+from localmrf.core import FormatError, sweep
 
 # the two ways to copy a value whole
 COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
@@ -333,3 +333,72 @@ def layer_cut_by_nodes(graph: Graph, r: int, lam: int, seed=None, choose_level=N
     comps = connected_components(graph, nodes, removed)
     alg = "minore" if edges else "minorv"
     return Decomposition(alg, graph.n, comps, r / lam, seed, nodes, removed)
+
+
+def write_mrf_by_format(mrf: PairwiseMrf) -> str:
+    """``write_mrf_text`` as one ``format(x, ".17g")`` call per value."""
+    lines = [f"mrf {mrf.n} {mrf.q}"]
+    for v in range(mrf.n):
+        lines.append(f"node {v} " + " ".join(format(x, ".17g") for x in mrf.phi[v]))
+    for (u, v), table in zip(mrf.graph.ends.tolist(), mrf.psi):
+        lines.append(f"edge {u} {v} " + " ".join(format(x, ".17g") for x in table.ravel()))
+    return "\n".join(lines) + "\n"
+
+
+def parse_mrf_by_lines(text: str):
+    """Format v1 read one line at a time, every token through Python's
+    ``int`` and ``float``: the ``(phi, psi, ends)`` that ``parse_mrf_text``
+    must build, or the ``FormatError`` it must raise, with its message."""
+
+    def numbers(no, tokens, kind=float):
+        # the format's digits are ASCII and unseparated
+        if not all(t.isascii() and "_" not in t for t in tokens):
+            raise FormatError(f"line {no}: not a number in: {' '.join(tokens)}")
+        try:
+            values = [kind(t) for t in tokens]
+        except ValueError:
+            raise FormatError(f"line {no}: not a number in: {' '.join(tokens)}") from None
+        if kind is float and not all(map(math.isfinite, values)):
+            raise FormatError(f"line {no}: values must be finite: {' '.join(tokens)}")
+        return values
+
+    rows = [
+        (no, tokens)
+        for no, line in enumerate(text.splitlines(), 1)
+        if (tokens := line.split("#", 1)[0].split())
+    ]
+    if not rows or rows[0][1][0] != "mrf" or len(rows[0][1]) != 3:
+        raise FormatError("expected header: mrf <n> <sigma>")
+    (no, header), *body = rows
+    n, q = numbers(no, header[1:], int)
+    if n < 0 or q < 2:
+        raise FormatError(f"line {no}: need n >= 0 and sigma >= 2")
+    if n >= 2**63:
+        raise FormatError(f"line {no}: n {n} does not fit a 64-bit id")
+    tables = {"node": {}, "edge": {}}
+    for no, (kind, *tokens) in body:
+        k = {"node": 1, "edge": 2}.get(kind)
+        if k is None:
+            raise FormatError(f"line {no}: unknown line kind: {kind}")
+        if len(tokens) != k + q**k:
+            raise FormatError(f"line {no}: {kind} line needs {q**k} values")
+        if q**k > 2**27:
+            raise FormatError(f"line {no}: {kind} line of {q**k} values is too wide to read")
+        ids = tuple(numbers(no, tokens[:k], int))
+        if k == 1 and not 0 <= ids[0] < n:
+            raise FormatError(f"line {no}: node id {ids[0]} out of range")
+        if k == 2 and not 0 <= ids[0] < ids[1] < n:
+            raise FormatError(f"line {no}: edge must be written u < v < n, got {ids[0]} {ids[1]}")
+        if ids in tables[kind]:
+            raise FormatError(f"line {no}: duplicate {kind} {' '.join(map(str, ids))}")
+        tables[kind][ids] = numbers(no, tokens[k:])
+    nodes, edges = tables["node"], tables["edge"]
+    if len(nodes) < n:
+        first = next(v for v in itertools.count() if (v,) not in nodes)
+        raise FormatError(f"missing node lines for {n - len(nodes)} of {n} nodes, first node {first}")
+    if q * q * 8 > np.iinfo(np.intp).max:
+        raise FormatError(f"line {rows[0][0]}: sigma {q} is too large for an edge table")
+    keys = sorted(edges)
+    phi = np.array([nodes[(v,)] for v in range(n)], dtype=float).reshape(n, q)
+    psi = np.array([edges[e] for e in keys], dtype=float).reshape(len(keys), q, q)
+    return phi, psi, np.array(keys, dtype=np.intp).reshape(len(keys), 2)

@@ -310,6 +310,9 @@ def test_huge_header_is_an_error_not_a_traceback(tmp_path):
     huge.write_text("mrf 10000000000000 2\n")
     with pytest.raises(SystemExit, match="^error: missing node lines for 10000000000000 of "):
         main(["logz", "--graph", str(huge)])
+    huge.write_text("mrf 100000000000000000000 2\nnode 9223372036854775808 0 0\n")
+    with pytest.raises(SystemExit, match="^error: line 1: n 100000000000000000000 does not fit "):
+        main(["logz", "--graph", str(huge)])
 
 
 def test_saw_commands(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from localmrf import (
     shortest_path_ball,
     write_mrf_text,
 )
+from localmrf import core
 from localmrf.bench import parse_experiment_spec
 from localmrf.core import CapExceeded, FormatError, _members, bfs_depths, sweep
 from localmrf.mwis import parse_factor_model
@@ -34,11 +36,13 @@ from helpers import (
     induced_by_edge_scan,
     lattice_by_pairs,
     oracle_log_z,
+    parse_mrf_by_lines,
     random_graph,
     random_mrf,
     union_find_components,
     cover_number_oracle,
     with_forced_node,
+    write_mrf_by_format,
 )
 
 
@@ -896,6 +900,149 @@ class TestTextFormat:
         with pytest.raises(FormatError, match=f"^{message}$"):
             parse_mrf_text(text)
 
+    def test_ids_beyond_64_bits_are_named(self):
+        # an id past int64 is read by no array, so a header n past it is
+        # refused on its line, and any id past int64 is out of range
+        with pytest.raises(FormatError, match="^line 1: n 100000000000000000000 does not fit a 64-bit id$"):
+            parse_mrf_text("mrf 100000000000000000000 2\nnode 9223372036854775808 0 0\n")
+        top = "mrf 9223372036854775807 2\n"
+        with pytest.raises(FormatError, match="^line 2: node id 9223372036854775808 out of range$"):
+            parse_mrf_text(top + "node 9223372036854775808 0 0\n")
+        with pytest.raises(FormatError, match="^line 2: edge must be written u < v < n, got -9223372036854775809 0$"):
+            parse_mrf_text(top + "edge -9223372036854775809 0 1 2 3 4\n")
+        with pytest.raises(FormatError, match="^missing node lines for 9223372036854775806 of "):
+            parse_mrf_text(top + "node 9223372036854775806 0 0\n")
+
+    # a token in each place a number is read: the header's n, a node id and
+    # value, an edge end and value
+    NUMBER_PLACES = [(1, 1), (2, 1), (2, 3), (4, 2), (4, 6)]
+
+    def _with_token(self, line, k, token):
+        lines = "mrf 2 2\nnode 0 1 2\nnode 1 3 4\nedge 0 1 1 2 3 4".split("\n")
+        tokens = lines[line - 1].split()
+        tokens[k] = token
+        lines[line - 1] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("line, k", NUMBER_PLACES)
+    @pytest.mark.parametrize("token", ["1_0", "0_1", "1_0.5"])
+    def test_digit_separators_are_not_numbers(self, line, k, token):
+        # Python's int and float read 1_0 as 10; the format does not
+        with pytest.raises(FormatError, match=f"^line {line}: not a number in: "):
+            parse_mrf_text(self._with_token(line, k, token))
+
+    @pytest.mark.parametrize("line, k", NUMBER_PLACES)
+    @pytest.mark.parametrize("token", ["\u0661", "\uff11", "1\u0661", "\u0661.\u0665"])
+    def test_non_ascii_digits_are_not_numbers(self, line, k, token):
+        # Python's int and float read Arabic-Indic and full-width digits
+        with pytest.raises(FormatError, match=f"^line {line}: not a number in: "):
+            parse_mrf_text(self._with_token(line, k, token))
+
+    def test_line_too_wide_to_read_is_named(self, monkeypatch):
+        monkeypatch.setattr(core, "_WIDEST", 3)
+        text = "mrf 2 2\nnode 0 1 2\nnode 1 1 2\n# 4 values\nedge 0 1 1 2 3 4\n"
+        with pytest.raises(FormatError, match="^line 5: edge line of 4 values is too wide to read$"):
+            parse_mrf_text(text)
+        with pytest.raises(FormatError, match="^line 3: node line needs 2 values$"):
+            parse_mrf_text(text.replace("node 1 1 2", "node 1 1"))
+
+    def test_reader_warning_is_a_bad_line(self, monkeypatch):
+        # numpy 1.x reads the id 1.0 as 1 and warns; the warning sends the
+        # parse to the line walker, which refuses the token
+        real = np.loadtxt
+
+        def loadtxt(lines, *args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return real(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with pytest.raises(FormatError, match="^line 3: not a number in: 1.0$"):
+            parse_mrf_text("mrf 2 2\nnode 0 1 2\nnode 1.0 1 2\n")
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_laid_out_text_parses_as_reference(self, data):
+        m = data.draw(written_models())
+        header, *body = write_mrf_text(m).splitlines()
+        filler = st.lists(st.sampled_from(["", "  ", "\t", "# note", " # 1 2 x"]), max_size=2)
+
+        def lay(line):
+            sep = data.draw(st.sampled_from([" ", "  ", "\t", "\xa0", " \t"]))
+            pad = data.draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+            tail = data.draw(st.sampled_from(["", " ", "\t", "# trailing", " #x # y"]))
+            return pad + sep.join(line.split(" ")) + tail
+
+        lines = data.draw(filler) + [lay(header)]
+        for line in data.draw(st.permutations(body)):
+            lines += data.draw(filler) + [lay(line)]
+        text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n"]))
+        phi, psi, ends = parse_mrf_by_lines(text)
+        got = parse_mrf_text(text)
+        assert got.phi.tobytes() == phi.tobytes() == m.phi.tobytes()
+        assert got.psi.tobytes() == psi.tobytes() == m.psi.tobytes()
+        assert got.graph.ends.tobytes() == ends.tobytes() == m.graph.ends.tobytes()
+        assert got.psi.shape == psi.shape and got.graph.ends.shape == ends.shape
+
+    MUTANT_TOKENS = [
+        "", "0", "1", "2", "-1", "7", "+1", "007", "-0", "1.0", "1.5", ".5", "5.", "1e3",
+        "1E-3", "1e400", "-1e400", "1e-400", "nan", "-nan", "inf", "-Infinity", "INF", "x",
+        "0x1f", "1e", "--2", "1_0", "\u0661", "\uff11", "\x00", "2\x00", "#", "1#", "node",
+        "edge", "mrf", "nodes", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775809", "99999999999999999999",
+    ]
+    # first tokens: the line kinds and what a reader could take for one
+    KIND_TOKENS = ["", "#", "node", "edge", "mrf", "nodes", "Node", "node\x00", "edge\x00", "0"]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_text_parses_or_fails_as_reference(self, data):
+        # one token replaced, dropped or added anywhere, the header included:
+        # the same arrays as the line-by-line reference, or its FormatError
+        m = data.draw(written_models())
+        lines = write_mrf_text(m).splitlines()
+        if data.draw(st.booleans()):
+            lines[1:] = data.draw(st.permutations(lines[1:]))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        k = data.draw(st.just(0) | st.integers(0, len(tokens)))
+        token = data.draw(st.sampled_from(self.KIND_TOKENS if k == 0 else self.MUTANT_TOKENS))
+        if k == len(tokens) or data.draw(st.booleans()):
+            tokens.insert(k, token)
+        else:
+            tokens[k] = token
+        lines[i] = " ".join(tokens)
+        text = "\n".join(lines) + "\n"
+        try:
+            phi, psi, ends = parse_mrf_by_lines(text)
+        except FormatError as want:
+            with pytest.raises(FormatError) as got:
+                parse_mrf_text(text)
+            assert str(got.value) == str(want)
+            return
+        got = parse_mrf_text(text)
+        assert got.phi.tobytes() == phi.tobytes() and got.phi.shape == phi.shape
+        assert got.psi.tobytes() == psi.tobytes() and got.psi.shape == psi.shape
+        assert got.graph.ends.tobytes() == ends.tobytes() and got.graph.ends.shape == ends.shape
+
+    def test_writer_matches_per_value_format(self):
+        # the extremes of the 17-digit format: signed zero, subnormals, the
+        # largest doubles
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16]
+        g = path_graph(4)
+        phi = np.resize(special, (4, 3))
+        psi = np.resize(special[::-1], (3, 3, 3))
+        m = PairwiseMrf(g, 3, phi, psi)
+        text = write_mrf_text(m)
+        assert text == write_mrf_by_format(m)
+        assert "-0 " in text and "4.9406564584124654e-324" in text and "1e+308" in text
+        assert parse_mrf_text(text).phi.tobytes() == m.phi.tobytes()
+
+    @given(written_models())
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_per_value_format_on_models(self, m):
+        assert write_mrf_text(m) == write_mrf_by_format(m)
+
     def test_distribution_survives_round_trip(self):
         rng = np.random.default_rng(11)
         m = random_mrf(rng, path_graph(4), lo=-3.0, hi=3.0)
@@ -924,15 +1071,18 @@ class TestLineReader:
     CASES = [
         (parse_mrf_text, "mrf 2 2\nnode 0 1 2\nnode 1 1\n", 3),
         (parse_mrf_text, "mrf 2 2\nnode 0 1 2\nnode 1 1 2\nedge 0 1 1 2 3 x\n", 4),
+        (parse_mrf_text, "mrf 2 2\nnode 0 1 2\nnode 1 1_0 2\n", 3),
         (parse_factor_model, "factors x 2\n", 1),
         (parse_factor_model, "factors 1 2\n# comment\nfactor 2 0\n", 3),
         (parse_factor_model, "factors 1 2\nfactor 1 0 1 nan\n", 2),
         (parse_factor_model, "factors 1 2\nfactr 1 0 1 2\n", 2),
+        (parse_factor_model, "factors 1 2\nfactor 1 0 1 \u0662\n", 2),
         (parse_experiment_spec, "n=7\ntopology grid\n", 2),
         (parse_experiment_spec, "# sweep\nn=seven\n", 2),
         (parse_experiment_spec, "alphas=0.2,,0.4\n", 1),
         (parse_experiment_spec, "n=7\n\nn=8\n", 3),
         (parse_experiment_spec, "n=\n", 1),
+        (parse_experiment_spec, "n=1_0\n", 1),
     ]
 
     @pytest.mark.parametrize("layout", ["crlf", "indented", "commented", "preamble", "open"])
